@@ -11,7 +11,7 @@ Run with:  python demos/lines_on_quintic.py
 
 from curvecount import (
     GrassmannianRing,
-    count_lines_complete_intersection,
+    count_curves,
     count_lines_hypersurface,
     dual_universal_vector,
     integrate,
@@ -43,7 +43,11 @@ print("lines on a line:", count_lines_hypersurface(2, 1).count)
 print()
 
 # Complete intersections work the same way with one forms bundle per
-# equation; the ranks must add up to the moduli dimension.
+# equation; the ranks must add up to the moduli dimension.  `count_curves`
+# runs the same construction for conics, over the bundle of conics in the
+# moving plane (see demos/conics_on_quintic.py); the conic counts on the
+# Calabi-Yau complete intersections are those of Libgober and Teitelbaum.
 for n, degrees in ((4, [5]), (5, [2, 4]), (5, [3, 3]), (6, [2, 2, 3]), (7, [2, 2, 2, 2])):
-    count = count_lines_complete_intersection(n, degrees).count
-    print(f"lines on the {tuple(degrees)} complete intersection in P^{n}: {count}")
+    for kind in ("lines", "conics"):
+        count = count_curves(kind, n, degrees).count
+        print(f"{kind} on the {tuple(degrees)} complete intersection in P^{n}: {count}")

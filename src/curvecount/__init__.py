@@ -43,6 +43,7 @@ from .pipelines import (
     H0Count,
     NormalBundleType,
     count_conics_quintic,
+    count_curves,
     count_lines_complete_intersection,
     count_lines_hypersurface,
     degeneration_split_report,
@@ -81,6 +82,7 @@ __all__ = [
     "SymmetricPoly",
     "clear_universal_cache",
     "count_conics_quintic",
+    "count_curves",
     "count_lines_complete_intersection",
     "count_lines_hypersurface",
     "degeneration_split_report",

@@ -15,6 +15,8 @@ truncation degree) and optionally on disk.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -94,6 +96,7 @@ def dual_universal_vector(ring: GrassmannianRing) -> ChernVector:
 
 _SYM_CACHE: dict[tuple[int, int, int], tuple] = {}
 _CACHE_DIR: Path | None = None
+_CACHE_FORMAT = 1  # bump when the layout of a cache file changes
 
 
 def set_universal_cache_dir(path: str | Path | None) -> None:
@@ -142,11 +145,15 @@ def _cache_file(r: int, d: int, trunc: int) -> Path:
 
 
 def _load_cached(r: int, d: int, trunc: int):
+    """The stored polynomials for the key, or None when the file is missing,
+    unreadable, of another format version, or holds another key."""
     path = _cache_file(r, d, trunc)
     if not path.is_file():
         return None
     try:
         data = json.loads(path.read_text())
+        if (data["format"], data["r"], data["d"], data["trunc"]) != (_CACHE_FORMAT, r, d, trunc):
+            return None
         return tuple(
             tuple((tuple(exps), int(coeff)) for exps, coeff in degree)
             for degree in data["degrees"]
@@ -156,13 +163,23 @@ def _load_cached(r: int, d: int, trunc: int):
 
 
 def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
+    """Write through a temporary file, so that no reader sees a partial file."""
     payload = {
+        "format": _CACHE_FORMAT,
         "r": r,
         "d": d,
         "trunc": trunc,
         "degrees": [[[list(exps), str(coeff)] for exps, coeff in degree] for degree in value],
     }
-    _cache_file(r, d, trunc).write_text(json.dumps(payload))
+    path = _cache_file(r, d, trunc)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:

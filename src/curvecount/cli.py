@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
+from functools import partial
 
 from . import chern
 from .chern import dual_universal_vector, segre_from_chern, sym_power, tensor_line, whitney_quotient
@@ -32,13 +33,6 @@ from .pipelines import (
 )
 
 CACHE_DIR_ENV = "CURVECOUNT_CACHE_DIR"
-
-
-@dataclass
-class CliConfig:
-    output_format: str = "plain"
-    trace: bool = False
-    cache_dir: str | None = None
 
 
 def _parse_grassmannian(text: str) -> GrassmannianRing:
@@ -69,20 +63,20 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit_report(report: CountReport, config: CliConfig) -> None:
-    if config.output_format == "structured":
-        print(_dump(report.to_payload(include_trace=config.trace)))
+def _emit_report(report: CountReport, args) -> None:
+    if args.output_format == "structured":
+        print(_dump(report.to_payload(include_trace=args.trace)))
         return
     print(report.count)
     for name, ok in report.consistency:
         print(f"check {name}: {'pass' if ok else 'FAIL'}")
-    if config.trace:
+    if args.trace:
         for label, value in report.trace:
             print(f"trace {label}: {value}")
 
 
-def _emit_record(pipeline: str, inputs: dict, record: dict, headline: str, config: CliConfig) -> None:
-    if config.output_format == "structured":
+def _emit_record(pipeline: str, inputs: dict, record: dict, headline: str, args) -> None:
+    if args.output_format == "structured":
         payload = {
             "pipeline": pipeline,
             "inputs": inputs,
@@ -95,8 +89,8 @@ def _emit_record(pipeline: str, inputs: dict, record: dict, headline: str, confi
     print(" ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in record.items()))
 
 
-def _emit_class(pipeline: str, inputs: dict, payload_value, config: CliConfig) -> None:
-    if config.output_format == "structured":
+def _emit_class(pipeline: str, inputs: dict, payload_value, args) -> None:
+    if args.output_format == "structured":
         print(_dump({"pipeline": pipeline, "inputs": inputs, "result": payload_value}))
         return
     if isinstance(payload_value, list) and not payload_value:
@@ -105,146 +99,150 @@ def _emit_class(pipeline: str, inputs: dict, payload_value, config: CliConfig) -
     print(json.dumps(payload_value, separators=(",", ":")))
 
 
-def _cmd_lines(args, config):
-    _emit_report(count_lines_hypersurface(args.ambient, args.degree), config)
+def _required(parse=int, text=None) -> dict:
+    return {"type": parse, "required": True, "help": text}
 
 
-def _cmd_lines_ci(args, config):
-    _emit_report(count_lines_complete_intersection(args.ambient, args.degrees), config)
+def _inputs(args, options) -> dict:
+    """The values of a subcommand's options, keyed by their argparse names."""
+    names = [flag[2:].replace("-", "_") for flag, _ in options]
+    return {name: getattr(args, name) for name in names}
 
 
-def _cmd_conics_quintic(args, config):
-    _emit_report(count_conics_quintic(), config)
+def _sym(ring, d: int):
+    return sym_power(dual_universal_vector(ring), d)
 
 
-def _cmd_equivalence(args, config):
-    _emit_report(equivalence_lines_on_factor(args.total, args.factor, args.ambient), config)
+def _segre(ring, args):
+    if args.trunc is None:
+        args.trunc = ring.dim  # the default is recorded in the inputs
+    return [c.to_payload() for c in segre_from_chern(_sym(ring, args.degree), args.trunc)]
 
 
-def _cmd_split_report(args, config):
-    _emit_report(degeneration_split_report(args.degree, args.ambient), config)
+def _report(build):
+    """Emitter of a subcommand that prints the CountReport `build(args)` returns."""
+    return lambda pipeline, options, args: _emit_report(build(args), args)
 
 
-def _cmd_dim_count(args, config):
-    rec = naive_dimension_count(args.ambient, args.hypersurface, args.curve_degree)
-    _emit_record(
-        "dim-count",
-        {"ambient": args.ambient, "hypersurface": args.hypersurface, "curve_degree": args.curve_degree},
-        {
-            "parameters": rec.parameters,
-            "conditions": rec.conditions,
-            "reparametrizations": rec.reparametrizations,
-            "expected_dim": rec.expected_dim,
-        },
-        "expected_dim",
-        config,
+def _record(build, headline: str):
+    """Emitter of a subcommand that prints the record dataclass `build(args)` returns."""
+    return lambda pipeline, options, args: _emit_record(
+        pipeline, _inputs(args, options), asdict(build(args)), headline, args
     )
 
 
-def _cmd_normal_bundle(args, config):
-    rec = normal_bundle_h0(NormalBundleType(args.a, args.b))
-    _emit_record(
-        "normal-bundle",
-        {"a": args.a, "b": args.b},
-        {"h0": rec.h0, "rigid": rec.rigid},
-        "h0",
-        config,
-    )
+def _calculator(compute):
+    """Emitter of a calculator subcommand printing `compute(ring, args)`."""
+
+    def emit(pipeline, options, args):
+        ring = args.grassmannian
+        value = compute(ring, args)
+        inputs = {"grassmannian": f"{ring.r},{ring.N}", **_inputs(args, options)}
+        _emit_class(pipeline, inputs, value, args)
+
+    return emit
 
 
-def _cmd_tally_checks(args, config):
-    _emit_report(tally_checks(), config)
+# Subcommands: (name, help, options, emitter), with options as (flag, argparse
+# keywords).  The lambdas name the pipelines and calculator functions, so each
+# call looks them up in this module at call time.
+COMMANDS = (
+    (
+        "lines", "count lines on a hypersurface",
+        (("--ambient", _required(text="projective ambient dimension n")),
+         ("--degree", _required(text="hypersurface degree"))),
+        _report(lambda a: count_lines_hypersurface(a.ambient, a.degree)),
+    ),
+    (
+        "lines-ci", "count lines on a complete intersection",
+        (("--ambient", _required()), ("--degrees", _required(_parse_degrees, "e.g. 2,4"))),
+        _report(lambda a: count_lines_complete_intersection(a.ambient, a.degrees)),
+    ),
+    ("conics-quintic", "count conics on the quintic threefold", (), _report(lambda a: count_conics_quintic())),
+    (
+        "equivalence", "lines absorbed by a factor of a reducible hypersurface",
+        (("--total", _required(text="total hypersurface degree D")),
+         ("--factor", _required(text="factor degree e")),
+         ("--ambient", _required())),
+        _report(lambda a: equivalence_lines_on_factor(a.total, a.factor, a.ambient)),
+    ),
+    (
+        "split-report", "equivalences of every split, checked against the total",
+        (("--degree", _required()), ("--ambient", _required())),
+        _report(lambda a: degeneration_split_report(a.degree, a.ambient)),
+    ),
+    (
+        "dim-count", "naive parameter count for curves on a hypersurface",
+        (("--ambient", _required()), ("--hypersurface", _required()), ("--curve-degree", _required())),
+        _record(lambda a: naive_dimension_count(a.ambient, a.hypersurface, a.curve_degree), "expected_dim"),
+    ),
+    (
+        "normal-bundle", "sections and rigidity for splitting type O(a)+O(b)",
+        (("--a", _required()), ("--b", _required())),
+        _record(lambda a: normal_bundle_h0(NormalBundleType(a.a, a.b)), "h0"),
+    ),
+    ("tally-checks", "verify published component tallies against totals", (), _report(lambda a: tally_checks())),
+)
+
+# Calculators on one Grassmannian, given by --grassmannian: group -> (help, subcommands).
+_PARTITION = _required(_parse_partition)
+CALCULATORS = {
+    "schubert": ("Schubert-basis ring calculator", (
+        (
+            "mult", "product of two basis classes",
+            (("--a", _PARTITION), ("--b", _PARTITION)),
+            _calculator(lambda ring, a: multiply(ring.sigma(a.a), ring.sigma(a.b)).to_payload()),
+        ),
+        (
+            "pieri", "product with a special class",
+            (("--a", _PARTITION), ("--k", _required())),
+            _calculator(lambda ring, a: pieri(ring.sigma(a.a), a.k).to_payload()),
+        ),
+        (
+            "integrate", "degree of a power of a basis class",
+            (("--a", _PARTITION), ("--power", {"type": int, "default": 1})),
+            _calculator(lambda ring, a: str(integrate(ring.sigma(a.a) ** a.power))),
+        ),
+    )),
+    "chern": ("Chern-class calculator on Sym^d of the dual universal bundle", (
+        (
+            "sym", "components of Sym^d(U*)",
+            (("--degree", _required()),),
+            _calculator(lambda ring, a: _sym(ring, a.degree).to_payload()),
+        ),
+        (
+            "dual", "components of the dual of Sym^d(U*)",
+            (("--degree", _required()),),
+            _calculator(lambda ring, a: chern.dual(_sym(ring, a.degree)).to_payload()),
+        ),
+        (
+            "twist", "Sym^d(U*) twisted by a line with c1 = by * sigma_1",
+            (("--degree", _required()), ("--by", _required())),
+            _calculator(lambda ring, a: tensor_line(
+                _sym(ring, a.degree), ring.sigma((1,)) * a.by if a.by else ring.zero()
+            ).to_payload()),
+        ),
+        (
+            "quotient", "c(Sym^num U*) / c(Sym^den U*)",
+            (("--num", _required()), ("--den", _required())),
+            _calculator(lambda ring, a: whitney_quotient(_sym(ring, a.num), _sym(ring, a.den)).to_payload()),
+        ),
+        (
+            "segre", "Segre classes of Sym^d(U*)",
+            (("--degree", _required()), ("--trunc", {"type": int, "default": None})),
+            _calculator(_segre),
+        ),
+    )),
+}
+_GRASSMANNIAN = ("--grassmannian", _required(_parse_grassmannian, "r,N"))
 
 
-def _cmd_schubert_mult(args, config):
-    ring = args.grassmannian
-    result = multiply(ring.sigma(args.a), ring.sigma(args.b))
-    _emit_class(
-        "schubert-mult",
-        {"grassmannian": f"{ring.r},{ring.N}", "a": list(args.a), "b": list(args.b)},
-        result.to_payload(),
-        config,
-    )
-
-
-def _cmd_schubert_pieri(args, config):
-    ring = args.grassmannian
-    result = pieri(ring.sigma(args.a), args.k)
-    _emit_class(
-        "schubert-pieri",
-        {"grassmannian": f"{ring.r},{ring.N}", "a": list(args.a), "k": args.k},
-        result.to_payload(),
-        config,
-    )
-
-
-def _cmd_schubert_integrate(args, config):
-    ring = args.grassmannian
-    value = integrate(ring.sigma(args.a) ** args.power)
-    _emit_class(
-        "schubert-integrate",
-        {"grassmannian": f"{ring.r},{ring.N}", "a": list(args.a), "power": args.power},
-        str(value),
-        config,
-    )
-
-
-def _cmd_chern_sym(args, config):
-    ring = args.grassmannian
-    vec = sym_power(dual_universal_vector(ring), args.degree)
-    _emit_class(
-        "chern-sym",
-        {"grassmannian": f"{ring.r},{ring.N}", "degree": args.degree},
-        vec.to_payload(),
-        config,
-    )
-
-
-def _cmd_chern_dual(args, config):
-    ring = args.grassmannian
-    vec = chern.dual(sym_power(dual_universal_vector(ring), args.degree))
-    _emit_class(
-        "chern-dual",
-        {"grassmannian": f"{ring.r},{ring.N}", "degree": args.degree},
-        vec.to_payload(),
-        config,
-    )
-
-
-def _cmd_chern_twist(args, config):
-    ring = args.grassmannian
-    t = ring.sigma((1,)) * args.by if args.by else ring.zero()
-    vec = tensor_line(sym_power(dual_universal_vector(ring), args.degree), t)
-    _emit_class(
-        "chern-twist",
-        {"grassmannian": f"{ring.r},{ring.N}", "degree": args.degree, "by": args.by},
-        vec.to_payload(),
-        config,
-    )
-
-
-def _cmd_chern_quotient(args, config):
-    ring = args.grassmannian
-    cu = dual_universal_vector(ring)
-    vec = whitney_quotient(sym_power(cu, args.num), sym_power(cu, args.den))
-    _emit_class(
-        "chern-quotient",
-        {"grassmannian": f"{ring.r},{ring.N}", "num": args.num, "den": args.den},
-        vec.to_payload(),
-        config,
-    )
-
-
-def _cmd_chern_segre(args, config):
-    ring = args.grassmannian
-    trunc = args.trunc if args.trunc is not None else ring.dim
-    classes = segre_from_chern(sym_power(dual_universal_vector(ring), args.degree), trunc)
-    _emit_class(
-        "chern-segre",
-        {"grassmannian": f"{ring.r},{ring.N}", "degree": args.degree, "trunc": trunc},
-        [c.to_payload() for c in classes],
-        config,
-    )
+def _add_commands(sub, prefix: str, commands, common=()) -> None:
+    for name, summary, options, emit in commands:
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in common + options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=partial(emit, prefix + name, options))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,91 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"directory for the universal-polynomial cache (or ${CACHE_DIR_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lines", help="count lines on a hypersurface")
-    p.add_argument("--ambient", type=int, required=True, help="projective ambient dimension n")
-    p.add_argument("--degree", type=int, required=True, help="hypersurface degree")
-    p.set_defaults(func=_cmd_lines)
-
-    p = sub.add_parser("lines-ci", help="count lines on a complete intersection")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--degrees", type=_parse_degrees, required=True, help="e.g. 2,4")
-    p.set_defaults(func=_cmd_lines_ci)
-
-    p = sub.add_parser("conics-quintic", help="count conics on the quintic threefold")
-    p.set_defaults(func=_cmd_conics_quintic)
-
-    p = sub.add_parser("equivalence", help="lines absorbed by a factor of a reducible hypersurface")
-    p.add_argument("--total", type=int, required=True, help="total hypersurface degree D")
-    p.add_argument("--factor", type=int, required=True, help="factor degree e")
-    p.add_argument("--ambient", type=int, required=True)
-    p.set_defaults(func=_cmd_equivalence)
-
-    p = sub.add_parser("split-report", help="equivalences of every split, checked against the total")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    p.set_defaults(func=_cmd_split_report)
-
-    p = sub.add_parser("dim-count", help="naive parameter count for curves on a hypersurface")
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--hypersurface", type=int, required=True)
-    p.add_argument("--curve-degree", type=int, required=True)
-    p.set_defaults(func=_cmd_dim_count)
-
-    p = sub.add_parser("normal-bundle", help="sections and rigidity for splitting type O(a)+O(b)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.set_defaults(func=_cmd_normal_bundle)
-
-    p = sub.add_parser("tally-checks", help="verify published component tallies against totals")
-    p.set_defaults(func=_cmd_tally_checks)
-
-    schubert = sub.add_parser("schubert", help="Schubert-basis ring calculator").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = schubert.add_parser("mult", help="product of two basis classes")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True, help="r,N")
-    p.add_argument("--a", type=_parse_partition, required=True)
-    p.add_argument("--b", type=_parse_partition, required=True)
-    p.set_defaults(func=_cmd_schubert_mult)
-    p = schubert.add_parser("pieri", help="product with a special class")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--a", type=_parse_partition, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_schubert_pieri)
-    p = schubert.add_parser("integrate", help="degree of a power of a basis class")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--a", type=_parse_partition, required=True)
-    p.add_argument("--power", type=int, default=1)
-    p.set_defaults(func=_cmd_schubert_integrate)
-
-    chern_cmd = sub.add_parser("chern", help="Chern-class calculator on Sym^d of the dual universal bundle").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = chern_cmd.add_parser("sym", help="components of Sym^d(U*)")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_chern_sym)
-    p = chern_cmd.add_parser("dual", help="components of the dual of Sym^d(U*)")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_chern_dual)
-    p = chern_cmd.add_parser("twist", help="Sym^d(U*) twisted by a line with c1 = by * sigma_1")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--by", type=int, required=True)
-    p.set_defaults(func=_cmd_chern_twist)
-    p = chern_cmd.add_parser("quotient", help="c(Sym^num U*) / c(Sym^den U*)")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--num", type=int, required=True)
-    p.add_argument("--den", type=int, required=True)
-    p.set_defaults(func=_cmd_chern_quotient)
-    p = chern_cmd.add_parser("segre", help="Segre classes of Sym^d(U*)")
-    p.add_argument("--grassmannian", type=_parse_grassmannian, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(func=_cmd_chern_segre)
-
+    _add_commands(sub, "", COMMANDS)
+    for group, (summary, commands) in CALCULATORS.items():
+        group_sub = sub.add_parser(group, help=summary).add_subparsers(dest="subcommand", required=True)
+        _add_commands(group_sub, f"{group}-", commands, (_GRASSMANNIAN,))
     return parser
 
 
@@ -356,15 +273,11 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = CliConfig(
-        output_format=args.output_format,
-        trace=args.trace,
-        cache_dir=args.cache_dir or os.environ.get(CACHE_DIR_ENV),
-    )
-    if config.cache_dir:
-        chern.set_universal_cache_dir(config.cache_dir)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    if cache_dir:
+        chern.set_universal_cache_dir(cache_dir)
     try:
-        args.func(args, config)
+        args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

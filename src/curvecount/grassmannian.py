@@ -160,6 +160,8 @@ class ChowClass:
         out = self.ring.one()
         for _ in range(exponent):
             out = out * self
+            if out.is_zero():
+                break
         return out
 
     def __eq__(self, other) -> bool:

@@ -12,9 +12,11 @@ provenance trace of intermediate classes, and any consistency checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .chern import dual_universal_vector, segre_from_chern, sym_power, tensor_line, whitney_quotient
+from .chern import (
+    dual_universal_vector, segre_from_chern, sym_power, tensor_line, trivial_vector, whitney_quotient,
+)
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate, multiply
 from .projbundle import ProjBundleRing, pb_pushforward, pullback_vector
@@ -99,100 +101,85 @@ class DimensionCount:
     expected_dim: int
 
 
-def count_lines_hypersurface(n: int, d: int) -> CountReport:
-    """Count lines on a general degree-d hypersurface in projective n-space.
+def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
+    """Count lines or conics on a general complete intersection in P^n.
 
-    The moduli space is Gr(2, n+1); the bundle of degree-d forms on the
-    moving 2-plane is Sym^d of the dual universal bundle, and its rank must
-    equal the moduli dimension 2(n-1) for the count to be zero-dimensional.
+    A line or conic spans a linear subspace, so its moduli space is built
+    over the Grassmannian of spans: Gr(2, n+1) for lines, and for conics the
+    bundle of conics in the moving plane, P(Sym^2 U*) over Gr(3, n+1).  An
+    equation of degree d restricts to a section of the forms of degree d on
+    the curve: Sym^d U* for lines, and for conics Sym^d U* modulo the forms
+    divisible by the conic, Sym^(d-2) U* twisted by O(-zeta).  The count is
+    the integral of the product of the top Chern classes of these summands;
+    it is defined when their total rank equals the moduli dimension.
     """
-    if n < 2 or d < 1:
-        raise PreconditionError(f"need ambient dimension >= 2 and degree >= 1, got ({n}, {d})")
-    ring = GrassmannianRing(2, n + 1)
-    forms = sym_power(dual_universal_vector(ring), d)
-    if forms.rank != ring.dim:
+    degrees = [int(d) for d in degrees]
+    if kind not in ("lines", "conics"):
+        raise PreconditionError(f"unknown curve kind {kind!r}: expected 'lines' or 'conics'")
+    if n < 2 or not degrees or any(d < 1 for d in degrees):
+        raise PreconditionError(f"need ambient dimension >= 2 and degrees >= 1, got ({n}, {degrees})")
+    span = 2 if kind == "lines" else 3
+    base = GrassmannianRing(span, n + 1)
+    cu = dual_universal_vector(base)
+    if kind == "lines":
+        ring = base
+        trace = [("moduli_space", f"Gr(2,{n + 1})")]
+    else:
+        conic_space = sym_power(cu, 2)
+        ring = ProjBundleRing(conic_space)
+        trace = [
+            ("base_space", f"Gr(3,{n + 1})"),
+            ("base_dim", str(base.dim)),
+            ("conic_bundle_rank", str(conic_space.rank)),
+        ]
+    # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1;
+    # checking before any symmetric power is built keeps a mismatch cheap.
+    rank = sum((span - 1) * d + 1 for d in degrees)
+    if rank != ring.dim:
         raise PreconditionError(
-            f"rank {forms.rank} != dim {ring.dim}: expected a finite family; "
-            f"the count is only defined when the forms bundle rank matches the moduli dimension"
+            f"rank {rank} != dim {ring.dim}: the degrees {degrees} do not cut out "
+            f"a finite family of {kind} in P^{n}"
         )
-    top = forms.top()
+    trace.append(("moduli_dim", str(ring.dim)))
+    summands = []
+    for d in degrees:
+        forms = sym_power(cu, d)
+        if kind == "conics":
+            forms = pullback_vector(ring, forms)
+            trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
+            if d > 1:
+                lower = pullback_vector(ring, sym_power(cu, d - 2)) if d > 2 else trivial_vector(ring, 1)
+                divisible = tensor_line(lower, -ring.zeta())
+                trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
+                forms = whitney_quotient(forms, divisible, ring.dim)
+        summands.append(forms)
+    trace.append(("forms_rank", str(rank)))
+    top = summands[0].top()
+    for forms in summands[1:]:
+        top = top * forms.top()
+    if kind == "conics":
+        top = pb_pushforward(top)
     count = integrate(top)
-    trace = (
-        ("moduli_space", f"Gr(2,{n + 1})"),
-        ("moduli_dim", str(ring.dim)),
-        ("forms_rank", str(forms.rank)),
-        ("top_chern_class", _serialize(top)),
-        ("count", str(count)),
+    trace.append(("top_class_pushforward" if kind == "conics" else "top_chern_class", _serialize(top)))
+    trace.append(("count", str(count)))
+    return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
+
+
+def count_lines_hypersurface(n: int, d: int) -> CountReport:
+    """Lines on a general degree-d hypersurface in P^n (2875 for the quintic)."""
+    return replace(
+        count_curves("lines", n, [d]), pipeline="lines-hypersurface", inputs={"ambient": n, "degree": d}
     )
-    return CountReport("lines-hypersurface", {"ambient": n, "degree": d}, count, trace)
 
 
 def count_lines_complete_intersection(n: int, degrees: list[int]) -> CountReport:
-    """Count lines on a general complete intersection of the given degrees."""
-    degrees = [int(d) for d in degrees]
-    if n < 2 or not degrees or any(d < 1 for d in degrees):
-        raise PreconditionError(f"need ambient dimension >= 2 and degrees >= 1, got ({n}, {degrees})")
-    ring = GrassmannianRing(2, n + 1)
-    total_rank = sum(d + 1 for d in degrees)
-    if total_rank != ring.dim:
-        raise PreconditionError(
-            f"rank {total_rank} != dim {ring.dim}: the degrees {degrees} do not cut out "
-            f"a finite family of lines in P^{n}"
-        )
-    cu = dual_universal_vector(ring)
-    product = ring.one()
-    trace = [
-        ("moduli_space", f"Gr(2,{n + 1})"),
-        ("moduli_dim", str(ring.dim)),
-    ]
-    for d in degrees:
-        top = sym_power(cu, d).top()
-        trace.append((f"top_chern_degree_{d}", _serialize(top)))
-        product = multiply(product, top)
-    count = integrate(product)
-    trace.append(("count", str(count)))
-    return CountReport(
-        "lines-complete-intersection",
-        {"ambient": n, "degrees": list(degrees)},
-        count,
-        tuple(trace),
-    )
+    """Lines on a general complete intersection of the given degrees in P^n."""
+    return count_curves("lines", n, degrees)
 
 
 def count_conics_quintic() -> CountReport:
-    """Count conics on a general quintic threefold in projective 4-space.
-
-    Conics span a unique 2-plane, so the moduli space is the bundle of conic
-    curves in the moving plane: P(Sym^2 U*) over Gr(3, 5), of dimension 11.
-    The forms bundle is Sym^5(U*) modulo quintics divisible by the conic,
-    i.e. modulo Sym^3(U*) twisted by the tautological line of equations.
-    """
-    base = GrassmannianRing(3, 5)
-    cu = dual_universal_vector(base)
-    conic_space = sym_power(cu, 2)
-    total = ProjBundleRing(conic_space)
-    quintic_forms = pullback_vector(total, sym_power(cu, 5))
-    cubic_forms = tensor_line(pullback_vector(total, sym_power(cu, 3)), -total.zeta())
-    forms = whitney_quotient(quintic_forms, cubic_forms, total.dim)
-    if forms.rank != total.dim:
-        raise InternalCheckError(
-            f"forms bundle rank {forms.rank} does not match moduli dimension {total.dim}"
-        )
-    top = forms.top()
-    pushed = pb_pushforward(top)
-    count = integrate(pushed)
-    trace = (
-        ("base_space", "Gr(3,5)"),
-        ("base_dim", str(base.dim)),
-        ("conic_bundle_rank", str(conic_space.rank)),
-        ("moduli_dim", str(total.dim)),
-        ("quintic_forms_rank", str(quintic_forms.rank)),
-        ("twisted_cubic_forms_rank", str(cubic_forms.rank)),
-        ("forms_rank", str(forms.rank)),
-        ("top_class_pushforward", _serialize(pushed)),
-        ("count", str(count)),
-    )
-    return CountReport("conics-quintic", {}, count, trace)
+    """Conics on a general quintic threefold in P^4 (609250)."""
+    return replace(count_curves("conics", 4, [5]), pipeline="conics-quintic", inputs={})
 
 
 def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:

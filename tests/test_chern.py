@@ -1,3 +1,4 @@
+import json
 from math import comb
 from random import Random
 
@@ -254,6 +255,23 @@ class TestUniversalCache:
             path.write_text("{not json")
             clear_universal_cache()
             assert sym_power_elementary(2, 2, 3) == value
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_disk_cache_of_another_format_recomputed(self, tmp_path):
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            value = sym_power_elementary(2, 2, 3)
+            [path] = list(tmp_path.iterdir())
+            stored = json.loads(path.read_text())
+            del stored["format"]
+            stored["degrees"] = [[] for _ in stored["degrees"]]
+            path.write_text(json.dumps(stored))
+            clear_universal_cache()
+            assert sym_power_elementary(2, 2, 3) == value
+            assert "format" in json.loads(path.read_text())
         finally:
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -1,6 +1,9 @@
 import json
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 from curvecount.cli import CACHE_DIR_ENV, run
 
@@ -174,6 +177,58 @@ class TestOutputContract:
         assert [entry["pass"] for entry in payload["consistency"]] == [True, True, True]
 
 
+# Every subcommand on a small input: argv, pipeline, the payload key holding
+# the answer, and the answer.
+ONE = [[[], "1"]]
+STRUCTURED = [
+    (["lines", "--ambient", "4", "--degree", "5"], "lines-hypersurface", "count", "2875"),
+    (["lines-ci", "--ambient", "5", "--degrees", "2,4"], "lines-complete-intersection", "count", "1280"),
+    (["conics-quintic"], "conics-quintic", "count", "609250"),
+    (["equivalence", "--total", "5", "--factor", "1", "--ambient", "4"], "equivalence-lines-factor", "count", "1275"),
+    (["split-report", "--degree", "3", "--ambient", "3"], "degeneration-split", "count", "27"),
+    (["dim-count", "--ambient", "4", "--hypersurface", "5", "--curve-degree", "7"], "dim-count", "count", "0"),
+    (["normal-bundle", "--a", "1", "--b", "-3"], "normal-bundle", "count", "2"),
+    (["tally-checks"], "tally-checks", "count", "609250"),
+    (["schubert", "mult", "--grassmannian", "2,4", "--a", "1,1", "--b", "1,1"], "schubert-mult", "result",
+     [[[2, 2], "1"]]),
+    (["schubert", "pieri", "--grassmannian", "2,4", "--a", "2,1", "--k", "1"], "schubert-pieri", "result",
+     [[[2, 2], "1"]]),
+    (["schubert", "integrate", "--grassmannian", "2,5", "--a", "1", "--power", "6"], "schubert-integrate",
+     "result", "5"),
+    (["chern", "sym", "--grassmannian", "2,4", "--degree", "1"], "chern-sym", "result",
+     {"rank": 2, "components": [ONE, [[[1], "1"]], [[[1, 1], "1"]]]}),
+    (["chern", "dual", "--grassmannian", "2,4", "--degree", "1"], "chern-dual", "result",
+     {"rank": 2, "components": [ONE, [[[1], "-1"]], [[[1, 1], "1"]]]}),
+    # c_1 = sigma_1 + 2 sigma_1 and c_2 = sigma_11 + sigma_1^2 + sigma_1^2 = 2 sigma_2 + 3 sigma_11.
+    (["chern", "twist", "--grassmannian", "2,5", "--degree", "1", "--by", "1"], "chern-twist", "result",
+     {"rank": 2, "components": [ONE, [[[1], "3"]], [[[1, 1], "3"], [[2], "2"]]]}),
+    # c_1(Sym^2 U*) = 3 c_1(U*), so the rank-1 quotient by U* has c_1 = 2 sigma_1.
+    (["chern", "quotient", "--grassmannian", "2,4", "--num", "2", "--den", "1"], "chern-quotient", "result",
+     {"rank": 1, "components": [ONE, [[[1], "2"]]]}),
+    # s_1 = -sigma_1 and s_2 = sigma_1^2 - sigma_11 = sigma_2.
+    (["chern", "segre", "--grassmannian", "2,5", "--degree", "1", "--trunc", "2"], "chern-segre", "result",
+     [ONE, [[[1], "-1"]], [[[2], "1"]]]),
+]
+
+
+@pytest.mark.parametrize("argv, pipeline, key, expected", STRUCTURED, ids=[" ".join(row[0]) for row in STRUCTURED])
+def test_every_subcommand_structured(capsys, argv, pipeline, key, expected):
+    code, out, _ = invoke(capsys, "--format", "structured", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pipeline"] == pipeline
+    assert payload[key] == expected
+
+
+def test_structured_table_covers_every_subcommand():
+    from curvecount.cli import CALCULATORS, COMMANDS
+
+    names = {name for name, *_ in COMMANDS}
+    names |= {f"{group} {name}" for group, (_, commands) in CALCULATORS.items() for name, *_ in commands}
+    covered = {" ".join(argv[:2]) if argv[0] in CALCULATORS else argv[0] for argv, *_ in STRUCTURED}
+    assert covered == names
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["twisted-cubics"]) == 2
@@ -216,6 +271,25 @@ class TestCache:
             assert code == 0
             assert out.strip() == "27"
             assert any(tmp_path.iterdir())
+        finally:
+            chern.set_universal_cache_dir(None)
+            chern.clear_universal_cache()
+
+
+    def test_cache_file_of_another_key_is_recomputed(self, capsys, tmp_path):
+        import curvecount.chern as chern
+
+        chern.clear_universal_cache()
+        try:
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), "lines", "--ambient", "3", "--degree", "3")
+            assert (code, out.strip()) == (0, "27")
+            shutil.copy(tmp_path / "sym_r2_d3_t4.json", tmp_path / "sym_r2_d5_t6.json")
+            chern.clear_universal_cache()
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), "lines", "--ambient", "4", "--degree", "5")
+            assert (code, out.strip()) == (0, "2875")
+            rewritten = json.loads((tmp_path / "sym_r2_d5_t6.json").read_text())
+            assert (rewritten["r"], rewritten["d"], rewritten["trunc"]) == (2, 5, 6)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
         finally:
             chern.set_universal_cache_dir(None)
             chern.clear_universal_cache()

@@ -88,6 +88,15 @@ class TestMultiply:
         assert by_pieri == 5 * GR25.sigma((3, 3))
         assert GR25.sigma((1,)) ** 6 == 5 * GR25.sigma((3, 3))
 
+    def test_power_stops_once_zero(self, monkeypatch):
+        import curvecount.grassmannian as grassmannian
+
+        calls = []
+        original = grassmannian.multiply
+        monkeypatch.setattr(grassmannian, "multiply", lambda x, y: calls.append(1) or original(x, y))
+        assert (GR25.sigma((1,)) ** 50).is_zero()
+        assert len(calls) <= 7
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             multiply(GR24.sigma((1,)), GR25.sigma((1,)))

@@ -9,6 +9,7 @@ from curvecount import (
     NormalBundleType,
     PreconditionError,
     count_conics_quintic,
+    count_curves,
     count_lines_complete_intersection,
     count_lines_hypersurface,
     degeneration_split_report,
@@ -94,8 +95,38 @@ class TestConicsOnQuintic:
         assert report.trace_value("forms_rank") == "11"
         assert report.trace_value("base_dim") == "6"
         assert report.trace_value("moduli_dim") == "11"
-        assert report.trace_value("quintic_forms_rank") == "21"
-        assert report.trace_value("twisted_cubic_forms_rank") == "10"
+        assert report.trace_value("sym_rank_degree_5") == "21"
+        assert report.trace_value("divisible_rank_degree_5") == "10"
+
+
+class TestCountCurves:
+    @pytest.mark.parametrize(
+        "kind, n, degrees, count",
+        [
+            # Libgober-Teitelbaum (1993): the Calabi-Yau complete intersections.
+            ("conics", 5, [3, 3], 52812),
+            ("conics", 5, [2, 4], 92288),
+            ("conics", 6, [2, 2, 3], 22428),
+            ("conics", 7, [2, 2, 2, 2], 9728),
+            ("lines", 5, [3, 3], 1053),
+            ("lines", 5, [2, 4], 1280),
+            ("lines", 6, [2, 2, 3], 720),
+            ("lines", 7, [2, 2, 2, 2], 512),
+            # A hyperplane of P^5 is P^4, so a degree-1 equation changes nothing.
+            ("conics", 5, [1, 5], 609250),
+            ("lines", 5, [1, 5], 2875),
+        ],
+    )
+    def test_published_counts(self, kind, n, degrees, count):
+        report = count_curves(kind, n, degrees)
+        assert report.count == count
+        assert report.trace_value("forms_rank") == report.trace_value("moduli_dim")
+
+    def test_preconditions(self):
+        with pytest.raises(PreconditionError, match="unknown curve kind"):
+            count_curves("planes", 4, [5])
+        with pytest.raises(PreconditionError, match=r"rank 9 != dim 11"):
+            count_curves("conics", 4, [4])
 
 
 class TestEquivalences:

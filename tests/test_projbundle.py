@@ -67,6 +67,15 @@ class TestMultiplication:
         assert not z5.is_zero()
         assert pb_multiply(z5, p5.zeta()).is_zero()
 
+    def test_power_stops_once_zero(self, monkeypatch):
+        import curvecount.projbundle as projbundle
+
+        calls = []
+        original = projbundle.pb_multiply
+        monkeypatch.setattr(projbundle, "pb_multiply", lambda x, y: calls.append(1) or original(x, y))
+        assert (proj_space(5).zeta() ** 50).is_zero()
+        assert len(calls) <= 6
+
     def test_rank_one_bundle_collapses_zeta(self):
         # s = 1: the fiber is a point and z reduces to -c1(E).
         rng = Random(32)
