@@ -196,24 +196,24 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
     return value
 
 
-def _evaluate_elementary(epoly, c: ChernVector):
-    """Evaluate an e-polynomial on the Chern components of `c`."""
+def _evaluate_elementary(epoly, c: ChernVector, powers: list[list]):
+    """Evaluate an e-polynomial on the Chern components of `c`.
+
+    `powers[i]` lists the powers c_(i+1)^0, c_(i+1)^1, ... of `c` built so
+    far; a missing power is appended from the one below it, so callers share
+    one table across the e-polynomials of all components.
+    """
     ring = c.ring
-    power_cache: dict[tuple[int, int], object] = {}
-
-    def power(i: int, a: int):
-        key = (i, a)
-        if key not in power_cache:
-            power_cache[key] = c.component(i) ** a
-        return power_cache[key]
-
     acc = ring.zero()
     for exps, coeff in epoly:
-        term = ring.one() * coeff
+        term = None
         for i, a in enumerate(exps):
             if a:
-                term = term * power(i + 1, a)
-        acc = acc + term
+                table = powers[i]
+                while len(table) <= a:
+                    table.append(table[-1] * table[1])
+                term = table[a] if term is None else term * table[a]
+        acc = acc + (ring.one() if term is None else term) * coeff
     return acc
 
 
@@ -228,7 +228,8 @@ def sym_power(c: ChernVector, d: int) -> ChernVector:
     new_rank = comb(c.rank + d - 1, d)
     trunc = min(new_rank, c.ring.dim)
     universal = sym_power_elementary(c.rank, d, trunc)
-    components = [_evaluate_elementary(epoly, c) for epoly in universal]
+    powers = [[c.ring.one(), c.component(i)] for i in range(1, c.rank + 1)]
+    components = [_evaluate_elementary(epoly, c, powers) for epoly in universal]
     return ChernVector(c.ring, new_rank, components)
 
 
@@ -295,6 +296,8 @@ def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -
     rank = e.rank - s.rank
     if trunc is None:
         trunc = ring.dim
+    elif trunc < 0:
+        raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
     top = min(rank, trunc, ring.dim)
     comps = [ring.one()]
     for k in range(1, top + 1):
@@ -310,6 +313,8 @@ def segre_from_chern(c: ChernVector, trunc: int) -> list:
 
     Returns [s_0 = 1, s_1, ..., s_trunc] with s_1 = -c_1, s_2 = c_1^2 - c_2, ...
     """
+    if trunc < 0:
+        raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
     ring = c.ring
     out = [ring.one()]
     for k in range(1, trunc + 1):

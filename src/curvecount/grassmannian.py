@@ -2,20 +2,68 @@
 
 Classes on Gr(r, N) (r-dimensional subspaces of an N-dimensional space) are
 finite integer combinations of Schubert classes indexed by partitions inside
-the r x (N-r) box.  Products use the Littlewood-Richardson rule, computed by
-enumerating chains of horizontal strips with the lattice-word condition;
-results are memoized per (pair of partitions, box).  Everything is exact:
-coefficients are plain Python integers.
+the r x (N-r) box.  Arithmetic works on basis indices: a partition's index is
+its position among the box's partitions in lexicographic order, so () is 0
+and the full box is last.  Each box has one table, filled as partitions are
+first met, that maps parts to indices and back and holds one interned
+`Partition` per index for the public `terms` view.  Products use the
+Littlewood-Richardson rule, computed by enumerating chains of horizontal
+strips with the lattice-word condition; the expansion of each sorted pair of
+partitions in a box is memoized as (index, coefficient) pairs.  Everything is
+exact: coefficients are plain Python integers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, RingMismatchError
 from .partitions import Partition, horizontal_strips, partitions_in_box
+
+
+class _Box:
+    """Basis table of the rows x cols box: parts, weight and `Partition` by index.
+
+    An index is the lexicographic rank of the partition among all partitions
+    in the box, computed from the parts alone, so entries are added as
+    partitions are first met and the box is never enumerated.  Entries are
+    only ever added, with the same values, so concurrent readers are safe.
+    """
+
+    __slots__ = ("rows", "last", "index", "parts", "weights", "partitions")
+
+    def __init__(self, rows: int, cols: int):
+        self.rows = rows
+        self.last = comb(rows + cols, rows) - 1  # the index of the full box
+        self.index: dict[tuple[int, ...], int] = {}
+        self.parts: dict[int, tuple[int, ...]] = {}
+        self.weights: dict[int, int] = {}
+        self.partitions: dict[int, Partition] = {}
+        self.rank(())  # index 0, the unit class
+
+    def rank(self, parts: tuple[int, ...]) -> int:
+        """Index of an in-box partition, given its parts without trailing zeros.
+
+        Partitions below it in lex order first differ from it at some row i,
+        holding a value v < parts[i] there over rows - 1 - i rows of parts at
+        most v; summing binom(rows - 1 - i + v, v) over v < parts[i] gives
+        binom(rows - 1 - i + parts[i], parts[i] - 1).
+        """
+        i = self.index.get(parts)
+        if i is None:
+            i = sum(comb(self.rows - 1 - row + p, p - 1) for row, p in enumerate(parts))
+            self.parts[i] = parts
+            self.weights[i] = sum(parts)
+            self.partitions[i] = Partition(parts)
+            self.index[parts] = i
+        return i
+
+
+_box = lru_cache(maxsize=None)(_Box)  # one table per (rows, cols)
 
 
 class GrassmannianRing:
@@ -25,13 +73,14 @@ class GrassmannianRing:
     projective-bundle layer uses to model plain projective spaces.
     """
 
-    __slots__ = ("r", "N")
+    __slots__ = ("r", "N", "box")
 
     def __init__(self, r: int, N: int):
         if not 0 < r <= N:
             raise PreconditionError(f"need 0 < r <= N, got Gr({r},{N})")
         self.r = r
         self.N = N
+        self.box = _box(r, N - r)
 
     @property
     def rows(self) -> int:
@@ -49,17 +98,17 @@ class GrassmannianRing:
         return p.fits(self.rows, self.cols)
 
     def zero(self) -> "ChowClass":
-        return ChowClass(self, {})
+        return ChowClass._trusted(self, {})
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, {Partition(): 1})
+        return ChowClass._trusted(self, {0: 1})
 
     def sigma(self, parts: Iterable[int]) -> "ChowClass":
         """The Schubert basis class for the given partition."""
         p = parts if isinstance(parts, Partition) else Partition(parts)
         if not self.contains(p):
             raise PreconditionError(f"{p} does not fit the box of {self}")
-        return ChowClass(self, {p: 1})
+        return ChowClass._trusted(self, {self.box.rank(p.parts): 1})
 
     def point_class(self) -> "ChowClass":
         """The class of a point: the full-box Schubert class."""
@@ -86,15 +135,16 @@ class GrassmannianRing:
 class ChowClass:
     """An element of a Grassmannian Chow ring in the Schubert basis.
 
-    `terms` maps in-box partitions to nonzero integers; the zero class has
-    no terms.  Instances are treated as immutable: all arithmetic returns
-    new objects, so sharing across threads is safe.
+    Coefficients are stored by basis index of the ring's box; the zero class
+    has none.  `terms` is a read-only view keyed by `Partition`.  Instances
+    are treated as immutable: all arithmetic returns new objects, so sharing
+    across threads is safe.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: GrassmannianRing, terms: Mapping[Partition, int]):
-        clean: dict[Partition, int] = {}
+        clean: dict[int, int] = {}
         for p, c in terms.items():
             if not isinstance(p, Partition):
                 p = Partition(p)
@@ -103,23 +153,40 @@ class ChowClass:
                 continue
             if not ring.contains(p):
                 raise PreconditionError(f"{p} does not fit the box of {ring}")
-            clean[p] = c
+            clean[ring.box.rank(p.parts)] = c
         self.ring = ring
-        self.terms = clean
+        self._coeffs = clean
+
+    @classmethod
+    def _trusted(cls, ring: GrassmannianRing, coeffs: dict[int, int]) -> "ChowClass":
+        """A class from nonzero coefficients keyed by basis indices of `ring`."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out._coeffs = coeffs
+        return out
+
+    @property
+    def terms(self) -> Mapping[Partition, int]:
+        partitions = self.ring.box.partitions
+        return MappingProxyType({partitions[i]: c for i, c in self._coeffs.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def coefficient(self, parts) -> int:
         p = parts if isinstance(parts, Partition) else Partition(parts)
-        return self.terms.get(p, 0)
+        if not self.ring.contains(p):
+            return 0
+        return self._coeffs.get(self.ring.box.rank(p.parts), 0)
 
     def degrees(self) -> set[int]:
         """Weights of the homogeneous components present."""
-        return {p.weight for p in self.terms}
+        weights = self.ring.box.weights
+        return {weights[i] for i in self._coeffs}
 
     def homogeneous_part(self, k: int) -> "ChowClass":
-        return ChowClass(self.ring, {p: c for p, c in self.terms.items() if p.weight == k})
+        weights = self.ring.box.weights
+        return ChowClass._trusted(self.ring, {i: c for i, c in self._coeffs.items() if weights[i] == k})
 
     def _check_ring(self, other: "ChowClass") -> None:
         if self.ring != other.ring:
@@ -129,10 +196,14 @@ class ChowClass:
         if not isinstance(other, ChowClass):
             return NotImplemented
         self._check_ring(other)
-        acc = dict(self.terms)
-        for p, c in other.terms.items():
-            acc[p] = acc.get(p, 0) + c
-        return ChowClass(self.ring, acc)
+        acc = dict(self._coeffs)
+        for i, c in other._coeffs.items():
+            c += acc.get(i, 0)
+            if c:
+                acc[i] = c
+            else:
+                del acc[i]
+        return ChowClass._trusted(self.ring, acc)
 
     def __sub__(self, other):
         if not isinstance(other, ChowClass):
@@ -140,11 +211,13 @@ class ChowClass:
         return self + (-other)
 
     def __neg__(self):
-        return ChowClass(self.ring, {p: -c for p, c in self.terms.items()})
+        return ChowClass._trusted(self.ring, {i: -c for i, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ChowClass(self.ring, {p: c * other for p, c in self.terms.items()})
+            if not other:
+                return self.ring.zero()
+            return ChowClass._trusted(self.ring, {i: c * other for i, c in self._coeffs.items()})
         if isinstance(other, ChowClass):
             return multiply(self, other)
         return NotImplemented
@@ -156,7 +229,7 @@ class ChowClass:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            raise ValueError("negative powers are not defined")
+            raise PreconditionError(f"negative powers are not defined, got {exponent}")
         out = self.ring.one()
         for _ in range(exponent):
             out = out * self
@@ -166,38 +239,41 @@ class ChowClass:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ChowClass):
-            return self.ring == other.ring and self.terms == other.terms
+            return self.ring == other.ring and self._coeffs == other._coeffs
         return NotImplemented
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
+        parts = self.ring.box.parts
         bits = []
-        for p, c in sorted(self.terms.items()):
-            name = "s" + repr(list(p.parts)) if p else "1"
+        for i, c in sorted(self._coeffs.items()):
+            name = "s" + repr(list(parts[i])) if i else "1"
             bits.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(bits)
 
     def to_payload(self) -> list[list]:
         """Serialized form: [[parts, coefficient-as-decimal-string], ...], lex-sorted."""
-        return [[list(p.parts), str(c)] for p, c in sorted(self.terms.items())]
+        parts = self.ring.box.parts
+        return [[list(parts[i]), str(c)] for i, c in sorted(self._coeffs.items())]
 
 
-def _is_lattice_chain(chain: list[tuple[int, ...]], rows: int) -> bool:
-    """Lattice-word check for a chain of horizontal strips.
+def _is_lattice_step(before: tuple[int, ...], shape: tuple[int, ...], nu: tuple[int, ...]) -> bool:
+    """Lattice-word check between two consecutive strata of a strip chain.
 
-    Entries of stratum i sit in columns [chain[i-1][row], chain[i][row]);
-    reading rows top to bottom, right to left, every prefix must contain at
-    least as many labels i as labels i+1.
+    The earlier stratum fills columns [before[row], shape[row]) of each row
+    and the later one [shape[row], nu[row]).  Reading rows top to bottom and
+    each right to left, a row's later entries come before its earlier ones,
+    so the later label may never outnumber the earlier one counted over the
+    rows above.  A chain is lattice exactly when every consecutive pair is,
+    so the check runs as each stratum is added.
     """
-    stages = len(chain) - 1
-    counts = [0] * (stages + 1)
-    for row in range(rows):
-        for i in range(stages, 0, -1):
-            for _ in range(chain[i][row] - chain[i - 1][row]):
-                counts[i] += 1
-                if i >= 2 and counts[i] > counts[i - 1]:
-                    return False
+    earlier = later = 0
+    for b, s, n in zip(before, shape, nu):
+        later += n - s
+        if later > earlier:
+            return False
+        earlier += s - b
     return True
 
 
@@ -205,25 +281,26 @@ def _is_lattice_chain(chain: list[tuple[int, ...]], rows: int) -> bool:
 def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int):
     """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
 
-    Returns a tuple of (nu_parts, coefficient) pairs.  The rule is symmetric
+    Returns a tuple of (nu index, coefficient) pairs in index order, with
+    indices into the box table of `_box(rows, cols)`.  The rule is symmetric
     in lam and mu, so callers normalize the key order before the cache.
     """
     base = Partition(lam)
     mu_p = Partition(mu)
     counts: dict[tuple[int, ...], int] = {}
 
-    def extend(chain: list[tuple[int, ...]], stage: int) -> None:
+    def extend(before: tuple[int, ...] | None, shape: tuple[int, ...], stage: int) -> None:
         if stage == len(mu_p):
-            if _is_lattice_chain(chain, rows):
-                nu = chain[-1]
-                counts[nu] = counts.get(nu, 0) + 1
+            counts[shape] = counts.get(shape, 0) + 1
             return
-        shape = Partition(chain[-1])
-        for nu in horizontal_strips(shape, mu_p[stage], rows, cols):
-            extend(chain + [nu.padded(rows)], stage + 1)
+        for nu in horizontal_strips(Partition(shape), mu_p[stage], rows, cols):
+            nu = nu.padded(rows)
+            if before is None or _is_lattice_step(before, shape, nu):
+                extend(shape, nu, stage + 1)
 
-    extend([base.padded(rows)], 0)
-    return tuple(sorted(counts.items()))
+    extend(None, base.padded(rows), 0)
+    rank = _box(rows, cols).rank
+    return tuple(sorted((rank(tuple(p for p in nu if p)), k) for nu, k in counts.items()))
 
 
 def pieri(c: ChowClass, a: int) -> ChowClass:
@@ -237,26 +314,36 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     if a == 0:
         return c
     ring = c.ring
-    acc: dict[Partition, int] = {}
-    for p, coeff in c.terms.items():
-        for nu in horizontal_strips(p, a, ring.rows, ring.cols):
-            acc[nu] = acc.get(nu, 0) + coeff
-    return ChowClass(ring, acc)
+    box = ring.box
+    acc: dict[int, int] = {}
+    for i, coeff in c._coeffs.items():
+        for nu in horizontal_strips(box.partitions[i], a, ring.rows, ring.cols):
+            k = box.rank(nu.parts)
+            acc[k] = acc.get(k, 0) + coeff
+    return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
 
 def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
-    """Product of two classes via the Littlewood-Richardson rule."""
+    """Product of two classes via the Littlewood-Richardson rule.
+
+    Basis indices follow lex order, so the smaller index names the first
+    partition of the normalized memo key.
+    """
     if x.ring != y.ring:
         raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring}")
     ring = x.ring
-    acc: dict[Partition, int] = {}
-    for lp, lc in x.terms.items():
-        for mp, mc in y.terms.items():
-            a, b = sorted((lp.parts, mp.parts))
-            for nu, k in _lr_expansion(a, b, ring.rows, ring.cols):
-                nu_p = Partition(nu)
-                acc[nu_p] = acc.get(nu_p, 0) + lc * mc * k
-    return ChowClass(ring, acc)
+    rows, cols = ring.rows, ring.cols
+    parts = ring.box.parts
+    acc: dict[int, int] = {}
+    get = acc.get
+    for i, a in x._coeffs.items():
+        lam = parts[i]
+        for j, b in y._coeffs.items():
+            ab = a * b
+            key = (lam, parts[j]) if i <= j else (parts[j], lam)
+            for k, m in _lr_expansion(*key, rows, cols):
+                acc[k] = get(k, 0) + ab * m
+    return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:
@@ -294,8 +381,7 @@ def giambelli(lam, ring: GrassmannianRing) -> ChowClass:
 
 def integrate(c: ChowClass) -> int:
     """Degree of the zero-dimensional part: the coefficient of the point class."""
-    full_box = Partition((c.ring.cols,) * c.ring.rows)
-    return c.terms.get(full_box, 0)
+    return c._coeffs.get(c.ring.box.last, 0)
 
 
 def dual_partition(lam, ring: GrassmannianRing) -> Partition:

@@ -147,7 +147,7 @@ class ProjBundleElement:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            raise ValueError("negative powers are not defined")
+            raise PreconditionError(f"negative powers are not defined, got {exponent}")
         out = self.ring.one()
         for _ in range(exponent):
             out = out * self

@@ -11,35 +11,73 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping
 
 Exponents = tuple[int, ...]
+
+FIELD_BITS = 16  # width of each packed exponent field
+DEGREE_LIMIT = 1 << FIELD_BITS  # total degrees must stay below this
+_FIELD_MASK = DEGREE_LIMIT - 1
+
+
+def _pack(e: Exponents) -> int:
+    """One int for the monomial x^e: the degree, then e[0], ..., e[-1], low last."""
+    degree = sum(e)
+    if min(e, default=0) < 0:
+        raise ValueError(f"negative exponent in {tuple(e)}")
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(f"monomial degree {degree} does not fit {FIELD_BITS}-bit exponent fields")
+    key = degree
+    for a in e:
+        key = (key << FIELD_BITS) | a
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Exponents:
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        out[i] = key & _FIELD_MASK
+        key >>= FIELD_BITS
+    return tuple(out)
 
 
 class SymmetricPoly:
     """Sparse integer polynomial in `nvars` formal variables.
 
-    Terms map exponent tuples to nonzero integers.  Construction does not
-    force symmetry; `reduce_to_elementary` rejects non-symmetric input when
-    the elimination gets stuck on a non-dominant leading term.
+    Each monomial is stored as one int (Kronecker substitution): its total
+    degree in the top field, then its exponents in FIELD_BITS-bit fields.
+    A monomial product is then one addition, a degree bound one comparison,
+    and int order is graded lex order.  `terms` is a read-only view keyed by
+    exponent tuples.  Construction does not force symmetry;
+    `reduce_to_elementary` rejects non-symmetric input when the elimination
+    gets stuck on a non-dominant leading term.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_packed")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
         self.nvars = nvars
-        clean: dict[Exponents, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
                 if c:
-                    clean[tuple(e)] = int(c)
-        self.terms = clean
+                    clean[_pack(e)] = int(c)
+        self._packed = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, packed: dict[int, int]) -> "SymmetricPoly":
+        """A polynomial from nonzero coefficients keyed by packed monomials."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._packed = packed
+        return out
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "SymmetricPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._trusted(nvars, {0: c} if c else {})
 
     @classmethod
     def linear_form(cls, coeffs: tuple[int, ...]) -> "SymmetricPoly":
@@ -53,14 +91,19 @@ class SymmetricPoly:
                 terms[tuple(e)] = m
         return cls(n, terms)
 
+    @property
+    def terms(self) -> Mapping[Exponents, int]:
+        return MappingProxyType({_unpack(k, self.nvars): c for k, c in self._packed.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._packed) >> (FIELD_BITS * self.nvars) if self._packed else 0
 
     def homogeneous_part(self, k: int) -> "SymmetricPoly":
-        return SymmetricPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == k})
+        shift = FIELD_BITS * self.nvars
+        return SymmetricPoly._trusted(self.nvars, {e: c for e, c in self._packed.items() if e >> shift == k})
 
     def evaluate(self, values: tuple[int, ...]) -> int:
         if len(values) != self.nvars:
@@ -76,13 +119,17 @@ class SymmetricPoly:
     def __add__(self, other):
         if not isinstance(other, SymmetricPoly) or other.nvars != self.nvars:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return SymmetricPoly(self.nvars, acc)
+        acc = dict(self._packed)
+        for e, c in other._packed.items():
+            c += acc.get(e, 0)
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+        return SymmetricPoly._trusted(self.nvars, acc)
 
     def __neg__(self):
-        return SymmetricPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SymmetricPoly._trusted(self.nvars, {e: -c for e, c in self._packed.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SymmetricPoly) or other.nvars != self.nvars:
@@ -91,7 +138,9 @@ class SymmetricPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SymmetricPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return SymmetricPoly(self.nvars)
+            return SymmetricPoly._trusted(self.nvars, {e: c * other for e, c in self._packed.items()})
         if isinstance(other, SymmetricPoly) and other.nvars == self.nvars:
             return self.mul_truncated(other, None)
         return NotImplemented
@@ -102,24 +151,39 @@ class SymmetricPoly:
         return NotImplemented
 
     def mul_truncated(self, other: "SymmetricPoly", max_degree: int | None) -> "SymmetricPoly":
-        """Product, discarding monomials of total degree above `max_degree`."""
-        acc: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if max_degree is not None and d1 + sum(e2) > max_degree:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return SymmetricPoly(self.nvars, acc)
+        """Product, discarding monomials of total degree above `max_degree`.
+
+        A packed sum is exact while its degree fits the exponent fields, and
+        the degree bound becomes one bound on packed keys: a key below
+        `limit` has degree at most `top`.  Raises OverflowError when a kept
+        product could overflow a field.
+        """
+        if other.nvars != self.nvars:
+            raise ValueError(f"cannot multiply polynomials in {self.nvars} and {other.nvars} variables")
+        top = self.degree() + other.degree()
+        if max_degree is not None and max_degree < top:
+            top = max_degree
+        if top >= DEGREE_LIMIT:
+            raise OverflowError(f"product degree {top} does not fit {FIELD_BITS}-bit exponent fields")
+        limit = (top + 1) << (FIELD_BITS * self.nvars)
+        right = sorted(other._packed.items())
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in self._packed.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
+                    break
+                acc[k] = get(k, 0) + c1 * c2
+        return SymmetricPoly._trusted(self.nvars, {k: c for k, c in acc.items() if c})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SymmetricPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._packed == other._packed
         return NotImplemented
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         bits = []
         for e, c in sorted(self.terms.items(), reverse=True):
@@ -143,36 +207,41 @@ def elementary(nvars: int, k: int) -> SymmetricPoly:
 
 @lru_cache(maxsize=None)
 def _elementary_monomial(nvars: int, exps: Exponents) -> SymmetricPoly:
-    """Expansion of e_1^exps[0] * ... * e_nvars^exps[-1] into monomials."""
-    out = SymmetricPoly.constant(nvars, 1)
-    for i, a in enumerate(exps):
-        ei = elementary(nvars, i + 1)
-        for _ in range(a):
-            out = out * ei
-    return out
+    """Expansion of e_1^exps[0] * ... * e_nvars^exps[-1] into monomials.
+
+    Built as the memoized expansion with one factor fewer of the last e_i
+    present, times that e_i.
+    """
+    for i in range(nvars - 1, -1, -1):
+        if exps[i]:
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            return _elementary_monomial(nvars, lower).mul_truncated(elementary(nvars, i + 1), None)
+    return SymmetricPoly.constant(nvars, 1)
 
 
 def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
     """Rewrite a symmetric polynomial in the elementary basis.
 
     Returns a map from exponent tuples (a_1, ..., a_r) to integers, meaning
-    sum of coeff * e_1^a_1 * ... * e_r^a_r.  The loop peels the lex-leading
-    monomial x^m (necessarily with weakly decreasing m when the input is
-    symmetric) against e_1^(m_1-m_2) ... e_r^(m_r), which has the same
-    leading term with coefficient 1.  A non-dominant leading term signals a
-    non-symmetric input and raises ValueError.
+    sum of coeff * e_1^a_1 * ... * e_r^a_r.  The loop peels the leading
+    monomial x^m in graded lex order (necessarily with weakly decreasing m
+    when the input is symmetric) against e_1^(m_1-m_2) ... e_r^(m_r), which
+    is homogeneous with the same leading term and coefficient 1.  A
+    non-dominant leading term signals a non-symmetric input and raises
+    ValueError.
     """
     r = p.nvars
-    work = dict(p.terms)
+    work = dict(p._packed)
     out: dict[Exponents, int] = {}
     while work:
-        m = max(work)
-        c = work[m]
+        key = max(work)
+        c = work[key]
+        m = _unpack(key, r)
         if any(m[i] < m[i + 1] for i in range(r - 1)):
             raise ValueError(f"input is not symmetric: stuck on leading monomial {m}")
         e_exps = tuple(m[i] - m[i + 1] for i in range(r - 1)) + (m[r - 1],)
         out[e_exps] = out.get(e_exps, 0) + c
-        for e, k in _elementary_monomial(r, e_exps).terms.items():
+        for e, k in _elementary_monomial(r, e_exps)._packed.items():
             new = work.get(e, 0) - c * k
             if new:
                 work[e] = new

@@ -4,11 +4,13 @@ The oracles here deliberately avoid the production Littlewood-Richardson
 code path: `brute_lr_coefficient` fills skew tableaux cell by cell, and
 `oracle_multiply` evaluates products through determinant expansion in
 special classes followed by iterated Pieri steps only.
+`tuple_sym_power_elementary` expands the universal Sym^d polynomials on
+plain exponent tuples, without the packed `SymmetricPoly` kernel.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 from curvecount import ChernVector, ChowClass, GrassmannianRing, Partition, pieri
@@ -127,3 +129,76 @@ def random_bundle_vector(ring: GrassmannianRing, rng: Random, rank: int) -> Cher
     comps = [ring.one()]
     comps += [random_homogeneous_class(ring, rng, i) for i in range(1, top + 1)]
     return ChernVector(ring, rank, comps)
+
+
+# --- universal Sym^d polynomials on exponent tuples --------------------------
+
+def _tuple_mul(p: dict, q: dict, max_degree: int | None) -> dict:
+    """Product of two tuple-keyed polynomials, dropping degrees above `max_degree`."""
+    acc: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            if max_degree is not None and sum(e1) + sum(e2) > max_degree:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _tuple_elementary_monomial(r: int, exps: tuple[int, ...]) -> dict:
+    """e_1^exps[0] * ... * e_r^exps[-1], each factor multiplied in from scratch."""
+    out = {(0,) * r: 1}
+    for k, a in enumerate(exps, start=1):
+        ek = {tuple(int(i in subset) for i in range(r)): 1 for subset in combinations(range(r), k)}
+        for _ in range(a):
+            out = _tuple_mul(out, ek, None)
+    return out
+
+
+def _tuple_reduce(p: dict, r: int) -> dict:
+    """Elementary-basis rewrite by lex-leading-term elimination."""
+    work = dict(p)
+    out: dict = {}
+    while work:
+        m = max(work)
+        c = work[m]
+        assert all(m[i] >= m[i + 1] for i in range(r - 1)), f"not symmetric at {m}"
+        e_exps = tuple(m[i] - m[i + 1] for i in range(r - 1)) + (m[r - 1],)
+        out[e_exps] = out.get(e_exps, 0) + c
+        for e, k in _tuple_elementary_monomial(r, e_exps).items():
+            new = work.get(e, 0) - c * k
+            if new:
+                work[e] = new
+            else:
+                work.pop(e, None)
+    return out
+
+
+def _compositions(r: int, d: int):
+    """Exponent vectors of length r with entries summing to d."""
+    if r == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in _compositions(r - 1, d - first):
+            yield (first,) + rest
+
+
+def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the production layout.
+
+    The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d; their
+    product of (1 + root) is expanded up to degree `trunc`, and each degree
+    is rewritten in e_1..e_r as a sorted tuple of (exponents, coefficient).
+    """
+    total = {(0,) * r: 1}
+    for m in _compositions(r, d):
+        factor = {(0,) * r: 1}
+        for i, a in enumerate(m):
+            if a:
+                factor[tuple(int(j == i) for j in range(r))] = a
+        total = _tuple_mul(total, factor, trunc)
+    return tuple(
+        tuple(sorted(_tuple_reduce({e: c for e, c in total.items() if sum(e) == k}, r).items()))
+        for k in range(trunc + 1)
+    )

@@ -188,6 +188,12 @@ class TestWhitney:
         with pytest.raises(PreconditionError):
             whitney_quotient(trivial_vector(GR25, 1), trivial_vector(GR25, 2))
 
+    def test_negative_truncation_rejected(self):
+        e = random_bundle_vector(GR25, Random(15), 3)
+        with pytest.raises(PreconditionError):
+            whitney_quotient(e, trivial_vector(GR25, 1), -1)
+        assert whitney_quotient(e, trivial_vector(GR25, 1), 0) == trivial_vector(GR25, 2)
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             whitney_sum(trivial_vector(GR25, 1), trivial_vector(GR35, 1))
@@ -212,6 +218,11 @@ class TestSegre:
         c1, c2 = v.component(1), v.component(2)
         assert s[1] == -c1
         assert s[2] == c1 * c1 - c2
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(PreconditionError):
+            segre_from_chern(trivial_vector(GR25, 2), -3)
+        assert segre_from_chern(trivial_vector(GR25, 2), 0) == [GR25.one()]
 
     def test_convolution_with_chern_is_one(self):
         rng = Random(14)

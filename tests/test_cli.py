@@ -88,6 +88,14 @@ class TestCalculatorCommands:
         assert code == 3
         assert "box" in err
 
+    def test_negative_power_exits_three(self, capsys):
+        code, out, err = invoke(
+            capsys, "schubert", "integrate", "--grassmannian", "2,5", "--a", "1", "--power", "-1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: negative powers") and "Traceback" not in err
+
     def test_dim_count(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -141,6 +149,14 @@ class TestCalculatorCommands:
         classes = json.loads(out)
         assert classes[0] == [[[], "1"]]
         assert classes[1] == [[[1], "-1"]]
+
+    def test_chern_segre_negative_truncation_exits_three(self, capsys):
+        code, out, err = invoke(
+            capsys, "chern", "segre", "--grassmannian", "2,5", "--degree", "1", "--trunc", "-3"
+        )
+        assert code == 3
+        assert out == ""
+        assert "truncation degree must be >= 0" in err
 
 
 class TestOutputContract:

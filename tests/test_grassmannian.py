@@ -15,7 +15,8 @@ from curvecount import (
     pieri,
     universal_dual_chern,
 )
-from curvecount.grassmannian import _lr_expansion
+from curvecount.grassmannian import _box, _lr_expansion
+from curvecount.partitions import partitions_in_box
 
 from helpers import brute_lr_coefficient, oracle_multiply, random_class
 
@@ -47,6 +48,33 @@ class TestRing:
     def test_zero_coefficients_dropped(self):
         c = ChowClass(GR24, {Partition((1,)): 0, Partition((2,)): 3})
         assert c.terms == {Partition((2,)): 3}
+
+
+class TestBasisIndex:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (2, 3), (3, 3), (3, 5), (4, 2), (2, 0)])
+    def test_index_is_lex_position(self, rows, cols):
+        box = _box(rows, cols)
+        basis = partitions_in_box(rows, cols)
+        assert [box.rank(p.parts) for p in basis] == list(range(len(basis)))
+        assert box.rank(()) == 0
+        assert box.rank(basis[-1].parts) == box.last == len(basis) - 1
+
+    def test_terms_view_interns_partitions(self):
+        c = 2 * GR35.sigma((2, 1)) - GR35.sigma((1,))
+        assert c.terms == {Partition((2, 1)): 2, Partition((1,)): -1}
+        keys = {q.parts: q for q in c.terms}
+        (p,) = GR35.sigma((2, 1)).terms
+        assert keys[(2, 1)] is p
+        with pytest.raises(TypeError):
+            c.terms[Partition(())] = 1
+
+    def test_table_holds_only_partitions_met(self):
+        # Gr(6, 24) has 134596 basis classes; indexing never lists them.
+        ring = GrassmannianRing(6, 24)
+        product = ring.sigma((1,)) * ring.sigma((1,))
+        assert product == ring.sigma((2,)) + ring.sigma((1, 1))
+        assert integrate(ring.point_class()) == 1
+        assert len(ring.box.parts) < 10
 
 
 class TestPieri:
@@ -96,6 +124,22 @@ class TestMultiply:
         monkeypatch.setattr(grassmannian, "multiply", lambda x, y: calls.append(1) or original(x, y))
         assert (GR25.sigma((1,)) ** 50).is_zero()
         assert len(calls) <= 7
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(PreconditionError):
+            GR25.sigma((1,)) ** -1
+
+    def test_warm_memo_builds_no_partition(self, monkeypatch):
+        ring = GrassmannianRing(3, 8)
+        x = ring.sigma((2, 1)) + 3 * ring.sigma((1, 1, 1)) - ring.sigma((2,))
+        y = ring.sigma((3, 2)) + ring.sigma((2, 2, 1))
+        expected = multiply(x, y)
+        built = []
+        original = Partition.__init__
+        monkeypatch.setattr(Partition, "__init__", lambda self, *a: built.append(a) or original(self, *a))
+        assert multiply(x, y) == expected
+        assert not expected.is_zero()
+        assert built == []
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):

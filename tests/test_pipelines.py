@@ -122,6 +122,17 @@ class TestCountCurves:
         assert report.count == count
         assert report.trace_value("forms_rank") == report.trace_value("moduli_dim")
 
+    @pytest.mark.parametrize(
+        "kind, n, degrees, count",
+        [
+            # Beyond paper scale; the values the seed engine computed.
+            ("conics", 6, [8], 21553784182784),
+            ("lines", 8, [13], 210776836330775),
+        ],
+    )
+    def test_ladder_counts(self, kind, n, degrees, count):
+        assert count_curves(kind, n, degrees).count == count
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="unknown curve kind"):
             count_curves("planes", 4, [5])

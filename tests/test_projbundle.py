@@ -76,6 +76,10 @@ class TestMultiplication:
         assert (proj_space(5).zeta() ** 50).is_zero()
         assert len(calls) <= 6
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(PreconditionError):
+            proj_space(3).zeta() ** -1
+
     def test_rank_one_bundle_collapses_zeta(self):
         # s = 1: the fiber is a point and z reduces to -c1(E).
         rng = Random(32)

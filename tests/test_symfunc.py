@@ -1,10 +1,14 @@
 from itertools import permutations
+from math import comb
 from random import Random
 
 import pytest
 
 from curvecount import SymmetricPoly, elementary, reduce_to_elementary
-from curvecount.symfunc import elementary_to_monomials
+from curvecount.chern import _compute_sym_power_elementary
+from curvecount.symfunc import DEGREE_LIMIT, elementary_to_monomials
+
+from helpers import tuple_sym_power_elementary
 
 
 def x_power(nvars, i, a=1):
@@ -122,3 +126,45 @@ class TestSymmetricPoly:
     def test_exponent_length_checked(self):
         with pytest.raises(ValueError):
             SymmetricPoly(2, {(1, 2, 3): 1})
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_universal_polynomials_match_tuple_oracle(self, r, d):
+        # Every truncation from 0 through the rank, and one past it, where the
+        # product is no longer cut.
+        rank = comb(r + d - 1, d)
+        for trunc in range(rank + 2):
+            assert _compute_sym_power_elementary(r, d, trunc) == tuple_sym_power_elementary(r, d, trunc)
+
+    def test_terms_view_round_trips(self):
+        p = SymmetricPoly(3, {(2, 0, 1): 5, (0, 0, 0): -1, (1, 1, 1): 7})
+        assert p.terms == {(2, 0, 1): 5, (0, 0, 0): -1, (1, 1, 1): 7}
+        assert SymmetricPoly(3, p.terms) == p
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0)] = 2
+
+    def test_products_exact_up_to_the_field_limit(self):
+        top = DEGREE_LIMIT - 1
+        x = x_power(2, 0)
+        below = SymmetricPoly(2, {(top - 1, 0): 3, (0, top - 1): 2})
+        assert below.mul_truncated(x, top) == SymmetricPoly(2, {(top, 0): 3, (1, top - 1): 2})
+        assert below.mul_truncated(x, top - 1).is_zero()
+        at_limit = SymmetricPoly(2, {(top, 0): 1})
+        assert at_limit.mul_truncated(x, top).is_zero()
+
+    def test_field_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            SymmetricPoly(2, {(DEGREE_LIMIT, 0): 1})
+        with pytest.raises(OverflowError):
+            SymmetricPoly(2, {(DEGREE_LIMIT // 2, DEGREE_LIMIT // 2): 1})
+        at_limit = SymmetricPoly(2, {(DEGREE_LIMIT - 1, 0): 1})
+        with pytest.raises(OverflowError):
+            at_limit * x_power(2, 1)
+        with pytest.raises(OverflowError):
+            at_limit.mul_truncated(x_power(2, 1), DEGREE_LIMIT)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            SymmetricPoly(2, {(-1, 1): 1})
