@@ -283,6 +283,21 @@ def whitney_sum(a: ChernVector, b: ChernVector) -> ChernVector:
     return ChernVector(ring, rank, comps)
 
 
+def _quotient_series(e: ChernVector, s: ChernVector, top: int) -> list:
+    """Components 0..top of the total class c(E)/c(S).
+
+    Power-series division, exact over the integers because c_0(S) = 1; the
+    components of E and S beyond their stored lists are zero.
+    """
+    comps = [e.ring.one()]
+    for k in range(1, top + 1):
+        acc = e.component(k)
+        for j in range(1, k + 1):
+            acc = acc - s.component(j) * comps[k - j]
+        comps.append(acc)
+    return comps
+
+
 def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -> ChernVector:
     """Chern vector of the quotient in 0 -> S -> E -> Q -> 0: c(E)/c(S).
 
@@ -298,14 +313,7 @@ def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -
         trunc = ring.dim
     elif trunc < 0:
         raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
-    top = min(rank, trunc, ring.dim)
-    comps = [ring.one()]
-    for k in range(1, top + 1):
-        acc = e.component(k)
-        for j in range(1, k + 1):
-            acc = acc - s.component(j) * comps[k - j]
-        comps.append(acc)
-    return ChernVector(ring, rank, comps)
+    return ChernVector(ring, rank, _quotient_series(e, s, min(rank, trunc, ring.dim)))
 
 
 def segre_from_chern(c: ChernVector, trunc: int) -> list:
@@ -315,11 +323,4 @@ def segre_from_chern(c: ChernVector, trunc: int) -> list:
     """
     if trunc < 0:
         raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
-    ring = c.ring
-    out = [ring.one()]
-    for k in range(1, trunc + 1):
-        acc = ring.zero()
-        for j in range(1, k + 1):
-            acc = acc - c.component(j) * out[k - j]
-        out.append(acc)
-    return out
+    return _quotient_series(trivial_vector(c.ring, 0), c, trunc)

@@ -5,18 +5,20 @@ finite integer combinations of Schubert classes indexed by partitions inside
 the r x (N-r) box.  Arithmetic works on basis indices: a partition's index is
 its position among the box's partitions in lexicographic order, so () is 0
 and the full box is last.  Each box has one table, filled as partitions are
-first met, that maps parts to indices and back and holds one interned
-`Partition` per index for the public `terms` view.  Products use the
-Littlewood-Richardson rule, computed by enumerating chains of horizontal
-strips with the lattice-word condition; the expansion of each sorted pair of
-partitions in a box is memoized as (index, coefficient) pairs.  Everything is
-exact: coefficients are plain Python integers.
+first met, that maps parts tuples to indices and back.  Below the API a
+partition is its parts tuple; `Partition` objects are built only from
+outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
+`basis`, `dual_partition`).  Products use the Littlewood-Richardson rule,
+computed by enumerating chains of horizontal strips with the lattice-word
+condition; the expansion of each sorted pair of partitions in a box is
+memoized as (index, coefficient) pairs.  Everything is exact: coefficients
+are plain Python integers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -26,7 +28,7 @@ from .partitions import Partition, horizontal_strips, partitions_in_box
 
 
 class _Box:
-    """Basis table of the rows x cols box: parts, weight and `Partition` by index.
+    """Basis table of the rows x cols box: parts and weight by index.
 
     An index is the lexicographic rank of the partition among all partitions
     in the box, computed from the parts alone, so entries are added as
@@ -34,7 +36,7 @@ class _Box:
     only ever added, with the same values, so concurrent readers are safe.
     """
 
-    __slots__ = ("rows", "last", "index", "parts", "weights", "partitions")
+    __slots__ = ("rows", "last", "index", "parts", "weights", "partition")
 
     def __init__(self, rows: int, cols: int):
         self.rows = rows
@@ -42,7 +44,8 @@ class _Box:
         self.index: dict[tuple[int, ...], int] = {}
         self.parts: dict[int, tuple[int, ...]] = {}
         self.weights: dict[int, int] = {}
-        self.partitions: dict[int, Partition] = {}
+        # The interned `Partition` of an index, built the first time it is asked for.
+        self.partition = lru_cache(maxsize=None)(lambda i: Partition(self.parts[i]))
         self.rank(())  # index 0, the unit class
 
     def rank(self, parts: tuple[int, ...]) -> int:
@@ -58,7 +61,6 @@ class _Box:
             i = sum(comb(self.rows - 1 - row + p, p - 1) for row, p in enumerate(parts))
             self.parts[i] = parts
             self.weights[i] = sum(parts)
-            self.partitions[i] = Partition(parts)
             self.index[parts] = i
         return i
 
@@ -97,6 +99,13 @@ class GrassmannianRing:
     def contains(self, p: Partition) -> bool:
         return p.fits(self.rows, self.cols)
 
+    def _parts_of(self, lam) -> tuple[int, ...]:
+        """Parts of a `Partition` or iterable of parts, checked to fit the box."""
+        p = lam if isinstance(lam, Partition) else Partition(lam)
+        if not self.contains(p):
+            raise PreconditionError(f"{p} does not fit the box of {self}")
+        return p.parts
+
     def zero(self) -> "ChowClass":
         return ChowClass._trusted(self, {})
 
@@ -105,10 +114,7 @@ class GrassmannianRing:
 
     def sigma(self, parts: Iterable[int]) -> "ChowClass":
         """The Schubert basis class for the given partition."""
-        p = parts if isinstance(parts, Partition) else Partition(parts)
-        if not self.contains(p):
-            raise PreconditionError(f"{p} does not fit the box of {self}")
-        return ChowClass._trusted(self, {self.box.rank(p.parts): 1})
+        return ChowClass._trusted(self, {self.box.rank(self._parts_of(parts)): 1})
 
     def point_class(self) -> "ChowClass":
         """The class of a point: the full-box Schubert class."""
@@ -146,14 +152,10 @@ class ChowClass:
     def __init__(self, ring: GrassmannianRing, terms: Mapping[Partition, int]):
         clean: dict[int, int] = {}
         for p, c in terms.items():
-            if not isinstance(p, Partition):
-                p = Partition(p)
+            parts = ring._parts_of(p)
             c = int(c)
-            if c == 0:
-                continue
-            if not ring.contains(p):
-                raise PreconditionError(f"{p} does not fit the box of {ring}")
-            clean[ring.box.rank(p.parts)] = c
+            if c:
+                clean[ring.box.rank(parts)] = c
         self.ring = ring
         self._coeffs = clean
 
@@ -167,8 +169,8 @@ class ChowClass:
 
     @property
     def terms(self) -> Mapping[Partition, int]:
-        partitions = self.ring.box.partitions
-        return MappingProxyType({partitions[i]: c for i, c in self._coeffs.items()})
+        partition = self.ring.box.partition
+        return MappingProxyType({partition(i): c for i, c in self._coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -269,7 +271,7 @@ def _is_lattice_step(before: tuple[int, ...], shape: tuple[int, ...], nu: tuple[
     so the check runs as each stratum is added.
     """
     earlier = later = 0
-    for b, s, n in zip(before, shape, nu):
+    for b, s, n in zip_longest(before, shape, nu, fillvalue=0):
         later += n - s
         if later > earlier:
             return False
@@ -285,22 +287,19 @@ def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: in
     indices into the box table of `_box(rows, cols)`.  The rule is symmetric
     in lam and mu, so callers normalize the key order before the cache.
     """
-    base = Partition(lam)
-    mu_p = Partition(mu)
     counts: dict[tuple[int, ...], int] = {}
 
     def extend(before: tuple[int, ...] | None, shape: tuple[int, ...], stage: int) -> None:
-        if stage == len(mu_p):
+        if stage == len(mu):
             counts[shape] = counts.get(shape, 0) + 1
             return
-        for nu in horizontal_strips(Partition(shape), mu_p[stage], rows, cols):
-            nu = nu.padded(rows)
+        for nu in horizontal_strips(shape, mu[stage], rows, cols):
             if before is None or _is_lattice_step(before, shape, nu):
                 extend(shape, nu, stage + 1)
 
-    extend(None, base.padded(rows), 0)
+    extend(None, lam, 0)
     rank = _box(rows, cols).rank
-    return tuple(sorted((rank(tuple(p for p in nu if p)), k) for nu, k in counts.items()))
+    return tuple(sorted((rank(nu), k) for nu, k in counts.items()))
 
 
 def pieri(c: ChowClass, a: int) -> ChowClass:
@@ -317,8 +316,8 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     box = ring.box
     acc: dict[int, int] = {}
     for i, coeff in c._coeffs.items():
-        for nu in horizontal_strips(box.partitions[i], a, ring.rows, ring.cols):
-            k = box.rank(nu.parts)
+        for nu in horizontal_strips(box.parts[i], a, ring.rows, ring.cols):
+            k = box.rank(nu)
             acc[k] = acc.get(k, 0) + coeff
     return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
@@ -361,9 +360,7 @@ def giambelli(lam, ring: GrassmannianRing) -> ChowClass:
     LR-free route to any Schubert class and doubles as the cross-check for
     `multiply`.
     """
-    p = lam if isinstance(lam, Partition) else Partition(lam)
-    if not ring.contains(p):
-        raise PreconditionError(f"{p} does not fit the box of {ring}")
+    p = ring._parts_of(lam)
     size = len(p)
     if size == 0:
         return ring.one()
@@ -386,11 +383,8 @@ def integrate(c: ChowClass) -> int:
 
 def dual_partition(lam, ring: GrassmannianRing) -> Partition:
     """Complement of the diagram in the box; the Poincare-dual index."""
-    p = lam if isinstance(lam, Partition) else Partition(lam)
-    if not ring.contains(p):
-        raise PreconditionError(f"{p} does not fit the box of {ring}")
-    padded = p.padded(ring.rows)
-    return Partition(tuple(ring.cols - padded[ring.rows - 1 - i] for i in range(ring.rows)))
+    p = ring._parts_of(lam)
+    return Partition((ring.cols,) * (ring.rows - len(p)) + tuple(ring.cols - q for q in reversed(p)))
 
 
 def universal_dual_chern(i: int, ring: GrassmannianRing) -> ChowClass:
@@ -401,9 +395,6 @@ def universal_dual_chern(i: int, ring: GrassmannianRing) -> ChowClass:
     """
     if i < 0 or i > ring.r:
         raise PreconditionError(f"Chern index {i} outside 0..{ring.r} for rank-{ring.r} bundle")
-    if i == 0:
-        return ring.one()
-    p = Partition((1,) * i)
-    if not ring.contains(p):
+    if i and not ring.cols:
         return ring.zero()
-    return ChowClass(ring, {p: 1})
+    return ring.sigma((1,) * i)

@@ -1,9 +1,15 @@
-"""Integer partitions and the box combinatorics behind Schubert indexing."""
+"""Integer partitions and the box combinatorics behind Schubert indexing.
+
+`Partition` is the checked public value type.  Below the API, as in
+`horizontal_strips`, a partition is its parts tuple without trailing zeros.
+"""
 
 from __future__ import annotations
 
 from functools import total_ordering
 from typing import Iterable, Iterator
+
+from .errors import PreconditionError
 
 
 @total_ordering
@@ -22,9 +28,9 @@ class Partition:
         while clean and clean[-1] == 0:
             clean = clean[:-1]
         if clean and clean[-1] < 0:
-            raise ValueError(f"negative part in {clean}")
+            raise PreconditionError(f"negative part in {clean}")
         if any(clean[i] < clean[i + 1] for i in range(len(clean) - 1)):
-            raise ValueError(f"parts must be weakly decreasing, got {clean}")
+            raise PreconditionError(f"parts must be weakly decreasing, got {clean}")
         self.parts = clean
 
     @property
@@ -74,17 +80,17 @@ class Partition:
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions inside a rows x cols box, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
+    out: list[Partition] = []
 
     def rec(prefix: tuple[int, ...], cap: int) -> None:
-        out.append(prefix)
+        out.append(Partition(prefix))
         if len(prefix) == rows:
             return
         for v in range(1, cap + 1):
             rec(prefix + (v,), v)
 
     rec((), cols)
-    return sorted(Partition(p) for p in out)
+    return out
 
 
 def partitions_of_weight(weight: int, rows: int, cols: int) -> list[Partition]:
@@ -92,24 +98,26 @@ def partitions_of_weight(weight: int, rows: int, cols: int) -> list[Partition]:
     return [p for p in partitions_in_box(rows, cols) if p.weight == weight]
 
 
-def horizontal_strips(base: Partition, size: int, rows: int, cols: int) -> Iterator[Partition]:
-    """Partitions nu in the box with nu/base a horizontal strip of `size` boxes.
+def horizontal_strips(base: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:
+    """Parts of each nu in the box with nu/base a horizontal strip of `size` boxes.
 
-    A horizontal strip adds no two boxes in the same column, which is the
-    interlacing condition nu_1 >= base_1 >= nu_2 >= base_2 >= ...
+    `base` and every nu are parts tuples without trailing zeros.  A
+    horizontal strip adds no two boxes in the same column, which is the
+    interlacing condition nu_1 >= base_1 >= nu_2 >= base_2 >= ...  So when
+    row i may grow up to `cap`, rows i and below hold at most cap minus the
+    last row of the box more boxes; once the strip is placed the remaining
+    rows are base[i:].
     """
-    padded = base.padded(rows)
+    padded = base + (0,) * (rows - len(base))
+    floor = padded[-1] if padded else cols  # a box with no rows takes no boxes
 
     def rec(i: int, remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if i == rows:
-            if remaining == 0:
-                yield ()
-            return
-        lo = padded[i]
-        hi = min(cap, lo + remaining)
-        for v in range(lo, hi + 1):
-            for rest in rec(i + 1, remaining - (v - lo), padded[i]):
-                yield (v,) + rest
+        if not remaining:
+            yield base[i:]
+        elif remaining <= cap - floor:
+            lo = padded[i]
+            for v in range(lo, min(cap, lo + remaining) + 1):
+                for rest in rec(i + 1, remaining - (v - lo), lo):
+                    yield (v,) + rest
 
-    for nu in rec(0, size, cols):
-        yield Partition(nu)
+    return rec(0, size, cols)

@@ -14,9 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .chern import (
-    dual_universal_vector, segre_from_chern, sym_power, tensor_line, trivial_vector, whitney_quotient,
-)
+from .chern import _quotient_series, dual_universal_vector, sym_power, tensor_line, trivial_vector, whitney_quotient
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate, multiply
 from .projbundle import ProjBundleRing, pb_pushforward, pullback_vector
@@ -207,12 +205,9 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
             f"excess family of lines in P^{n}"
         )
     cu = dual_universal_vector(ring)
-    big = sym_power(cu, D)
     small = sym_power(cu, e)
-    segre = segre_from_chern(small, k)
-    excess = ring.zero()
-    for j in range(k + 1):
-        excess = excess + big.component(j) * segre[k - j]
+    # Not whitney_quotient: that truncates at the quotient's rank, below k when D < 2n - 3.
+    excess = _quotient_series(sym_power(cu, D), small, k)[k]
     locus = small.top()
     count = integrate(multiply(excess, locus))
     trace = (

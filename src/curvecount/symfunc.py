@@ -249,10 +249,3 @@ def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
                 work.pop(e, None)
     return out
 
-
-def elementary_to_monomials(nvars: int, epoly: Mapping[Exponents, int]) -> SymmetricPoly:
-    """Inverse of `reduce_to_elementary`: expand an e-polynomial into monomials."""
-    out = SymmetricPoly(nvars)
-    for exps, c in epoly.items():
-        out = out + c * _elementary_monomial(nvars, tuple(exps))
-    return out

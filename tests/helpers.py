@@ -5,15 +5,26 @@ code path: `brute_lr_coefficient` fills skew tableaux cell by cell, and
 `oracle_multiply` evaluates products through determinant expansion in
 special classes followed by iterated Pieri steps only.
 `tuple_sym_power_elementary` expands the universal Sym^d polynomials on
-plain exponent tuples, without the packed `SymmetricPoly` kernel.
+plain exponent tuples, without the packed `SymmetricPoly` kernel, and
+`elementary_to_monomials` expands e-polynomials without the memoized
+e-monomials of `reduce_to_elementary`.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, permutations
+from pathlib import Path
 from random import Random
 
-from curvecount import ChernVector, ChowClass, GrassmannianRing, Partition, pieri
+from curvecount import ChernVector, ChowClass, GrassmannianRing, Partition, SymmetricPoly, elementary, pieri
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports curvecount from this tree."""
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def brute_lr_coefficient(lam, mu, nu) -> int:
@@ -202,3 +213,15 @@ def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
         tuple(sorted(_tuple_reduce({e: c for e, c in total.items() if sum(e) == k}, r).items()))
         for k in range(trunc + 1)
     )
+
+
+def elementary_to_monomials(nvars: int, epoly) -> SymmetricPoly:
+    """Inverse of `reduce_to_elementary`: expand an e-polynomial into monomials."""
+    out = SymmetricPoly(nvars)
+    for exps, c in epoly.items():
+        term = SymmetricPoly.constant(nvars, c)
+        for i, a in enumerate(exps):
+            for _ in range(a):
+                term = term * elementary(nvars, i + 1)
+        out = out + term
+    return out

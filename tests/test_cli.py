@@ -7,6 +7,8 @@ import pytest
 
 from curvecount.cli import CACHE_DIR_ENV, run
 
+from helpers import src_env
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -87,6 +89,13 @@ class TestCalculatorCommands:
         )
         assert code == 3
         assert "box" in err
+
+    @pytest.mark.parametrize("a", ["1,2", "0,-1"])
+    def test_malformed_partition_exits_three(self, capsys, a):
+        code, out, err = invoke(capsys, "schubert", "mult", "--grassmannian", "2,5", "--a", a, "--b", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_negative_power_exits_three(self, capsys):
         code, out, err = invoke(
@@ -310,12 +319,33 @@ class TestCache:
             chern.set_universal_cache_dir(None)
             chern.clear_universal_cache()
 
+    def test_two_processes_share_one_cache_dir(self, tmp_path):
+        import curvecount.chern as chern
+
+        argv = [sys.executable, "-m", "curvecount", "--cache-dir", str(tmp_path),
+                "chern", "sym", "--grassmannian", "3,9", "--degree", "4"]
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=src_env()) for _ in range(2)]
+        outs = [proc.communicate(timeout=60)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outs[0] == outs[1]
+        # Sym^4 of the rank-3 bundle has rank 15 < dim Gr(3,9) = 18, so trunc = 15.
+        # One file and no *.tmp left behind.
+        assert [p.name for p in tmp_path.iterdir()] == ["sym_r3_d4_t15.json"]
+        stored = json.loads((tmp_path / "sym_r3_d4_t15.json").read_text())
+        assert (stored["format"], stored["r"], stored["d"], stored["trunc"]) == (chern._CACHE_FORMAT, 3, 4, 15)
+        try:
+            chern.set_universal_cache_dir(tmp_path)
+            assert chern._load_cached(3, 4, 15) == chern._compute_sym_power_elementary(3, 4, 15)
+        finally:
+            chern.set_universal_cache_dir(None)
+
 
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "curvecount", "lines", "--ambient", "4", "--degree", "5"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2875"

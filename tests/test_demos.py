@@ -1,11 +1,12 @@
 """Each demo runs as a script and prints its headline numbers."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,9 +46,8 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("name", sorted(HEADLINES))
 def test_demo_prints_headlines(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, str(ROOT / "demos" / name)], capture_output=True, text=True, env=src_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

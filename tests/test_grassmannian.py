@@ -43,6 +43,8 @@ class TestRing:
         with pytest.raises(PreconditionError):
             ChowClass(GR24, {Partition((3,)): 1})
         with pytest.raises(PreconditionError):
+            ChowClass(GR24, {(3,): 0})
+        with pytest.raises(PreconditionError):
             GR24.sigma((1, 1, 1))
 
     def test_zero_coefficients_dropped(self):
@@ -134,11 +136,17 @@ class TestMultiply:
         x = ring.sigma((2, 1)) + 3 * ring.sigma((1, 1, 1)) - ring.sigma((2,))
         y = ring.sigma((3, 2)) + ring.sigma((2, 2, 1))
         expected = multiply(x, y)
+        expected_pieri = multiply(x, ring.sigma((2,)))
         built = []
         original = Partition.__init__
         monkeypatch.setattr(Partition, "__init__", lambda self, *a: built.append(a) or original(self, *a))
         assert multiply(x, y) == expected
         assert not expected.is_zero()
+        assert built == []
+        # A cold memo and Pieri work on parts tuples too.
+        _lr_expansion.cache_clear()
+        assert multiply(x, y) == expected
+        assert pieri(x, 2) == expected_pieri
         assert built == []
 
     def test_ring_mismatch(self):
@@ -253,6 +261,11 @@ class TestDualPartition:
 class TestUniversalDualChern:
     def test_degree_zero(self):
         assert universal_dual_chern(0, GR25) == GR25.one()
+
+    def test_point_ring(self):
+        point = GrassmannianRing(2, 2)
+        assert universal_dual_chern(0, point) == point.one()
+        assert universal_dual_chern(1, point) == point.zero()
 
     def test_columns(self):
         assert universal_dual_chern(2, GR25) == GR25.sigma((1, 1))

@@ -74,22 +74,41 @@ def test_partitions_of_weight():
 
 
 def test_horizontal_strips_basic():
-    strips = set(horizontal_strips(Partition((1,)), 1, 2, 2))
-    assert strips == {Partition((2,)), Partition((1, 1))}
+    strips = set(horizontal_strips((1,), 1, 2, 2))
+    assert strips == {(2,), (1, 1)}
 
 
 def test_horizontal_strips_no_two_boxes_in_a_column():
     # Adding 2 boxes to (1): growing to (1,1,1) would stack two boxes in
     # the first column and must not appear.
-    strips = set(horizontal_strips(Partition((1,)), 2, 3, 3))
-    assert strips == {Partition((3,)), Partition((2, 1))}
+    strips = set(horizontal_strips((1,), 2, 3, 3))
+    assert strips == {(3,), (2, 1)}
 
 
 def test_horizontal_strips_box_truncation():
     # (2,1) + 1 box inside the 2x2 box: only (2,2); (3,1) leaves the box.
-    strips = set(horizontal_strips(Partition((2, 1)), 1, 2, 2))
-    assert strips == {Partition((2, 2))}
+    strips = set(horizontal_strips((2, 1), 1, 2, 2))
+    assert strips == {(2, 2)}
+
+
+def test_horizontal_strips_match_brute_force():
+    # Every in-box nu of the right weight interlacing with base
+    # (nu_1 >= base_1 >= nu_2 >= ...), in lex order without trailing zeros.
+    def pad(parts, rows):
+        return parts + (0,) * (rows - len(parts))
+
+    for rows, cols in [(1, 3), (2, 2), (3, 3), (4, 2), (2, 0)]:
+        box = [p.parts for p in partitions_in_box(rows, cols)]
+        for base in box:
+            b = pad(base, rows)
+            for size in range(-1, cols + 2):
+                expected = [
+                    nu for nu in box
+                    if sum(nu) == sum(base) + size
+                    and all(n >= b[i] and (i == 0 or n <= b[i - 1]) for i, n in enumerate(pad(nu, rows)))
+                ]
+                assert list(horizontal_strips(base, size, rows, cols)) == expected
 
 
 def test_horizontal_strips_size_zero():
-    assert list(horizontal_strips(Partition((2, 1)), 0, 2, 2)) == [Partition((2, 1))]
+    assert list(horizontal_strips((2, 1), 0, 2, 2)) == [(2, 1)]

@@ -16,8 +16,10 @@ from curvecount import (
     dual_universal_vector,
     equivalence_lines_on_factor,
     integrate,
+    multiply,
     naive_dimension_count,
     normal_bundle_h0,
+    segre_from_chern,
     sym_power,
     tally_checks,
 )
@@ -164,6 +166,19 @@ class TestEquivalences:
         report = equivalence_lines_on_factor(5, 5, 4)
         assert report.trace_value("family_dim") == "0"
         assert report.count == 2875
+
+    def test_excess_below_critical_degree_matches_segre_convolution(self):
+        # For D < 2n - 3 the family dimension k exceeds the quotient rank D - e,
+        # so the excess [c(Sym^D U*) / c(Sym^e U*)]_k is not truncated at that rank.
+        for D, e, n in [(3, 1, 4), (3, 2, 4), (4, 2, 5)]:
+            ring = GrassmannianRing(2, n + 1)
+            cu = dual_universal_vector(ring)
+            big, small = sym_power(cu, D), sym_power(cu, e)
+            k = 2 * (n - 1) - (e + 1)
+            segre = segre_from_chern(small, k)
+            excess = sum((big.component(j) * segre[k - j] for j in range(k + 1)), ring.zero())
+            assert excess.degrees() == {k}
+            assert equivalence_lines_on_factor(D, e, n).count == integrate(multiply(excess, small.top()))
 
     def test_negative_family_dimension_rejected(self):
         # Lines on a quintic factor inside P^3: k = 4 - 6 < 0.

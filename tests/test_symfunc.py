@@ -6,9 +6,9 @@ import pytest
 
 from curvecount import SymmetricPoly, elementary, reduce_to_elementary
 from curvecount.chern import _compute_sym_power_elementary
-from curvecount.symfunc import DEGREE_LIMIT, elementary_to_monomials
+from curvecount.symfunc import DEGREE_LIMIT
 
-from helpers import tuple_sym_power_elementary
+from helpers import elementary_to_monomials, tuple_sym_power_elementary
 
 
 def x_power(nvars, i, a=1):
