@@ -7,9 +7,9 @@ support exact `+`, `-`, `*` (with each other and with ints).
 
 Symmetric powers go through universal polynomials: the total class of
 Sym^d of a rank-r bundle is expanded once in formal roots, rewritten in the
-elementary basis, and then evaluated on the actual Chern components of any
-input bundle.  The universal data is cached in memory per (rank, power,
-truncation degree) and optionally on disk.
+elementary basis, cached per (rank, power, truncation degree) in memory and
+optionally on disk, and evaluated on the Chern components of any input
+bundle: each e-monomial once, as a shorter one times a single component.
 """
 
 from __future__ import annotations
@@ -196,24 +196,24 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
     return value
 
 
-def _evaluate_elementary(epoly, c: ChernVector, powers: list[list]):
+def _evaluate_elementary(epoly, c: ChernVector, monomials: dict):
     """Evaluate an e-polynomial on the Chern components of `c`.
 
-    `powers[i]` lists the powers c_(i+1)^0, c_(i+1)^1, ... of `c` built so
-    far; a missing power is appended from the one below it, so callers share
-    one table across the e-polynomials of all components.
+    `monomials` memoizes c_1^a_1 ... c_r^a_r across the components of one
+    bundle; a missing one is built, by a loop rather than recursion, as its
+    predecessor with one factor fewer of the last c_i present times that c_i.
     """
-    ring = c.ring
-    acc = ring.zero()
+    acc = c.ring.zero()
     for exps, coeff in epoly:
-        term = None
-        for i, a in enumerate(exps):
-            if a:
-                table = powers[i]
-                while len(table) <= a:
-                    table.append(table[-1] * table[1])
-                term = table[a] if term is None else term * table[a]
-        acc = acc + (ring.one() if term is None else term) * coeff
+        chain = []
+        while exps not in monomials:
+            i = max(j for j, a in enumerate(exps) if a)
+            chain.append((exps, c.component(i + 1)))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        term = monomials[exps]
+        for exps, factor in reversed(chain):
+            term = monomials[exps] = term * factor
+        acc = acc + term * coeff
     return acc
 
 
@@ -228,8 +228,9 @@ def sym_power(c: ChernVector, d: int) -> ChernVector:
     new_rank = comb(c.rank + d - 1, d)
     trunc = min(new_rank, c.ring.dim)
     universal = sym_power_elementary(c.rank, d, trunc)
-    powers = [[c.ring.one(), c.component(i)] for i in range(1, c.rank + 1)]
-    components = [_evaluate_elementary(epoly, c, powers) for epoly in universal]
+    # The empty monomial is c_0 = 1 and each e_i alone is c_i, so neither costs a product.
+    monomials = {tuple(int(j == i) for j in range(c.rank)): c.component(i + 1) for i in range(-1, c.rank)}
+    components = [_evaluate_elementary(epoly, c, monomials) for epoly in universal]
     return ChernVector(c.ring, new_rank, components)
 
 

@@ -35,12 +35,12 @@ from .pipelines import (
 CACHE_DIR_ENV = "CURVECOUNT_CACHE_DIR"
 
 
-def _parse_grassmannian(text: str) -> GrassmannianRing:
+def _parse_grassmannian(text: str) -> tuple[int, int]:
     try:
         r, n = (int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'r,N', got {text!r}")
-    return GrassmannianRing(r, n)
+    return r, n
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -135,7 +135,7 @@ def _calculator(compute):
     """Emitter of a calculator subcommand printing `compute(ring, args)`."""
 
     def emit(pipeline, options, args):
-        ring = args.grassmannian
+        ring = GrassmannianRing(*args.grassmannian)
         value = compute(ring, args)
         inputs = {"grassmannian": f"{ring.r},{ring.N}", **_inputs(args, options)}
         _emit_class(pipeline, inputs, value, args)

@@ -37,12 +37,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def padded(self, length: int) -> tuple[int, ...]:
-        """Parts padded with zeros up to `length` entries."""
-        if len(self.parts) > length:
-            raise ValueError(f"{self} has more than {length} parts")
-        return self.parts + (0,) * (length - len(self.parts))
-
     def fits(self, rows: int, cols: int) -> bool:
         """True if the diagram fits inside a rows x cols box."""
         return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)

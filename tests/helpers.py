@@ -7,17 +7,21 @@ special classes followed by iterated Pieri steps only.
 `tuple_sym_power_elementary` expands the universal Sym^d polynomials on
 plain exponent tuples, without the packed `SymmetricPoly` kernel, and
 `elementary_to_monomials` expands e-polynomials without the memoized
-e-monomials of `reduce_to_elementary`.
+e-monomials of `reduce_to_elementary`.  `power_table_sym_power` evaluates
+the universal Sym^d polynomials from whole powers of each Chern class,
+without the one-component-at-a-time memo of `chern.sym_power`.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations, permutations
+from math import comb
 from pathlib import Path
 from random import Random
 
 from curvecount import ChernVector, ChowClass, GrassmannianRing, Partition, SymmetricPoly, elementary, pieri
+from curvecount.chern import sym_power_elementary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -225,3 +229,29 @@ def elementary_to_monomials(nvars: int, epoly) -> SymmetricPoly:
                 term = term * elementary(nvars, i + 1)
         out = out + term
     return out
+
+
+def power_table_sym_power(c: ChernVector, d: int) -> ChernVector:
+    """Sym^d of `c` with every e-monomial a product of whole powers c_i^a.
+
+    The powers of each Chern class come from one table per call, each power
+    the one below it times c_i, and a monomial c_1^a_1 ... c_r^a_r multiplies
+    its powers together from the left.  Only the universal polynomials are
+    shared with `chern.sym_power`.
+    """
+    ring = c.ring
+    new_rank = comb(c.rank + d - 1, d)
+    powers = [[ring.one(), c.component(i)] for i in range(1, c.rank + 1)]
+    components = []
+    for epoly in sym_power_elementary(c.rank, d, min(new_rank, ring.dim)):
+        acc = ring.zero()
+        for exps, coeff in epoly:
+            term = None
+            for table, a in zip(powers, exps):
+                if a:
+                    while len(table) <= a:
+                        table.append(table[-1] * table[1])
+                    term = table[a] if term is None else term * table[a]
+            acc = acc + (ring.one() if term is None else term) * coeff
+        components.append(acc)
+    return ChernVector(ring, new_rank, components)

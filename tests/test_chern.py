@@ -8,9 +8,11 @@ from curvecount import (
     ChernVector,
     GrassmannianRing,
     PreconditionError,
+    ProjBundleRing,
     RingMismatchError,
     dual,
     dual_universal_vector,
+    pullback_vector,
     segre_from_chern,
     sym_power,
     tensor_line,
@@ -21,7 +23,7 @@ from curvecount import (
 from curvecount.chern import clear_universal_cache, set_universal_cache_dir, sym_power_elementary
 from curvecount.symfunc import SymmetricPoly, reduce_to_elementary
 
-from helpers import random_bundle_vector
+from helpers import power_table_sym_power, random_bundle_vector
 
 GR25 = GrassmannianRing(2, 5)
 GR35 = GrassmannianRing(3, 5)
@@ -98,6 +100,36 @@ class TestSymPower:
             sym_power(cu, 0)
         with pytest.raises(PreconditionError):
             sym_power(trivial_vector(GR25, 0), 2)
+
+    @pytest.mark.parametrize("r, degrees", [(2, range(1, 7)), (3, range(2, 5))], ids=["Gr(2,7)", "Gr(3,7)"])
+    def test_universal_bundle_matches_power_table(self, r, degrees):
+        cu = dual_universal_vector(GrassmannianRing(r, 7))
+        for d in degrees:
+            assert sym_power(cu, d) == power_table_sym_power(cu, d)
+
+    def test_non_universal_vector_matches_power_table(self):
+        conic_space = sym_power(dual_universal_vector(GrassmannianRing(3, 6)), 2)
+        assert sym_power(conic_space, 2) == power_table_sym_power(conic_space, 2)
+
+    def test_projective_bundle_vector_matches_power_table(self):
+        conic_space = sym_power(dual_universal_vector(GR35), 2)
+        lifted = pullback_vector(ProjBundleRing(conic_space), conic_space)
+        assert sym_power(lifted, 2) == power_table_sym_power(lifted, 2)
+
+    def test_every_product_is_by_one_component(self, monkeypatch):
+        import curvecount.grassmannian as grassmannian
+
+        cu = dual_universal_vector(GrassmannianRing(2, 9))
+        products = []
+        original = grassmannian.multiply
+        monkeypatch.setattr(grassmannian, "multiply", lambda x, y: products.append((x, y)) or original(x, y))
+        v = sym_power(cu, 7)
+        by_components = products[:]
+        products.clear()
+        assert power_table_sym_power(cu, 7) == v
+        assert by_components and len(by_components) <= len(products)
+        components = {id(comp) for comp in cu.components}
+        assert all(id(x) in components or id(y) in components for x, y in by_components)
 
 
 class TestDual:

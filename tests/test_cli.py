@@ -97,6 +97,13 @@ class TestCalculatorCommands:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("grassmannian", ["0,5", "3,2"])
+    def test_empty_grassmannian_exits_three(self, capsys, grassmannian):
+        code, out, err = invoke(capsys, "schubert", "mult", "--grassmannian", grassmannian, "--a", "1", "--b", "1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: need 0 < r <= N, got Gr({grassmannian})\n"
+
     def test_negative_power_exits_three(self, capsys):
         code, out, err = invoke(
             capsys, "schubert", "integrate", "--grassmannian", "2,5", "--a", "1", "--power", "-1"
@@ -265,7 +272,8 @@ class TestUsageErrors:
         assert run([]) == 2
 
     def test_malformed_grassmannian(self, capsys):
-        assert run(["schubert", "mult", "--grassmannian", "nope", "--a", "1", "--b", "1"]) == 2
+        for text in ("nope", "2,x"):
+            assert run(["schubert", "mult", "--grassmannian", text, "--a", "1", "--b", "1"]) == 2
 
 
 class TestCache:

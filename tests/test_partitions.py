@@ -44,12 +44,6 @@ def test_hashable_and_tuple_equality():
     assert Partition((2, 1)) == (2, 1)
 
 
-def test_padded():
-    assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)
-    with pytest.raises(ValueError):
-        Partition((2, 1, 1)).padded(2)
-
-
 def test_fits_box():
     assert Partition((2, 2)).fits(2, 2)
     assert not Partition((3,)).fits(2, 2)
