@@ -6,10 +6,11 @@ The ambient must expose `dim`, `zero()` and `one()`, and its elements must
 support exact `+`, `-`, `*` (with each other and with ints).
 
 Symmetric powers go through universal polynomials: the total class of
-Sym^d of a rank-r bundle is expanded once in formal roots, rewritten in the
-elementary basis, cached per (rank, power, truncation degree) in memory and
-optionally on disk, and evaluated on the Chern components of any input
-bundle: each e-monomial once, as a shorter one times a single component.
+Sym^d of a rank-r bundle is a product of one symmetric factor per S_r orbit
+of its formal roots, each rewritten once in e_1..e_r and multiplied there,
+cached per (rank, power, truncation degree) in memory and optionally on
+disk, and evaluated on the Chern components of any input bundle: each
+e-monomial once, as a shorter one times a single component.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
-from .symfunc import SymmetricPoly, reduce_to_elementary
+from .symfunc import SymmetricPoly, elementary_ring_poly, reduce_to_elementary
 
 
 class ChernVector:
@@ -64,6 +65,8 @@ class ChernVector:
         return self.component(self.rank)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ChernVector):
             return NotImplemented
         if self.ring != other.ring or self.rank != other.rank:
@@ -102,9 +105,13 @@ _CACHE_FORMAT = 1  # bump when the layout of a cache file changes
 def set_universal_cache_dir(path: str | Path | None) -> None:
     """Point the universal-polynomial cache at a directory (None disables disk)."""
     global _CACHE_DIR
-    _CACHE_DIR = Path(path) if path is not None else None
-    if _CACHE_DIR is not None:
-        _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    if path is not None:
+        path = Path(path)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise PreconditionError(f"cannot use {path} as the cache directory: {exc.strerror}") from exc
+    _CACHE_DIR = path
 
 
 def clear_universal_cache() -> None:
@@ -112,32 +119,55 @@ def clear_universal_cache() -> None:
     _SYM_CACHE.clear()
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+def _partitions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing `parts`-tuples of nonnegative ints <= `cap` summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(min(total, cap), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
+
+
+def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct rearrangement of `values` once; equal values must be adjacent."""
+    if not values:
+        yield ()
+        return
+    for i, v in enumerate(values):
+        if i == 0 or v != values[i - 1]:
+            for rest in _distinct_permutations(values[:i] + values[i + 1:]):
+                yield (v,) + rest
+
+
+def _orbit_factor(lam: tuple[int, ...], trunc: int) -> SymmetricPoly:
+    """The product of (1 + m.x) over the distinct rearrangements m of `lam` up to
+    degree `trunc`: symmetric, so rewritten once into the packed e-monomial ring."""
+    one = SymmetricPoly.constant(len(lam), 1)
+    roots = _distinct_permutations(lam)
+    orbit = one + SymmetricPoly.linear_form(next(roots))
+    for m in roots:
+        orbit = orbit.mul_truncated(one + SymmetricPoly.linear_form(m), trunc)
+    return elementary_ring_poly(len(lam), reduce_to_elementary(orbit))
 
 
 def _compute_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
     """Per-degree e-polynomials of the total class of Sym^d(rank-r bundle).
 
     The roots of Sym^d E are the forms sum(m_i x_i) over exponent vectors m
-    with |m| = d; the product of (1 + root) is expanded up to total degree
-    `trunc` and each homogeneous piece rewritten in e_1..e_r.
+    with |m| = d.  They fall into S_r orbits, one per partition of d into at
+    most r parts; the orbit factors are multiplied in e_1..e_r up to
+    weighted degree `trunc`, and split by degree as sorted tuples of
+    (exponents, coefficient).
     """
     total = SymmetricPoly.constant(r, 1)
-    for m in _compositions(d, r):
-        factor = SymmetricPoly.constant(r, 1) + SymmetricPoly.linear_form(m)
-        total = total.mul_truncated(factor, trunc)
-    out = []
-    for k in range(trunc + 1):
-        epoly = reduce_to_elementary(total.homogeneous_part(k))
-        out.append(tuple(sorted(epoly.items())))
-    return tuple(out)
+    for lam in _partitions(d, r, d):
+        total = total.mul_truncated(_orbit_factor(lam, trunc), trunc)
+    degrees = [[] for _ in range(trunc + 1)]
+    for exps, c in total.terms.items():
+        degrees[sum(i * a for i, a in enumerate(exps, 1))].append((exps, c))
+    return tuple(tuple(sorted(degree)) for degree in degrees)
 
 
 def _cache_file(r: int, d: int, trunc: int) -> Path:
@@ -146,7 +176,8 @@ def _cache_file(r: int, d: int, trunc: int) -> Path:
 
 def _load_cached(r: int, d: int, trunc: int):
     """The stored polynomials for the key, or None when the file is missing,
-    unreadable, of another format version, or holds another key."""
+    unreadable, of another format version, holds another key, or does not
+    have trunc + 1 degrees of r-entry exponent tuples."""
     path = _cache_file(r, d, trunc)
     if not path.is_file():
         return None
@@ -154,12 +185,15 @@ def _load_cached(r: int, d: int, trunc: int):
         data = json.loads(path.read_text())
         if (data["format"], data["r"], data["d"], data["trunc"]) != (_CACHE_FORMAT, r, d, trunc):
             return None
-        return tuple(
+        value = tuple(
             tuple((tuple(exps), int(coeff)) for exps, coeff in degree)
             for degree in data["degrees"]
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return None
+    if len(value) != trunc + 1 or any(len(exps) != r for degree in value for exps, _ in degree):
+        return None
+    return value
 
 
 def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:

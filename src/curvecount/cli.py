@@ -274,9 +274,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if cache_dir:
-        chern.set_universal_cache_dir(cache_dir)
     try:
+        if cache_dir:
+            chern.set_universal_cache_dir(cache_dir)
         args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

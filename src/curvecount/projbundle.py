@@ -72,6 +72,8 @@ class ProjBundleRing:
         return ProjBundleElement(self, [c])
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if isinstance(other, ProjBundleRing):
             return self.base == other.base and self.bundle == other.bundle
         return NotImplemented

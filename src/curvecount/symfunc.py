@@ -21,9 +21,9 @@ DEGREE_LIMIT = 1 << FIELD_BITS  # total degrees must stay below this
 _FIELD_MASK = DEGREE_LIMIT - 1
 
 
-def _pack(e: Exponents) -> int:
-    """One int for the monomial x^e: the degree, then e[0], ..., e[-1], low last."""
-    degree = sum(e)
+def _pack(e: Exponents, degree: int | None = None) -> int:
+    """One int for the monomial x^e: the degree (sum(e) by default), then e[0], ..., e[-1], low last."""
+    degree = sum(e) if degree is None else degree
     if min(e, default=0) < 0:
         raise ValueError(f"negative exponent in {tuple(e)}")
     if degree >= DEGREE_LIMIT:
@@ -100,21 +100,6 @@ class SymmetricPoly:
 
     def degree(self) -> int:
         return max(self._packed) >> (FIELD_BITS * self.nvars) if self._packed else 0
-
-    def homogeneous_part(self, k: int) -> "SymmetricPoly":
-        shift = FIELD_BITS * self.nvars
-        return SymmetricPoly._trusted(self.nvars, {e: c for e, c in self._packed.items() if e >> shift == k})
-
-    def evaluate(self, values: tuple[int, ...]) -> int:
-        if len(values) != self.nvars:
-            raise ValueError(f"need {self.nvars} values, got {len(values)}")
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, a in zip(values, e):
-                term *= v**a
-            total += term
-        return total
 
     def __add__(self, other):
         if not isinstance(other, SymmetricPoly) or other.nvars != self.nvars:
@@ -217,6 +202,19 @@ def _elementary_monomial(nvars: int, exps: Exponents) -> SymmetricPoly:
             lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
             return _elementary_monomial(nvars, lower).mul_truncated(elementary(nvars, i + 1), None)
     return SymmetricPoly.constant(nvars, 1)
+
+
+def elementary_ring_poly(nvars: int, epoly: Mapping[Exponents, int]) -> SymmetricPoly:
+    """An e-polynomial {(a_1, ..., a_r): c} as a packed polynomial in e_1..e_r.
+
+    Each key carries the weighted degree sum(i * a_i), the degree in the
+    roots, in its degree field, so `mul_truncated` truncates by that degree.
+    Every a_i is at most the weighted degree, so the fields add exactly
+    wherever the degree check of `mul_truncated` passes.
+    """
+    return SymmetricPoly._trusted(
+        nvars, {_pack(e, sum(i * a for i, a in enumerate(e, 1))): c for e, c in epoly.items() if c}
+    )
 
 
 def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:

@@ -7,9 +7,12 @@ special classes followed by iterated Pieri steps only.
 `tuple_sym_power_elementary` expands the universal Sym^d polynomials on
 plain exponent tuples, without the packed `SymmetricPoly` kernel, and
 `elementary_to_monomials` expands e-polynomials without the memoized
-e-monomials of `reduce_to_elementary`.  `power_table_sym_power` evaluates
-the universal Sym^d polynomials from whole powers of each Chern class,
-without the one-component-at-a-time memo of `chern.sym_power`.
+e-monomials of `reduce_to_elementary`.  `roots_sym_power_elementary`
+multiplies every root factor of Sym^d in the formal roots, without the
+S_r-orbit factors of `chern._compute_sym_power_elementary`.
+`power_table_sym_power` evaluates the universal Sym^d polynomials from
+whole powers of each Chern class, without the one-component-at-a-time memo
+of `chern.sym_power`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from math import comb
 from pathlib import Path
 from random import Random
 
-from curvecount import ChernVector, ChowClass, GrassmannianRing, Partition, SymmetricPoly, elementary, pieri
+from curvecount import (
+    ChernVector, ChowClass, GrassmannianRing, Partition, SymmetricPoly, elementary, pieri, reduce_to_elementary,
+)
 from curvecount.chern import sym_power_elementary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -217,6 +222,36 @@ def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
         tuple(sorted(_tuple_reduce({e: c for e, c in total.items() if sum(e) == k}, r).items()))
         for k in range(trunc + 1)
     )
+
+
+def roots_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the production layout.
+
+    The product of (1 + root) over all comb(d + r - 1, r - 1) roots is
+    expanded in the packed kernel up to degree `trunc`, and each homogeneous
+    piece is rewritten in e_1..e_r.
+    """
+    one = SymmetricPoly.constant(r, 1)
+    total = one
+    for m in _compositions(r, d):
+        total = total.mul_truncated(one + SymmetricPoly.linear_form(m), trunc)
+    by_degree = [{} for _ in range(trunc + 1)]
+    for e, c in total.terms.items():
+        by_degree[sum(e)][e] = c
+    return tuple(tuple(sorted(reduce_to_elementary(SymmetricPoly(r, part)).items())) for part in by_degree)
+
+
+def evaluate(p: SymmetricPoly, values: tuple[int, ...]) -> int:
+    """The value of `p` at x_i = values[i]."""
+    if len(values) != p.nvars:
+        raise ValueError(f"need {p.nvars} values, got {len(values)}")
+    total = 0
+    for e, c in p.terms.items():
+        term = c
+        for v, a in zip(values, e):
+            term *= v**a
+        total += term
+    return total
 
 
 def elementary_to_monomials(nvars: int, epoly) -> SymmetricPoly:

@@ -12,6 +12,7 @@ from curvecount import (
     RingMismatchError,
     dual,
     dual_universal_vector,
+    integrate,
     pullback_vector,
     segre_from_chern,
     sym_power,
@@ -23,7 +24,7 @@ from curvecount import (
 from curvecount.chern import clear_universal_cache, set_universal_cache_dir, sym_power_elementary
 from curvecount.symfunc import SymmetricPoly, reduce_to_elementary
 
-from helpers import power_table_sym_power, random_bundle_vector
+from helpers import power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
 
 GR25 = GrassmannianRing(2, 5)
 GR35 = GrassmannianRing(3, 5)
@@ -298,6 +299,24 @@ class TestUniversalCache:
             path.write_text("{not json")
             clear_universal_cache()
             assert sym_power_elementary(2, 2, 3) == value
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_disk_format_serves_sym_power(self, tmp_path, monkeypatch):
+        # A file written from the roots oracle is read back as the universal
+        # polynomials, with no fresh computation behind it.
+        import curvecount.chern as chern
+
+        def refuse(*key):
+            raise AssertionError(f"computed {key} instead of reading the cache file")
+
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            chern._store_cached(2, 5, 6, roots_sym_power_elementary(2, 5, 6))
+            monkeypatch.setattr(chern, "_compute_sym_power_elementary", refuse)
+            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
         finally:
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -327,6 +327,47 @@ class TestCache:
             chern.set_universal_cache_dir(None)
             chern.clear_universal_cache()
 
+    @pytest.mark.parametrize("damage", ["drop last degree", "short exponent tuple"])
+    def test_short_cache_file_is_recomputed(self, capsys, tmp_path, damage):
+        import curvecount.chern as chern
+
+        path = tmp_path / "sym_r2_d5_t6.json"
+        chern.clear_universal_cache()
+        try:
+            argv = ["--cache-dir", str(tmp_path), "lines", "--ambient", "4", "--degree", "5"]
+            assert invoke(capsys, *argv)[:2] == (0, "2875\n")
+            intact = json.loads(path.read_text())
+            stored = json.loads(path.read_text())
+            if damage == "drop last degree":
+                stored["degrees"].pop()
+            else:
+                stored["degrees"][6][0][0].pop()
+            path.write_text(json.dumps(stored))
+            chern.clear_universal_cache()
+            assert invoke(capsys, *argv)[:2] == (0, "2875\n")
+            assert json.loads(path.read_text()) == intact
+        finally:
+            chern.set_universal_cache_dir(None)
+            chern.clear_universal_cache()
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cache_dir_that_is_a_file_exits_three(self, capsys, tmp_path, monkeypatch, via):
+        import curvecount.chern as chern
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        argv = ["lines", "--ambient", "4", "--degree", "5"]
+        if via == "flag":
+            argv = ["--cache-dir", str(blocker)] + argv
+        else:
+            monkeypatch.setenv(CACHE_DIR_ENV, str(blocker))
+        try:
+            code, out, err = invoke(capsys, *argv)
+        finally:
+            chern.set_universal_cache_dir(None)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and str(blocker) in err
+
     def test_two_processes_share_one_cache_dir(self, tmp_path):
         import curvecount.chern as chern
 

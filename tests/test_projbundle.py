@@ -93,6 +93,18 @@ class TestMultiplication:
         with pytest.raises(RingMismatchError):
             pb_multiply(proj_space(2).zeta(), proj_space(3).zeta())
 
+    def test_one_ring_object_is_not_compared_by_its_bundle(self, monkeypatch):
+        from curvecount import ChernVector
+
+        calls = []
+        original = ChernVector.__eq__
+        monkeypatch.setattr(ChernVector, "__eq__", lambda self, other: calls.append(1) or original(self, other))
+        ring = ProjBundleRing(sym_power(dual_universal_vector(GR24), 2))
+        x, y = ring.zeta(), ring.pullback(GR24.sigma((1,)))
+        pb_multiply(x, y)
+        x + y
+        assert calls == []
+
     def test_reduction_confluence(self):
         # Reducing z^(s+k) in one construction agrees with multiplying by z
         # one step at a time.

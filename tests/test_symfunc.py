@@ -5,10 +5,10 @@ from random import Random
 import pytest
 
 from curvecount import SymmetricPoly, elementary, reduce_to_elementary
-from curvecount.chern import _compute_sym_power_elementary
-from curvecount.symfunc import DEGREE_LIMIT
+from curvecount.chern import _compute_sym_power_elementary, _orbit_factor
+from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly
 
-from helpers import elementary_to_monomials, tuple_sym_power_elementary
+from helpers import elementary_to_monomials, evaluate, roots_sym_power_elementary, tuple_sym_power_elementary
 
 
 def x_power(nvars, i, a=1):
@@ -81,14 +81,14 @@ class TestReduceToElementary:
             p = random_symmetric(rng, nvars, 8)
             epoly = reduce_to_elementary(p)
             values = tuple(rng.randint(-5, 5) for _ in range(nvars))
-            e_values = [elementary(nvars, k).evaluate(values) for k in range(1, nvars + 1)]
+            e_values = [evaluate(elementary(nvars, k), values) for k in range(1, nvars + 1)]
             total = 0
             for exps, c in epoly.items():
                 term = c
                 for i, a in enumerate(exps):
                     term *= e_values[i] ** a
                 total += term
-            assert total == p.evaluate(values)
+            assert total == evaluate(p, values)
 
 
 class TestSymmetricPoly:
@@ -116,7 +116,7 @@ class TestSymmetricPoly:
 
     def test_evaluate(self):
         p = SymmetricPoly(2, {(2, 1): 3, (0, 0): -1})
-        assert p.evaluate((2, 5)) == 3 * 4 * 5 - 1
+        assert evaluate(p, (2, 5)) == 3 * 4 * 5 - 1
 
     def test_elementary_values(self):
         assert elementary(3, 1) == x_power(3, 0) + x_power(3, 1) + x_power(3, 2)
@@ -129,14 +129,39 @@ class TestSymmetricPoly:
 
 
 class TestPackedKernel:
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d, r", [(d, r) for r in (1, 2, 3, 4) for d in (1, 2, 3, 4) if (r, d) != (4, 4)])
     def test_universal_polynomials_match_tuple_oracle(self, r, d):
         # Every truncation from 0 through the rank, and one past it, where the
-        # product is no longer cut.
+        # product is no longer cut.  Truncating at t keeps degrees 0..t as
+        # they are, so one uncut oracle expansion serves every t.
         rank = comb(r + d - 1, d)
+        uncut = tuple_sym_power_elementary(r, d, rank + 1)
         for trunc in range(rank + 2):
-            assert _compute_sym_power_elementary(r, d, trunc) == tuple_sym_power_elementary(r, d, trunc)
+            assert _compute_sym_power_elementary(r, d, trunc) == uncut[:trunc + 1]
+
+    @pytest.mark.parametrize("key", [(2, 53, 54), (3, 11, 18), (3, 9, 18), (4, 4, 12)])
+    def test_universal_polynomials_match_roots_oracle(self, key):
+        assert _compute_sym_power_elementary(*key) == roots_sym_power_elementary(*key)
+
+    @pytest.mark.parametrize("a, b", [(5, 0), (4, 1), (3, 2), (7, 2), (3, 3)])
+    def test_rank_two_orbit_factor(self, a, b):
+        # (1 + a x1 + b x2)(1 + b x1 + a x2) = 1 + d e1 + ab e1^2 + (a-b)^2 e2
+        # for a != b; a single root a(x1 + x2) when a == b.
+        d = a + b
+        if a != b:
+            expected = {(0, 0): 1, (1, 0): d, (2, 0): a * b, (0, 1): (a - b) ** 2}
+        else:
+            expected = {(0, 0): 1, (1, 0): a}
+        assert _orbit_factor((a, b), 2) == elementary_ring_poly(2, expected)
+        assert _orbit_factor((a, b), 1) == elementary_ring_poly(2, {(0, 0): 1, (1, 0): d if a != b else a})
+
+    def test_elementary_ring_grades_by_weight(self):
+        # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
+        e1 = elementary_ring_poly(2, {(1, 0): 1})
+        e2 = elementary_ring_poly(2, {(0, 1): 1})
+        assert e1.mul_truncated(e2, 2).is_zero()
+        assert e1.mul_truncated(e2, 3) == elementary_ring_poly(2, {(1, 1): 1})
+        assert (e1 * e2).degree() == 3
 
     def test_terms_view_round_trips(self):
         p = SymmetricPoly(3, {(2, 0, 1): 5, (0, 0, 0): -1, (1, 1, 1): 7})
