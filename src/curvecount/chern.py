@@ -2,8 +2,12 @@
 
 Operations act on `ChernVector`s whose components may live in any ambient
 graded ring object: a Grassmannian Chow ring or a projective-bundle ring.
-The ambient must expose `dim`, `zero()` and `one()`, and its elements must
-support exact `+`, `-`, `*` (with each other and with ints).
+The ambient must expose `dim`, `zero()`, `one()` and
+`sum_of_products(terms)`, the sum of coeff * x * y over (coeff, x, y)
+triples, and its elements must support exact `+`, `-`, `*` (with each other
+and with ints).  Each component of a twist, sum or quotient is one
+`sum_of_products` call, so the ambient can collect the products before it
+reduces them.
 
 Symmetric powers go through universal polynomials: the total class of
 Sym^d of a rank-r bundle is a product of one symmetric factor per S_r orbit
@@ -291,14 +295,10 @@ def tensor_line(c: ChernVector, t) -> ChernVector:
     t_powers = [ring.one()]
     for _ in range(top):
         t_powers.append(t_powers[-1] * t)
-    comps = []
-    for k in range(top + 1):
-        acc = ring.zero()
-        for i in range(k + 1):
-            factor = comb(r - i, k - i)
-            if factor:
-                acc = acc + factor * (c.component(i) * t_powers[k - i])
-        comps.append(acc)
+    comps = [
+        ring.sum_of_products((comb(r - i, k - i), c.component(i), t_powers[k - i]) for i in range(k + 1))
+        for k in range(top + 1)
+    ]
     return ChernVector(ring, r, comps)
 
 
@@ -309,12 +309,10 @@ def whitney_sum(a: ChernVector, b: ChernVector) -> ChernVector:
     ring = a.ring
     rank = a.rank + b.rank
     top = min(rank, ring.dim)
-    comps = []
-    for k in range(top + 1):
-        acc = ring.zero()
-        for i in range(k + 1):
-            acc = acc + a.component(i) * b.component(k - i)
-        comps.append(acc)
+    comps = [
+        ring.sum_of_products((1, a.component(i), b.component(k - i)) for i in range(k + 1))
+        for k in range(top + 1)
+    ]
     return ChernVector(ring, rank, comps)
 
 
@@ -324,12 +322,11 @@ def _quotient_series(e: ChernVector, s: ChernVector, top: int) -> list:
     Power-series division, exact over the integers because c_0(S) = 1; the
     components of E and S beyond their stored lists are zero.
     """
-    comps = [e.ring.one()]
+    ring = e.ring
+    comps = [ring.one()]
     for k in range(1, top + 1):
-        acc = e.component(k)
-        for j in range(1, k + 1):
-            acc = acc - s.component(j) * comps[k - j]
-        comps.append(acc)
+        products = ring.sum_of_products((1, s.component(j), comps[k - j]) for j in range(1, k + 1))
+        comps.append(e.component(k) - products)
     return comps
 
 

@@ -11,8 +11,13 @@ outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 `basis`, `dual_partition`).  Products use the Littlewood-Richardson rule,
 computed by enumerating chains of horizontal strips with the lattice-word
 condition; the expansion of each sorted pair of partitions in a box is
-memoized as (index, coefficient) pairs.  Everything is exact: coefficients
-are plain Python integers.
+memoized as (index, coefficient) pairs, and each box keeps a table of those
+expansions keyed by the sorted pair of basis indices, packed into one int.
+`_accumulate` is the one product kernel: it adds scale * x * y into a plain
+{index: int} dict, so a sum of products collects into one dict and drops
+zeros once.  A pair of weights above the ring dimension multiplies to zero
+and is skipped before any lookup.  Everything is exact: coefficients are
+plain Python integers.
 """
 
 from __future__ import annotations
@@ -32,18 +37,24 @@ class _Box:
 
     An index is the lexicographic rank of the partition among all partitions
     in the box, computed from the parts alone, so entries are added as
-    partitions are first met and the box is never enumerated.  Entries are
-    only ever added, with the same values, so concurrent readers are safe.
+    partitions are first met and the box is never enumerated.  `products`
+    maps the key i * size + j of an index pair i <= j to the LR expansion of
+    sigma_i * sigma_j; an int key, unlike a tuple, leaves the garbage
+    collector nothing to track.  Entries are only ever added, with the same
+    values, so concurrent readers are safe.
     """
 
-    __slots__ = ("rows", "last", "index", "parts", "weights", "partition")
+    __slots__ = ("rows", "cols", "size", "last", "index", "parts", "weights", "products", "partition")
 
     def __init__(self, rows: int, cols: int):
         self.rows = rows
-        self.last = comb(rows + cols, rows) - 1  # the index of the full box
+        self.cols = cols
+        self.size = comb(rows + cols, rows)  # the number of partitions in the box
+        self.last = self.size - 1  # the index of the full box
         self.index: dict[tuple[int, ...], int] = {}
         self.parts: dict[int, tuple[int, ...]] = {}
         self.weights: dict[int, int] = {}
+        self.products: dict[int, tuple] = {}
         # The interned `Partition` of an index, built the first time it is asked for.
         self.partition = lru_cache(maxsize=None)(lambda i: Partition(self.parts[i]))
         self.rank(())  # index 0, the unit class
@@ -64,8 +75,19 @@ class _Box:
             self.index[parts] = i
         return i
 
+    def product(self, key: int) -> tuple:
+        """The expansion of a product-table key, filled from the LR memo on a miss."""
+        i, j = divmod(key, self.size)
+        expansion = self.products[key] = _lr_expansion(self.parts[i], self.parts[j], self.rows, self.cols)
+        return expansion
 
-_box = lru_cache(maxsize=None)(_Box)  # one table per (rows, cols)
+
+_BOXES: dict[tuple[int, int], _Box] = {}  # by (rows, cols); cold-cache tests clear the product tables here
+
+
+def _box(rows: int, cols: int) -> _Box:
+    """The one table of the rows x cols box."""
+    return _BOXES.get((rows, cols)) or _BOXES.setdefault((rows, cols), _Box(rows, cols))
 
 
 class GrassmannianRing:
@@ -126,7 +148,19 @@ class GrassmannianRing:
             return all_parts
         return [p for p in all_parts if p.weight == weight]
 
+    def sum_of_products(self, terms: Iterable[tuple[int, "ChowClass", "ChowClass"]]) -> "ChowClass":
+        """The sum of coeff * x * y over (coeff, x, y) triples of classes on this ring."""
+        acc: dict[int, int] = {}
+        for coeff, x, y in terms:
+            if x.ring != self or y.ring != self:
+                raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
+            if coeff:
+                _accumulate(acc, x, y, coeff)
+        return ChowClass._trusted(self, {k: v for k, v in acc.items() if v})
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if isinstance(other, GrassmannianRing):
             return (self.r, self.N) == (other.r, other.N)
         return NotImplemented
@@ -322,27 +356,42 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
 
-def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
-    """Product of two classes via the Littlewood-Richardson rule.
+def _accumulate(acc: dict[int, int], x: ChowClass, y: ChowClass, scale: int = 1) -> None:
+    """Add scale * x * y into `acc`, keyed by basis index of the rings' box.
 
-    Basis indices follow lex order, so the smaller index names the first
-    partition of the normalized memo key.
+    The rings are not checked, and entries that cancel to zero stay in
+    `acc`.  A pair whose weights exceed the ring dimension is skipped:
+    its product is zero.  The smaller basis index comes first in the key
+    of the box's expansion table.
     """
+    box = x.ring.box
+    room = x.ring.dim
+    weights, products, size = box.weights, box.products, box.size
+    get = acc.get
+    ys = y._coeffs.items()
+    for i, a in x._coeffs.items():
+        left = room - weights[i]
+        a *= scale
+        row = i * size
+        for j, b in ys:
+            if weights[j] > left:
+                continue
+            key = row + j if i <= j else j * size + i
+            expansion = products.get(key)
+            if expansion is None:
+                expansion = box.product(key)
+            ab = a * b
+            for k, m in expansion:
+                acc[k] = get(k, 0) + ab * m
+
+
+def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
+    """Product of two classes via the Littlewood-Richardson rule."""
     if x.ring != y.ring:
         raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring}")
-    ring = x.ring
-    rows, cols = ring.rows, ring.cols
-    parts = ring.box.parts
     acc: dict[int, int] = {}
-    get = acc.get
-    for i, a in x._coeffs.items():
-        lam = parts[i]
-        for j, b in y._coeffs.items():
-            ab = a * b
-            key = (lam, parts[j]) if i <= j else (parts[j], lam)
-            for k, m in _lr_expansion(*key, rows, cols):
-                acc[k] = get(k, 0) + ab * m
-    return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
+    _accumulate(acc, x, y)
+    return ChowClass._trusted(x.ring, {k: v for k, v in acc.items() if v})
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:

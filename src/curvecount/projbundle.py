@@ -9,22 +9,24 @@ satisfies
 
 Fiber integration sends z^(s-1+j) to the degree-j Segre class of E, the
 inverse of the total Chern class.  Elements are kept z-reduced at all
-times, so reduction is interleaved with multiplication.
+times.  A sum of products collects every coefficient product into 2s - 1
+raw z-degree dicts with the Grassmannian product kernel and z-reduces them
+once, with the same kernel.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chern import ChernVector, segre_from_chern
 from .errors import PreconditionError, RingMismatchError
-from .grassmannian import ChowClass, GrassmannianRing, integrate
+from .grassmannian import ChowClass, GrassmannianRing, _accumulate, integrate
 
 
 class ProjBundleRing:
     """Chow ring of P(E) for a Chern vector E over a Grassmannian base."""
 
-    __slots__ = ("base", "bundle", "_chern", "_segre")
+    __slots__ = ("base", "bundle", "_chern")
 
     def __init__(self, bundle: ChernVector):
         if not isinstance(bundle.ring, GrassmannianRing):
@@ -34,7 +36,6 @@ class ProjBundleRing:
         self.base = bundle.ring
         self.bundle = bundle
         self._chern = [bundle.component(i) for i in range(bundle.rank + 1)]
-        self._segre = segre_from_chern(bundle, self.base.dim)
 
     @property
     def fiber_rank(self) -> int:
@@ -50,11 +51,9 @@ class ProjBundleRing:
         return self._chern[j]
 
     def segre(self, j: int) -> ChowClass:
-        if j < 0:
+        if j < 0 or j > self.base.dim:
             return self.base.zero()
-        if j >= len(self._segre):
-            return self.base.zero()
-        return self._segre[j]
+        return segre_from_chern(self.bundle, j)[j]
 
     def zero(self) -> "ProjBundleElement":
         return ProjBundleElement(self, [])
@@ -70,6 +69,40 @@ class ProjBundleRing:
         if c.ring != self.base:
             raise RingMismatchError(f"class on {c.ring} is not a class on the base {self.base}")
         return ProjBundleElement(self, [c])
+
+    def sum_of_products(
+        self, terms: Iterable[tuple[int, "ProjBundleElement", "ProjBundleElement"]]
+    ) -> "ProjBundleElement":
+        """The sum of coeff * x * y over (coeff, x, y) triples, z-reduced once."""
+        s = self.fiber_rank
+        raw: list[dict[int, int]] = [{} for _ in range(2 * s - 1)]
+        for coeff, x, y in terms:
+            if x.ring != self or y.ring != self:
+                raise RingMismatchError("elements live on different projective bundles")
+            if not coeff:
+                continue
+            for i, a in enumerate(x.coeffs):
+                if a._coeffs:
+                    for j, b in enumerate(y.coeffs):
+                        if b._coeffs:
+                            _accumulate(raw[i + j], a, b, coeff)
+        return ProjBundleElement._trusted(self, self._reduce(raw))
+
+    def _reduce(self, raw: list[dict[int, int]]) -> tuple[ChowClass, ...]:
+        """The fiber_rank z-reduced coefficients of the sum of raw[i] z^i.
+
+        `raw` holds {basis index: int} dicts on the base and is consumed: the
+        relation z^s = -(c_1 z^(s-1) + ... + c_s) folds each degree from the
+        top down into the s degrees below it.
+        """
+        s = self.fiber_rank
+        base = self.base
+        raw += [{} for _ in range(s - len(raw))]
+        for i in range(len(raw) - 1, s - 1, -1):
+            top = ChowClass._trusted(base, {k: v for k, v in raw[i].items() if v})
+            for j in range(1, s + 1):
+                _accumulate(raw[i - j], top, self._chern[j], -1)
+        return tuple(ChowClass._trusted(base, {k: v for k, v in acc.items() if v}) for acc in raw[:s])
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -88,22 +121,21 @@ class ProjBundleElement:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: ProjBundleRing, coeffs: Sequence[ChowClass]):
-        s = ring.fiber_rank
-        raw = list(coeffs)
-        for a in raw:
+        raw = []
+        for a in coeffs:
             if a.ring != ring.base:
                 raise RingMismatchError("coefficients must be classes on the base")
-        # Apply the defining relation until the z-degree is below the rank.
-        while len(raw) > s:
-            top = raw.pop()
-            if top.is_zero():
-                continue
-            i = len(raw)
-            for j in range(1, s + 1):
-                raw[i - j] = raw[i - j] - top * ring.chern(j)
-        raw += [ring.base.zero()] * (s - len(raw))
+            raw.append(dict(a._coeffs))
         self.ring = ring
-        self.coeffs = tuple(raw)
+        self.coeffs = ring._reduce(raw)
+
+    @classmethod
+    def _trusted(cls, ring: ProjBundleRing, coeffs: tuple[ChowClass, ...]) -> "ProjBundleElement":
+        """An element from exactly fiber_rank z-reduced coefficients on the base of `ring`."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.coeffs = coeffs
+        return out
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.coeffs)
@@ -123,9 +155,7 @@ class ProjBundleElement:
         if not isinstance(other, ProjBundleElement):
             return NotImplemented
         self._check_ring(other)
-        return ProjBundleElement(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return ProjBundleElement._trusted(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, ProjBundleElement):
@@ -133,11 +163,11 @@ class ProjBundleElement:
         return self + (-other)
 
     def __neg__(self):
-        return ProjBundleElement(self.ring, [-a for a in self.coeffs])
+        return ProjBundleElement._trusted(self.ring, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ProjBundleElement(self.ring, [a * other for a in self.coeffs])
+            return ProjBundleElement._trusted(self.ring, tuple(a * other for a in self.coeffs))
         if isinstance(other, ProjBundleElement):
             return pb_multiply(self, other)
         return NotImplemented
@@ -173,32 +203,16 @@ class ProjBundleElement:
 
 def pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleElement:
     """Product in the projective-bundle ring, reduced to canonical form."""
-    if x.ring != y.ring:
-        raise RingMismatchError("elements live on different projective bundles")
-    ring = x.ring
-    s = ring.fiber_rank
-    raw = [ring.base.zero() for _ in range(2 * s - 1)]
-    for i, a in enumerate(x.coeffs):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(y.coeffs):
-            if b.is_zero():
-                continue
-            raw[i + j] = raw[i + j] + a * b
-    return ProjBundleElement(ring, raw)
+    return x.ring.sum_of_products([(1, x, y)])
 
 
 def pb_pushforward(x: ProjBundleElement) -> ChowClass:
-    """Fiber integration to the base: a_i z^i maps to a_i * s_(i - (s-1))(E)."""
-    ring = x.ring
-    s = ring.fiber_rank
-    acc = ring.base.zero()
-    for i, a in enumerate(x.coeffs):
-        j = i - (s - 1)
-        if j < 0 or a.is_zero():
-            continue
-        acc = acc + a * ring.segre(j)
-    return acc
+    """Fiber integration to the base: a_i z^i maps to a_i * s_(i - (s-1))(E).
+
+    A z-reduced element has no power of z above s - 1, so only its z^(s-1)
+    coefficient survives, times s_0(E) = 1.
+    """
+    return x.coeffs[-1]
 
 
 def pb_integrate(x: ProjBundleElement) -> int:

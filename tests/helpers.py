@@ -12,20 +12,34 @@ multiplies every root factor of Sym^d in the formal roots, without the
 S_r-orbit factors of `chern._compute_sym_power_elementary`.
 `power_table_sym_power` evaluates the universal Sym^d polynomials from
 whole powers of each Chern class, without the one-component-at-a-time memo
-of `chern.sym_power`.
+of `chern.sym_power`.  `naive_pb_multiply` multiplies in a projective
+bundle one coefficient product at a time and applies the relation with
+class arithmetic, without the fused `sum_of_products` kernel.
+`bott_count` counts lines and conics by torus localization, with no
+Schubert calculus, symmetric-function reduction or bundle relation.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations, permutations
-from math import comb
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb, prod
 from pathlib import Path
 from random import Random
 
 from curvecount import (
-    ChernVector, ChowClass, GrassmannianRing, Partition, SymmetricPoly, elementary, pieri, reduce_to_elementary,
+    ChernVector,
+    ChowClass,
+    GrassmannianRing,
+    Partition,
+    ProjBundleElement,
+    SymmetricPoly,
+    elementary,
+    pieri,
+    reduce_to_elementary,
 )
+from curvecount import grassmannian
 from curvecount.chern import sym_power_elementary
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,6 +48,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def src_env() -> dict:
     """The environment for a subprocess that imports curvecount from this tree."""
     return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def clear_product_memos() -> None:
+    """Forget every LR expansion: the memo and the product table of each box."""
+    grassmannian._lr_expansion.cache_clear()
+    for box in grassmannian._BOXES.values():
+        box.products.clear()
 
 
 def brute_lr_coefficient(lam, mu, nu) -> int:
@@ -136,6 +157,11 @@ def random_class(ring: GrassmannianRing, rng: Random, max_terms: int = 5) -> Cho
         if c:
             terms[p] = c
     return ChowClass(ring, terms)
+
+
+def dense_class(ring: GrassmannianRing, rng: Random) -> ChowClass:
+    """Random class on every basis element, with coefficients in [-9, 9]."""
+    return ChowClass(ring, {p: rng.randint(-9, 9) for p in ring.basis()})
 
 
 def random_homogeneous_class(ring: GrassmannianRing, rng: Random, degree: int) -> ChowClass:
@@ -290,3 +316,65 @@ def power_table_sym_power(c: ChernVector, d: int) -> ChernVector:
             acc = acc + (ring.one() if term is None else term) * coeff
         components.append(acc)
     return ChernVector(ring, new_rank, components)
+
+
+# --- projective bundles -------------------------------------------------------
+
+def naive_pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleElement:
+    """Product in P(E): every coefficient product through `*`, then the relation
+    z^s = -(c_1 z^(s-1) + ... + c_s) applied from the top with `-` and `*`."""
+    ring = x.ring
+    s = ring.fiber_rank
+    raw = [ring.base.zero() for _ in range(2 * s - 1)]
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            raw[i + j] = raw[i + j] + a * b
+    while len(raw) > s:
+        top = raw.pop()
+        i = len(raw)
+        for j in range(1, s + 1):
+            raw[i - j] = raw[i - j] - top * ring.chern(j)
+    return ProjBundleElement(ring, raw)
+
+
+# --- torus localization -------------------------------------------------------
+
+def bott_count(kind: str, n: int, degrees, weights) -> int:
+    """Lines or conics on a general complete intersection in P^n by Bott's formula.
+
+    The torus acts on the coordinates with the distinct integer `weights`
+    (the weights of U* at a coordinate subspace).  Lines sum over the
+    coordinate 2-planes S, conics over the coordinate 3-planes S and the
+    six monomial conics q in each.  At a fixed point the forms bundle of
+    degree d has the weights of the degree-d monomials in S (for conics,
+    those q does not divide), and the tangent space those of Hom(U, Q)
+    plus, for conics, q'/q for the other monomial conics q'.  The count is
+    the sum of the product of the forms weights over the product of the
+    tangent weights (Ellingsrud-Stromme, alg-geom/9411005).  A weight
+    vector that makes a tangent weight zero is rejected.
+    """
+    lam = list(weights)
+    if len(lam) != n + 1:
+        raise ValueError(f"need {n + 1} weights, got {len(lam)}")
+    span = 2 if kind == "lines" else 3
+    total = Fraction(0)
+    for S in combinations(range(n + 1), span):
+        grassmann = [lam[i] - lam[j] for i in S for j in range(n + 1) if j not in S]
+        # A line is its plane S; a conic is one of the six monomial conics q in S,
+        # whose forms drop the monomials q * r with r of degree d - 2.
+        conics = list(combinations_with_replacement(S, 2)) if kind == "conics" else [()]
+        for q in conics:
+            forms = []
+            for d in degrees:
+                lower = combinations_with_replacement(S, d - 2) if q and d > 1 else ()
+                divisible = {tuple(sorted(q + r)) for r in lower}
+                forms += [sum(lam[i] for i in m) for m in combinations_with_replacement(S, d) if m not in divisible]
+            wq = sum(lam[i] for i in q)
+            tangent = grassmann + [sum(lam[i] for i in other) - wq for other in conics if other != q]
+            denominator = prod(tangent)
+            if not denominator:
+                raise ValueError(f"the weights {lam} make a tangent weight zero")
+            total += Fraction(prod(forms), denominator)
+    if total.denominator != 1:
+        raise ValueError(f"localization gave the non-integer {total}")
+    return total.numerator

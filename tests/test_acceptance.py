@@ -26,11 +26,10 @@ from curvecount import (
 )
 from curvecount.chern import clear_universal_cache
 from curvecount.cli import run
-from curvecount.grassmannian import _lr_expansion
 from curvecount.symfunc import elementary, reduce_to_elementary
 from test_symfunc import random_symmetric
 
-from helpers import brute_lr_coefficient, evaluate, random_bundle_vector, random_class
+from helpers import brute_lr_coefficient, clear_product_memos, evaluate, random_bundle_vector, random_class
 
 
 def _report(name: str, elapsed: float | None = None) -> None:
@@ -40,7 +39,7 @@ def _report(name: str, elapsed: float | None = None) -> None:
 
 def _cold_caches() -> None:
     clear_universal_cache()
-    _lr_expansion.cache_clear()
+    clear_product_memos()
 
 
 def test_criterion_1_lines_on_quintic():

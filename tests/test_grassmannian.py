@@ -18,7 +18,7 @@ from curvecount import (
 from curvecount.grassmannian import _box, _lr_expansion
 from curvecount.partitions import partitions_in_box
 
-from helpers import brute_lr_coefficient, oracle_multiply, random_class
+from helpers import brute_lr_coefficient, clear_product_memos, oracle_multiply, random_class
 
 GR24 = GrassmannianRing(2, 4)
 GR25 = GrassmannianRing(2, 5)
@@ -144,7 +144,7 @@ class TestMultiply:
         assert not expected.is_zero()
         assert built == []
         # A cold memo and Pieri work on parts tuples too.
-        _lr_expansion.cache_clear()
+        clear_product_memos()
         assert multiply(x, y) == expected
         assert pieri(x, 2) == expected_pieri
         assert built == []
@@ -152,6 +152,27 @@ class TestMultiply:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             multiply(GR24.sigma((1,)), GR25.sigma((1,)))
+
+    def test_weight_skip_is_exact(self, monkeypatch):
+        import curvecount.grassmannian as grassmannian
+
+        basis = GR36.basis()
+        for lam in basis:
+            for mu in basis:
+                if lam.weight + mu.weight > GR36.dim:
+                    assert _lr_expansion(lam.parts, mu.parts, GR36.rows, GR36.cols) == ()
+        asked = []
+        original = grassmannian._lr_expansion
+
+        def recorded(lam, mu, *box):
+            asked.append(sum(lam) + sum(mu))
+            return original(lam, mu, *box)
+
+        monkeypatch.setattr(grassmannian, "_lr_expansion", recorded)
+        monkeypatch.setattr(GR36.box, "products", {})
+        full = ChowClass(GR36, {p: 1 for p in basis})
+        assert not multiply(full, full).is_zero()
+        assert asked and max(asked) <= GR36.dim
 
     def test_ring_axioms_on_random_classes(self):
         rng = Random(202408)

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -24,7 +25,7 @@ from curvecount import (
     tally_checks,
 )
 
-from helpers import oracle_multiply
+from helpers import bott_count, oracle_multiply
 
 
 class TestLinesOnHypersurface:
@@ -140,6 +141,36 @@ class TestCountCurves:
             count_curves("planes", 4, [5])
         with pytest.raises(PreconditionError, match=r"rank 9 != dim 11"):
             count_curves("conics", 4, [4])
+
+
+def bott_weights(n: int) -> list[int]:
+    return [3**i + 7 * i * i for i in range(n + 1)]
+
+
+class TestLocalizationOracle:
+    """`count_curves` against Bott's formula, which shares no code with it."""
+
+    @pytest.mark.parametrize(
+        "kind, n, degrees",
+        [("lines", n, [2 * n - 3]) for n in range(4, 13)]
+        + [("lines", 5, [3, 3]), ("lines", 5, [2, 4]), ("lines", 6, [2, 2, 3]), ("lines", 7, [2, 2, 2, 2])]
+        + [("conics", 4, [5]), ("conics", 6, [8]), ("conics", 8, [11]), ("conics", 5, [2, 4])],
+    )
+    def test_count_curves_matches_localization(self, kind, n, degrees):
+        assert count_curves(kind, n, degrees).count == bott_count(kind, n, degrees, bott_weights(n))
+
+    def test_oracle_does_not_depend_on_the_weights(self):
+        rng = Random(43)
+        published = (("lines", 4, [5], 2875), ("conics", 4, [5], 609250), ("conics", 5, [2, 4], 92288))
+        for kind, n, degrees, count in published:
+            assert bott_count(kind, n, degrees, rng.sample(range(-60, 60), n + 1)) == count
+
+    def test_weights_with_a_zero_tangent_weight_rejected(self):
+        with pytest.raises(ValueError, match="tangent weight zero"):
+            bott_count("lines", 4, [5], [1, 1, 2, 3, 4])
+        # Distinct weights can still give two monomial conics one weight: x1^2 and x0 x2 (1 + 1 == 0 + 2).
+        with pytest.raises(ValueError, match="tangent weight zero"):
+            bott_count("conics", 4, [5], [0, 1, 2, 3, 9])
 
 
 class TestEquivalences:

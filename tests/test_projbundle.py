@@ -18,11 +18,12 @@ from curvecount import (
     trivial_vector,
 )
 
-from helpers import random_bundle_vector, random_class, random_homogeneous_class
+from helpers import dense_class, naive_pb_multiply, random_bundle_vector, random_class, random_homogeneous_class
 
 POINT = GrassmannianRing(1, 1)
 GR24 = GrassmannianRing(2, 4)
 GR35 = GrassmannianRing(3, 5)
+GR36 = GrassmannianRing(3, 6)
 
 
 def proj_space(n: int) -> ProjBundleRing:
@@ -51,6 +52,11 @@ class TestRingBasics:
         ring = ProjBundleRing(trivial_vector(GR24, 2))
         with pytest.raises(RingMismatchError):
             ring.pullback(GR35.one())
+
+    def test_constructor_requires_base_coefficients(self):
+        ring = ProjBundleRing(trivial_vector(GR24, 2))
+        with pytest.raises(RingMismatchError):
+            ProjBundleElement(ring, [GR24.one(), GR35.one()])
 
 
 class TestMultiplication:
@@ -105,6 +111,20 @@ class TestMultiplication:
         x + y
         assert calls == []
 
+    def test_arithmetic_does_not_compare_base_rings(self, monkeypatch):
+        calls = []
+        original = GrassmannianRing.__eq__
+        monkeypatch.setattr(GrassmannianRing, "__eq__", lambda self, other: calls.append(1) or original(self, other))
+        ring = ProjBundleRing(sym_power(dual_universal_vector(GR24), 2))
+        x, y = ring.zeta(), ring.pullback(GR24.sigma((1,)))
+        calls.clear()
+        pb_multiply(x, y)
+        -x
+        3 * x
+        assert calls == []
+        x + y
+        assert len(calls) == ring.fiber_rank  # one per coefficient sum, none to rebuild the element
+
     def test_reduction_confluence(self):
         # Reducing z^(s+k) in one construction agrees with multiplying by z
         # one step at a time.
@@ -120,6 +140,42 @@ class TestMultiplication:
             for _ in range(s + k):
                 incremental = incremental * ring.zeta()
             assert direct == incremental
+
+
+KERNEL_RINGS = (
+    ProjBundleRing(sym_power(dual_universal_vector(GR36), 2)),
+    ProjBundleRing(dual_universal_vector(GrassmannianRing(2, 5))),
+)
+
+
+def dense_element(ring: ProjBundleRing, rng: Random) -> ProjBundleElement:
+    return ProjBundleElement(ring, [dense_class(ring.base, rng) for _ in range(ring.fiber_rank)])
+
+
+class TestSumOfProducts:
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+    def test_pb_multiply_matches_naive_product(self, ring):
+        rng = Random(41)
+        for _ in range(3):
+            x, y = dense_element(ring, rng), dense_element(ring, rng)
+            assert pb_multiply(x, y) == naive_pb_multiply(x, y)
+
+    @pytest.mark.parametrize("ring", (GR36,) + KERNEL_RINGS, ids=repr)
+    def test_matches_sum_of_star_products(self, ring):
+        rng = Random(42)
+        element = dense_class if isinstance(ring, GrassmannianRing) else dense_element
+        terms = [(scale, element(ring, rng), element(ring, rng)) for scale in (-3, 0, 1, 5)]
+        expected = ring.zero()
+        for scale, x, y in terms:
+            expected = expected + scale * (x * y)
+        assert ring.sum_of_products(terms) == expected
+        assert ring.sum_of_products([]) == ring.zero()
+
+    @pytest.mark.parametrize("ring", (GR36,) + KERNEL_RINGS, ids=repr)
+    def test_term_from_another_ring_rejected(self, ring):
+        other = GR35 if isinstance(ring, GrassmannianRing) else proj_space(2)
+        with pytest.raises(RingMismatchError):
+            ring.sum_of_products([(1, ring.one(), ring.one()), (2, ring.one(), other.one())])
 
 
 class TestPushforward:
@@ -152,7 +208,8 @@ class TestPushforward:
             segre = segre_from_chern(ring.bundle, ring.base.dim)
             for j in range(ring.base.dim + 1):
                 pushed = pb_pushforward(ring.zeta() ** (ring.fiber_rank - 1 + j))
-                assert pushed == segre[j]
+                assert pushed == segre[j] == ring.segre(j)
+            assert ring.segre(-1).is_zero() and ring.segre(ring.base.dim + 1).is_zero()
 
     def test_projection_formula(self):
         rng = Random(38)
