@@ -1,7 +1,8 @@
 """Chern-class calculus via the splitting principle.
 
 Operations act on `ChernVector`s whose components may live in any ambient
-graded ring object: a Grassmannian Chow ring or a projective-bundle ring.
+graded ring object: a Grassmannian Chow ring, a projective-bundle ring or
+a `ChernRing`.
 The ambient must expose `dim`, `zero()`, `one()` and
 `sum_of_products(terms)`, the sum of coeff * x * y over (coeff, x, y)
 triples, and its elements must support exact `+`, `-`, `*` (with each other
@@ -15,20 +16,25 @@ of its formal roots, each rewritten once in e_1..e_r and multiplied there,
 cached per (rank, power, truncation degree) in memory and optionally on
 disk, and evaluated on the Chern components of any input bundle: each
 e-monomial once, as a shorter one times a single component.
+
+`ChernRing` is Z[c_1..c_r] truncated at a dimension, the ring in which
+those polynomials live: there they are elements as they stand, and a class
+built from them reaches a Grassmannian through one evaluation at the end.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from math import comb
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
-from .symfunc import SymmetricPoly, elementary_ring_poly, reduce_to_elementary
+from .symfunc import DEGREE_LIMIT, SymmetricPoly, _accumulate, elementary_ring_poly, reduce_to_elementary
 
 
 class ChernVector:
@@ -201,7 +207,12 @@ def _load_cached(r: int, d: int, trunc: int):
 
 
 def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
-    """Write through a temporary file, so that no reader sees a partial file."""
+    """Write through a temporary file, so that no reader sees a partial file.
+
+    A write that fails with an OSError (the directory gone, the disk full)
+    leaves no temporary file behind and is dropped: the value is still
+    served from memory, and a later process computes it again.
+    """
     payload = {
         "format": _CACHE_FORMAT,
         "r": r,
@@ -210,14 +221,19 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
         "degrees": [[[list(exps), str(coeff)] for exps, coeff in degree] for degree in value],
     }
     path = _cache_file(r, d, trunc)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(payload))
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
 
 
 def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
@@ -266,10 +282,76 @@ def sym_power(c: ChernVector, d: int) -> ChernVector:
     new_rank = comb(c.rank + d - 1, d)
     trunc = min(new_rank, c.ring.dim)
     universal = sym_power_elementary(c.rank, d, trunc)
-    # The empty monomial is c_0 = 1 and each e_i alone is c_i, so neither costs a product.
-    monomials = {tuple(int(j == i) for j in range(c.rank)): c.component(i + 1) for i in range(-1, c.rank)}
+    monomials = _monomial_memo(c)
     components = [_evaluate_elementary(epoly, c, monomials) for epoly in universal]
     return ChernVector(c.ring, new_rank, components)
+
+
+def _monomial_memo(c: ChernVector) -> dict:
+    """A monomial memo for `_evaluate_elementary` on `c`, holding what costs no
+    product: the empty monomial is c_0 = 1 and each e_i alone is c_i."""
+    return {tuple(int(j == i) for j in range(c.rank)): c.component(i + 1) for i in range(-1, c.rank)}
+
+
+# --- the Chern-class presentation -------------------------------------------
+
+class ChernRing:
+    """Z[c_1..c_r], truncated above degree `dim`: the polynomials in the Chern
+    classes of a generic rank-r bundle, before any relation of a space.
+
+    Elements are `SymmetricPoly`s in the packed e-monomial layout of
+    `symfunc.elementary_ring_poly`, with c_i = e_i of weight i, so the
+    universal Sym^d polynomials are elements as they stand and a sum of
+    products collects into one dict.  The ring fits the `ChernVector`
+    ambient contract.  A class on a space where the generic bundle becomes
+    a given one, such as U* on a Grassmannian, is computed here and mapped
+    there once by `evaluator`.
+    """
+
+    __slots__ = ("r", "dim")
+
+    def __init__(self, r: int, dim: int):
+        if r < 1 or not 0 <= dim < DEGREE_LIMIT:
+            raise PreconditionError(f"need rank >= 1 and 0 <= dim < {DEGREE_LIMIT}, got ({r}, {dim})")
+        self.r = r
+        self.dim = dim
+
+    def zero(self) -> SymmetricPoly:
+        return SymmetricPoly.constant(self.r, 0)
+
+    def one(self) -> SymmetricPoly:
+        return SymmetricPoly.constant(self.r, 1)
+
+    def sum_of_products(self, terms: Iterable[tuple[int, SymmetricPoly, SymmetricPoly]]) -> SymmetricPoly:
+        """The sum of coeff * x * y over (coeff, x, y) triples, up to degree dim."""
+        acc: dict[int, int] = {}
+        for coeff, x, y in terms:
+            if coeff:
+                _accumulate(acc, x, y, coeff, self.dim)
+        return SymmetricPoly._trusted(self.r, {k: v for k, v in acc.items() if v})
+
+    def generators(self) -> ChernVector:
+        """The generic bundle itself: c_i = e_i."""
+        units = [tuple(int(j == i) for j in range(self.r)) for i in range(min(self.r, self.dim))]
+        return ChernVector(self, self.r, [self.one()] + [elementary_ring_poly(self.r, {e: 1}) for e in units])
+
+    def sym_power(self, d: int) -> ChernVector:
+        """c(Sym^d) of the generic bundle: the universal polynomials, with no product.
+
+        The cache key is the one `sym_power` uses on a space of dimension dim.
+        """
+        if d == 1:
+            return self.generators()
+        rank = comb(self.r + d - 1, d)
+        universal = sym_power_elementary(self.r, d, min(rank, self.dim))
+        return ChernVector(self, rank, [elementary_ring_poly(self.r, dict(epoly)) for epoly in universal])
+
+    def evaluator(self, c: ChernVector):
+        """The ring map c_i -> c.component(i), as a function with its own monomial memo."""
+        if c.rank != self.r:
+            raise PreconditionError(f"cannot evaluate rank-{self.r} classes on a rank-{c.rank} bundle")
+        monomials = _monomial_memo(c)
+        return lambda x: _evaluate_elementary(x.terms.items(), c, monomials)
 
 
 # --- elementary bundle operations -------------------------------------------

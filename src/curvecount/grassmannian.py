@@ -13,6 +13,8 @@ computed by enumerating chains of horizontal strips with the lattice-word
 condition; the expansion of each sorted pair of partitions in a box is
 memoized as (index, coefficient) pairs, and each box keeps a table of those
 expansions keyed by the sorted pair of basis indices, packed into one int.
+A product with a one-column class sigma_(1^k) skips the LR memo: the dual
+Pieri rule fills its table entry from the vertical strips.
 `_accumulate` is the one product kernel: it adds scale * x * y into a plain
 {index: int} dict, so a sum of products collects into one dict and drops
 zeros once.  A pair of weights above the ring dimension multiplies to zero
@@ -29,7 +31,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, RingMismatchError
-from .partitions import Partition, horizontal_strips, partitions_in_box
+from .partitions import Partition, horizontal_strips, partitions_in_box, vertical_strips
 
 
 class _Box:
@@ -38,7 +40,7 @@ class _Box:
     An index is the lexicographic rank of the partition among all partitions
     in the box, computed from the parts alone, so entries are added as
     partitions are first met and the box is never enumerated.  `products`
-    maps the key i * size + j of an index pair i <= j to the LR expansion of
+    maps the key i * size + j of an index pair i <= j to the expansion of
     sigma_i * sigma_j; an int key, unlike a tuple, leaves the garbage
     collector nothing to track.  Entries are only ever added, with the same
     values, so concurrent readers are safe.
@@ -76,9 +78,22 @@ class _Box:
         return i
 
     def product(self, key: int) -> tuple:
-        """The expansion of a product-table key, filled from the LR memo on a miss."""
+        """The expansion of a product-table key, filled on a miss.
+
+        A one-column factor sigma_(1^k), such as c_k(U*), takes the dual Pieri
+        rule: one term of coefficient 1 per vertical strip.  Any other pair
+        goes to the LR memo.
+        """
         i, j = divmod(key, self.size)
-        expansion = self.products[key] = _lr_expansion(self.parts[i], self.parts[j], self.rows, self.cols)
+        lam, mu = self.parts[i], self.parts[j]
+        if lam[:1] in ((), (1,)):  # the unit or a column goes second
+            lam, mu = mu, lam
+        if mu[:1] in ((), (1,)):
+            strips = vertical_strips(lam, len(mu), self.rows, self.cols)
+            expansion = tuple(sorted((self.rank(nu), 1) for nu in strips))
+        else:
+            expansion = _lr_expansion(lam, mu, self.rows, self.cols)
+        self.products[key] = expansion
         return expansion
 
 

@@ -1,7 +1,8 @@
 """Integer partitions and the box combinatorics behind Schubert indexing.
 
 `Partition` is the checked public value type.  Below the API, as in
-`horizontal_strips`, a partition is its parts tuple without trailing zeros.
+`horizontal_strips` and `vertical_strips`, a partition is its parts tuple
+without trailing zeros.
 """
 
 from __future__ import annotations
@@ -113,5 +114,30 @@ def horizontal_strips(base: tuple[int, ...], size: int, rows: int, cols: int) ->
             for v in range(lo, min(cap, lo + remaining) + 1):
                 for rest in rec(i + 1, remaining - (v - lo), lo):
                     yield (v,) + rest
+
+    return rec(0, size, cols)
+
+
+def vertical_strips(base: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:
+    """Parts of each nu in the box with nu/base a vertical strip of `size` boxes.
+
+    A vertical strip adds at most one box to each row, so these nu index the
+    terms of sigma_base * sigma_(1^size) (the dual Pieri rule).  Row i may
+    grow by one when it is shorter than `cols` and than the row above it as
+    that row ends up; the strip must fit into the rows that are left.
+    """
+    padded = base + (0,) * (rows - len(base))
+
+    def rec(i: int, remaining: int, above: int) -> Iterator[tuple[int, ...]]:
+        if not remaining:
+            yield base[i:]
+        elif 0 < remaining <= rows - i:
+            p = padded[i]
+            if p:
+                for rest in rec(i + 1, remaining, p):
+                    yield (p,) + rest
+            if p < above:
+                for rest in rec(i + 1, remaining - 1, p + 1):
+                    yield (p + 1,) + rest
 
     return rec(0, size, cols)

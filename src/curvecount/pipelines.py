@@ -7,17 +7,32 @@ Degenerations of positive-dimensional families are handled by capping the
 total Chern class of the forms bundle with the Segre class of the family's
 locus.  Every pipeline returns a `CountReport` carrying the integer, a
 provenance trace of intermediate classes, and any consistency checks.
+
+Every class a pipeline builds is a polynomial in the Chern classes
+c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
+`chern.ChernRing`, Z[c_1..c_r] truncated at the Grassmannian's dimension,
+where the universal Sym^d polynomials are elements as they stand.  Only
+the classes that are integrated or traced go to the Schubert basis, each
+once, through products with the one-column classes c_i(U*) = sigma_(1^i).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from math import comb
 
-from .chern import _quotient_series, dual_universal_vector, sym_power, tensor_line, trivial_vector, whitney_quotient
+from .chern import (
+    ChernRing,
+    ChernVector,
+    _quotient_series,
+    dual_universal_vector,
+    segre_from_chern,
+    trivial_vector,
+)
 from .errors import InternalCheckError, PreconditionError
-from .grassmannian import GrassmannianRing, integrate, multiply
-from .projbundle import ProjBundleRing, pb_pushforward, pullback_vector
+from .grassmannian import GrassmannianRing, integrate
+from .symfunc import SymmetricPoly
 
 
 def _serialize(cls) -> str:
@@ -110,6 +125,12 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     divisible by the conic, Sym^(d-2) U* twisted by O(-zeta).  The count is
     the integral of the product of the top Chern classes of these summands;
     it is defined when their total rank equals the moduli dimension.
+
+    Every class is a polynomial in c_1..c_r of U*, computed in `ChernRing`
+    truncated at the dimension of the Grassmannian.  For conics the top
+    classes are polynomials in zeta as well, pushed forward to the base
+    term by term (`_conic_pushforward`).  The class that is integrated is
+    mapped to the Schubert basis once, at the end.
     """
     degrees = [int(d) for d in degrees]
     if kind not in ("lines", "conics"):
@@ -118,13 +139,13 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
         raise PreconditionError(f"need ambient dimension >= 2 and degrees >= 1, got ({n}, {degrees})")
     span = 2 if kind == "lines" else 3
     base = GrassmannianRing(span, n + 1)
-    cu = dual_universal_vector(base)
+    ring = ChernRing(span, base.dim)
     if kind == "lines":
-        ring = base
+        dim = base.dim
         trace = [("moduli_space", f"Gr(2,{n + 1})")]
     else:
-        conic_space = sym_power(cu, 2)
-        ring = ProjBundleRing(conic_space)
+        conic_space = ring.sym_power(2)
+        dim = base.dim + conic_space.rank - 1
         trace = [
             ("base_space", f"Gr(3,{n + 1})"),
             ("base_dim", str(base.dim)),
@@ -133,34 +154,65 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1;
     # checking before any symmetric power is built keeps a mismatch cheap.
     rank = sum((span - 1) * d + 1 for d in degrees)
-    if rank != ring.dim:
+    if rank != dim:
         raise PreconditionError(
-            f"rank {rank} != dim {ring.dim}: the degrees {degrees} do not cut out "
+            f"rank {rank} != dim {dim}: the degrees {degrees} do not cut out "
             f"a finite family of {kind} in P^{n}"
         )
-    trace.append(("moduli_dim", str(ring.dim)))
-    summands = []
-    for d in degrees:
-        forms = sym_power(cu, d)
-        if kind == "conics":
-            forms = pullback_vector(ring, forms)
-            trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
-            if d > 1:
-                lower = pullback_vector(ring, sym_power(cu, d - 2)) if d > 2 else trivial_vector(ring, 1)
-                divisible = tensor_line(lower, -ring.zeta())
-                trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
-                forms = whitney_quotient(forms, divisible, ring.dim)
-        summands.append(forms)
+    trace.append(("moduli_dim", str(dim)))
+    if kind == "lines":
+        top = ring.one()
+        for d in degrees:
+            top = top.mul_truncated(ring.sym_power(d).top(), ring.dim)
+    else:
+        top = _conic_pushforward(conic_space, degrees, trace)
     trace.append(("forms_rank", str(rank)))
-    top = summands[0].top()
-    for forms in summands[1:]:
-        top = top * forms.top()
-    if kind == "conics":
-        top = pb_pushforward(top)
+    top = ring.evaluator(dual_universal_vector(base))(top)
     count = integrate(top)
     trace.append(("top_class_pushforward" if kind == "conics" else "top_chern_class", _serialize(top)))
     trace.append(("count", str(count)))
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
+
+
+def _conic_pushforward(conic_space: ChernVector, degrees: list[int], trace: list) -> SymmetricPoly:
+    """The pushforward to the base of the product of the top classes of the
+    forms bundles Q = Sym^d U* / (Sym^(d-2) U* (x) O(-zeta)) on P(conic_space).
+
+    Each top class is a polynomial in zeta, kept as {power: coefficient}.
+    With E = Sym^d U*, F = Sym^(d-2) U* of rank f and m = rank Q, the Segre
+    class of a twist (Fulton, Intersection Theory, 3.1-3.2) gives
+
+        c_m(Q) = sum over i, l of binom(f-1+m-i, m-i-l) c_i(E) s_l(F) zeta^(m-i-l),
+
+    and pushing forward sends zeta^(s-1+j) to s_j(conic_space), s = its
+    rank, for every j >= 0, so no power of zeta is ever reduced.  A factor
+    coefficient of degree above the base dimension is zero and not built.
+    """
+    ring = conic_space.ring
+    top = {0: ring.one()}
+    for d in degrees:
+        forms = ring.sym_power(d)
+        trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
+        if d == 1:
+            factor = {0: forms.top()}
+        else:
+            lower = ring.sym_power(d - 2) if d > 2 else trivial_vector(ring, 1)
+            trace.append((f"divisible_rank_degree_{d}", str(lower.rank)))
+            m, f = forms.rank - lower.rank, lower.rank
+            segre = segre_from_chern(lower, ring.dim)
+            factor = {
+                p: ring.sum_of_products(
+                    (comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1)
+                )
+                for p in range(max(0, m - ring.dim), m + 1)
+            }
+        top = {
+            t: ring.sum_of_products((1, a, factor[t - p]) for p, a in top.items() if t - p in factor)
+            for t in {p + q for p in top for q in factor}
+        }
+    s = conic_space.rank
+    segre = segre_from_chern(conic_space, ring.dim)
+    return ring.sum_of_products((1, a, segre[p - s + 1]) for p, a in top.items() if p >= s - 1)
 
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:
@@ -197,19 +249,21 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:
         raise PreconditionError(f"need ambient dimension >= 2, got {n}")
-    ring = GrassmannianRing(2, n + 1)
+    base = GrassmannianRing(2, n + 1)
+    ring = ChernRing(2, base.dim)
     k = 2 * (n - 1) - (e + 1)
     if k < 0:
         raise PreconditionError(
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
             f"excess family of lines in P^{n}"
         )
-    cu = dual_universal_vector(ring)
-    small = sym_power(cu, e)
+    small = ring.sym_power(e)
     # Not whitney_quotient: that truncates at the quotient's rank, below k when D < 2n - 3.
-    excess = _quotient_series(sym_power(cu, D), small, k)[k]
+    excess = _quotient_series(ring.sym_power(D), small, k)[k]
     locus = small.top()
-    count = integrate(multiply(excess, locus))
+    schubert = ring.evaluator(dual_universal_vector(base))
+    count = integrate(schubert(excess.mul_truncated(locus, ring.dim)))
+    excess, locus = schubert(excess), schubert(locus)
     trace = (
         ("moduli_space", f"Gr(2,{n + 1})"),
         ("family_dim", str(k)),

@@ -101,6 +101,11 @@ class SymmetricPoly:
     def degree(self) -> int:
         return max(self._packed) >> (FIELD_BITS * self.nvars) if self._packed else 0
 
+    def degrees(self) -> set[int]:
+        """The degrees of the homogeneous components present."""
+        shift = FIELD_BITS * self.nvars
+        return {k >> shift for k in self._packed}
+
     def __add__(self, other):
         if not isinstance(other, SymmetricPoly) or other.nvars != self.nvars:
             return NotImplemented
@@ -150,16 +155,8 @@ class SymmetricPoly:
             top = max_degree
         if top >= DEGREE_LIMIT:
             raise OverflowError(f"product degree {top} does not fit {FIELD_BITS}-bit exponent fields")
-        limit = (top + 1) << (FIELD_BITS * self.nvars)
-        right = sorted(other._packed.items())
         acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in self._packed.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                if k >= limit:
-                    break
-                acc[k] = get(k, 0) + c1 * c2
+        _accumulate(acc, self, other, 1, top)
         return SymmetricPoly._trusted(self.nvars, {k: c for k, c in acc.items() if c})
 
     def __eq__(self, other) -> bool:
@@ -175,6 +172,26 @@ class SymmetricPoly:
             mono = "*".join(f"x{i}^{a}" if a > 1 else f"x{i}" for i, a in enumerate(e) if a)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _accumulate(acc: dict[int, int], x: SymmetricPoly, y: SymmetricPoly, scale: int, top: int) -> None:
+    """Add scale * x * y into `acc`, keyed by packed monomial, up to degree `top`.
+
+    The caller makes sure that no kept degree overflows a field: a packed
+    key below `limit` then has degree at most `top`, and with the terms of y
+    in key order the inner loop stops at the first key past it.  Entries
+    that cancel to zero stay in `acc`.
+    """
+    limit = (top + 1) << (FIELD_BITS * x.nvars)
+    right = sorted(y._packed.items())
+    get = acc.get
+    for k1, c1 in x._packed.items():
+        c1 *= scale
+        for k2, c2 in right:
+            k = k1 + k2
+            if k >= limit:
+                break
+            acc[k] = get(k, 0) + c1 * c2
 
 
 def elementary(nvars: int, k: int) -> SymmetricPoly:

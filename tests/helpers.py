@@ -15,8 +15,8 @@ whole powers of each Chern class, without the one-component-at-a-time memo
 of `chern.sym_power`.  `naive_pb_multiply` multiplies in a projective
 bundle one coefficient product at a time and applies the relation with
 class arithmetic, without the fused `sum_of_products` kernel.
-`bott_count` counts lines and conics by torus localization, with no
-Schubert calculus, symmetric-function reduction or bundle relation.
+`bott_count` counts lines, conics and equivalences by torus localization,
+with no Schubert calculus, symmetric-function reduction or bundle relation.
 """
 
 from __future__ import annotations
@@ -339,8 +339,21 @@ def naive_pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleE
 
 # --- torus localization -------------------------------------------------------
 
+def _excess_coefficient(w: list[int], v: list[int], k: int) -> int:
+    """The t^k coefficient of prod(1 + w t) / prod(1 + v t), by integer series steps."""
+    series = [1] + [0] * k
+    for x in w:
+        for i in range(k, 0, -1):
+            series[i] += x * series[i - 1]
+    for x in v:
+        for i in range(1, k + 1):
+            series[i] -= x * series[i - 1]
+    return series[k]
+
+
 def bott_count(kind: str, n: int, degrees, weights) -> int:
-    """Lines or conics on a general complete intersection in P^n by Bott's formula.
+    """Lines, conics or a factor's equivalence on a general hypersurface or
+    complete intersection in P^n by Bott's formula.
 
     The torus acts on the coordinates with the distinct integer `weights`
     (the weights of U* at a coordinate subspace).  Lines sum over the
@@ -350,13 +363,19 @@ def bott_count(kind: str, n: int, degrees, weights) -> int:
     those q does not divide), and the tangent space those of Hom(U, Q)
     plus, for conics, q'/q for the other monomial conics q'.  The count is
     the sum of the product of the forms weights over the product of the
-    tangent weights (Ellingsrud-Stromme, alg-geom/9411005).  A weight
-    vector that makes a tangent weight zero is rejected.
+    tangent weights (Ellingsrud-Stromme, alg-geom/9411005).
+
+    For kind "equivalence", `degrees` is (D, e): the lines absorbed by a
+    degree-e factor of a degree-D hypersurface.  The numerator at S is then
+    the t^k coefficient of prod(1 + w t) / prod(1 + v t), k = 2(n-1) - (e+1),
+    with w the weights of Sym^D U* and v those of Sym^e U*, times the
+    product of the v.  A weight vector that makes a tangent weight zero is
+    rejected.
     """
     lam = list(weights)
     if len(lam) != n + 1:
         raise ValueError(f"need {n + 1} weights, got {len(lam)}")
-    span = 2 if kind == "lines" else 3
+    span = 3 if kind == "conics" else 2
     total = Fraction(0)
     for S in combinations(range(n + 1), span):
         grassmann = [lam[i] - lam[j] for i in S for j in range(n + 1) if j not in S]
@@ -364,17 +383,24 @@ def bott_count(kind: str, n: int, degrees, weights) -> int:
         # whose forms drop the monomials q * r with r of degree d - 2.
         conics = list(combinations_with_replacement(S, 2)) if kind == "conics" else [()]
         for q in conics:
-            forms = []
-            for d in degrees:
-                lower = combinations_with_replacement(S, d - 2) if q and d > 1 else ()
-                divisible = {tuple(sorted(q + r)) for r in lower}
-                forms += [sum(lam[i] for i in m) for m in combinations_with_replacement(S, d) if m not in divisible]
+            if kind == "equivalence":
+                D, e = degrees
+                w, v = ([sum(lam[i] for i in m) for m in combinations_with_replacement(S, d)] for d in (D, e))
+                numerator = _excess_coefficient(w, v, 2 * (n - 1) - (e + 1)) * prod(v)
+            else:
+                forms = []
+                for d in degrees:
+                    lower = combinations_with_replacement(S, d - 2) if q and d > 1 else ()
+                    divisible = {tuple(sorted(q + r)) for r in lower}
+                    monomials = [m for m in combinations_with_replacement(S, d) if m not in divisible]
+                    forms += [sum(lam[i] for i in m) for m in monomials]
+                numerator = prod(forms)
             wq = sum(lam[i] for i in q)
             tangent = grassmann + [sum(lam[i] for i in other) - wq for other in conics if other != q]
             denominator = prod(tangent)
             if not denominator:
                 raise ValueError(f"the weights {lam} make a tangent weight zero")
-            total += Fraction(prod(forms), denominator)
+            total += Fraction(numerator, denominator)
     if total.denominator != 1:
         raise ValueError(f"localization gave the non-integer {total}")
     return total.numerator

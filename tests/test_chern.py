@@ -21,7 +21,7 @@ from curvecount import (
     whitney_quotient,
     whitney_sum,
 )
-from curvecount.chern import clear_universal_cache, set_universal_cache_dir, sym_power_elementary
+from curvecount.chern import ChernRing, clear_universal_cache, set_universal_cache_dir, sym_power_elementary
 from curvecount.symfunc import SymmetricPoly, reduce_to_elementary
 
 from helpers import power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
@@ -269,6 +269,51 @@ class TestSegre:
                 assert conv == (GR25.one() if k == 0 else GR25.zero())
 
 
+class TestChernRing:
+    def test_evaluation_of_universal_polynomials_is_sym_power(self):
+        for base in (GR25, GR35, GrassmannianRing(3, 7)):
+            ring = ChernRing(base.r, base.dim)
+            cu = dual_universal_vector(base)
+            schubert = ring.evaluator(cu)
+            for d in range(1, 6):
+                universal = ring.sym_power(d)
+                assert [schubert(x) for x in universal.components] == list(sym_power(cu, d).components)
+                assert universal.rank == comb(base.r + d - 1, d)
+
+    def test_sym_power_uses_the_keys_of_sym_power(self):
+        import curvecount.chern as chern
+
+        clear_universal_cache()
+        ring = ChernRing(2, GR25.dim)
+        ring.sym_power(1)
+        ring.sym_power(5)
+        assert set(chern._SYM_CACHE) == {(2, 5, 6)}
+        sym_power(dual_universal_vector(GR25), 5)
+        assert set(chern._SYM_CACHE) == {(2, 5, 6)}
+
+    def test_sum_of_products_truncates_at_dim(self):
+        ring = ChernRing(2, 4)
+        c1, c2 = ring.generators().components[1:]
+        total = ring.sum_of_products([(3, c1, c1 * c1), (-2, c2, c2), (5, c2, c2 * c1)])
+        assert total == 3 * (c1 * c1 * c1) - 2 * (c2 * c2)
+        assert total.degrees() == {3, 4}
+        assert ring.sum_of_products([]) == ring.zero()
+
+    def test_generators_stop_at_dim(self):
+        # In degree <= 2, c_3 of a rank-3 bundle is zero.
+        generic = ChernRing(3, 2).generators()
+        assert [c.terms for c in generic.components] == [{(0, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
+        assert generic.top().is_zero()
+
+    def test_preconditions(self):
+        with pytest.raises(PreconditionError):
+            ChernRing(0, 4)
+        with pytest.raises(PreconditionError):
+            ChernRing(2, -1)
+        with pytest.raises(PreconditionError):
+            ChernRing(3, 6).evaluator(dual_universal_vector(GR25))
+
+
 class TestUniversalCache:
     def test_memory_cache_transparent(self):
         clear_universal_cache()
@@ -334,6 +379,54 @@ class TestUniversalCache:
             clear_universal_cache()
             assert sym_power_elementary(2, 2, 3) == value
             assert "format" in json.loads(path.read_text())
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_removed_cache_dir_does_not_fail_a_count(self, tmp_path):
+        cache = tmp_path / "cache"
+        try:
+            set_universal_cache_dir(cache)
+            cache.rmdir()
+            clear_universal_cache()
+            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
+            value = sym_power_elementary(2, 5, 6)
+            assert value == roots_sym_power_elementary(2, 5, 6)
+            assert sym_power_elementary(2, 5, 6) is value  # kept in memory
+            assert not cache.exists()
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_failed_cache_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        import curvecount.chern as chern
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            monkeypatch.setattr(chern.os, "replace", full_disk)
+            assert sym_power_elementary(2, 3, 4) == roots_sym_power_elementary(2, 3, 4)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_cache_write_error_other_than_os_error_propagates(self, tmp_path, monkeypatch):
+        import curvecount.chern as chern
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            monkeypatch.setattr(chern.os, "replace", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                sym_power_elementary(2, 3, 4)
+            assert list(tmp_path.iterdir()) == []
         finally:
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -189,6 +189,26 @@ class TestMultiply:
                 prod = multiply(GR36.sigma(lam), GR36.sigma(mu))
                 assert prod.degrees() <= {lam.weight + mu.weight}
 
+    def test_one_column_products_take_the_dual_pieri_rule(self, monkeypatch):
+        # Every (lam, 1^i) pair of five boxes: the table entry that the
+        # vertical strips fill equals the LR expansion, and the LR memo is
+        # never asked for it.
+        import curvecount.grassmannian as grassmannian
+
+        asked = []
+        monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key))
+        pairs = 0
+        for rows, cols in [(2, 5), (3, 4), (3, 6), (4, 4), (4, 5)]:
+            box = _box(rows, cols)
+            for lam in partitions_in_box(rows, cols):
+                for i in range(1, rows + 1):
+                    first, second = sorted((box.rank(lam.parts), box.rank((1,) * i)))
+                    expansion = box.product(first * box.size + second)
+                    assert expansion == _lr_expansion(lam.parts, (1,) * i, rows, cols)
+                    pairs += 1
+        assert pairs == 1183
+        assert asked == []
+
     def test_pieri_lr_agreement(self):
         for ring in (GR24, GR25, GR35, GR36):
             for lam in ring.basis():

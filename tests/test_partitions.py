@@ -1,7 +1,7 @@
 import pytest
 
 from curvecount import Partition, partitions_in_box, partitions_of_weight
-from curvecount.partitions import horizontal_strips
+from curvecount.partitions import horizontal_strips, vertical_strips
 
 
 def test_trailing_zeros_stripped():
@@ -106,3 +106,27 @@ def test_horizontal_strips_match_brute_force():
 
 def test_horizontal_strips_size_zero():
     assert list(horizontal_strips((2, 1), 0, 2, 2)) == [(2, 1)]
+
+
+def test_vertical_strips_match_brute_force():
+    # Every in-box nu of the right weight that adds at most one box to each
+    # row of base, in lex order without trailing zeros.
+    def pad(parts, rows):
+        return parts + (0,) * (rows - len(parts))
+
+    for rows, cols in [(1, 3), (2, 2), (3, 3), (4, 2), (2, 0), (0, 2)]:
+        box = [p.parts for p in partitions_in_box(rows, cols)]
+        for base in box:
+            b = pad(base, rows)
+            for size in range(-1, rows + 2):
+                expected = [
+                    nu for nu in box
+                    if sum(nu) == sum(base) + size and all(0 <= n - b[i] <= 1 for i, n in enumerate(pad(nu, rows)))
+                ]
+                assert list(vertical_strips(base, size, rows, cols)) == expected
+
+
+def test_vertical_strips_no_two_boxes_in_a_row():
+    # Adding 2 boxes to (1): growing to (3,) would put two boxes in one row.
+    assert set(vertical_strips((1,), 2, 3, 3)) == {(2, 1), (1, 1, 1)}
+    assert list(vertical_strips((2, 1), 0, 2, 2)) == [(2, 1)]

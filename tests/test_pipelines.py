@@ -24,8 +24,9 @@ from curvecount import (
     sym_power,
     tally_checks,
 )
+from curvecount import grassmannian
 
-from helpers import bott_count, oracle_multiply
+from helpers import bott_count, clear_product_memos, oracle_multiply
 
 
 class TestLinesOnHypersurface:
@@ -131,10 +132,15 @@ class TestCountCurves:
             # Beyond paper scale; the values the seed engine computed.
             ("conics", 6, [8], 21553784182784),
             ("lines", 8, [13], 210776836330775),
+            # The top of the ladder; Bott's formula gives the same values.
+            ("conics", 10, [14], 10747520834813687952698384377664),
+            ("conics", 12, [17], 59021903191837569868255555729696380344336),
         ],
     )
     def test_ladder_counts(self, kind, n, degrees, count):
         assert count_curves(kind, n, degrees).count == count
+        if n >= 10:
+            assert bott_count(kind, n, degrees, bott_weights(n)) == count
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="unknown curve kind"):
@@ -145,6 +151,18 @@ class TestCountCurves:
 
 def bott_weights(n: int) -> list[int]:
     return [3**i + 7 * i * i for i in range(n + 1)]
+
+
+def _degree_sets(total: int, rank, low: int = 1):
+    """Weakly increasing degree lists, each degree >= low, whose forms ranks sum to `total`."""
+    if not total:
+        yield []
+        return
+    d = low
+    while rank(d) <= total:
+        for rest in _degree_sets(total - rank(d), rank, d):
+            yield [d] + rest
+        d += 1
 
 
 class TestLocalizationOracle:
@@ -159,6 +177,31 @@ class TestLocalizationOracle:
     def test_count_curves_matches_localization(self, kind, n, degrees):
         assert count_curves(kind, n, degrees).count == bott_count(kind, n, degrees, bott_weights(n))
 
+    @pytest.mark.parametrize(
+        "kind, n, degrees",
+        [("lines", n, ds) for n in range(2, 9) for ds in _degree_sets(2 * (n - 1), lambda d: d + 1)]
+        + [("conics", n, ds) for n in range(2, 8) for ds in _degree_sets(3 * n - 1, lambda d: 2 * d + 1)],
+    )
+    def test_sweep_of_small_complete_intersections(self, kind, n, degrees):
+        assert count_curves(kind, n, degrees).count == bott_count(kind, n, degrees, bott_weights(n))
+
+    @pytest.mark.parametrize(
+        "D, e, n", [(5, e, 4) for e in range(1, 6)] + [(3, 1, 4), (3, 2, 4), (4, 2, 5)]
+    )
+    def test_equivalences_match_localization(self, D, e, n):
+        # (5, 1..4, 4) are the published 1275, 1300, 1575 and 1600 of TestEquivalences.
+        expected = bott_count("equivalence", n, (D, e), bott_weights(n))
+        assert equivalence_lines_on_factor(D, e, n).count == expected
+
+    @pytest.mark.parametrize("D, n", [(5, 4), (7, 5)])
+    def test_split_report_pieces_match_localization(self, D, n):
+        report = degeneration_split_report(D, n)
+        weights = bott_weights(n)
+        assert report.count == bott_count("lines", n, [D], weights)
+        for e in range(1, D):
+            expected = bott_count("equivalence", n, (D, e), weights)
+            assert report.trace_value(f"equivalence_degree_{e}") == str(expected)
+
     def test_oracle_does_not_depend_on_the_weights(self):
         rng = Random(43)
         published = (("lines", 4, [5], 2875), ("conics", 4, [5], 609250), ("conics", 5, [2, 4], 92288))
@@ -171,6 +214,39 @@ class TestLocalizationOracle:
         # Distinct weights can still give two monomial conics one weight: x1^2 and x0 x2 (1 + 1 == 0 + 2).
         with pytest.raises(ValueError, match="tangent weight zero"):
             bott_count("conics", 4, [5], [0, 1, 2, 3, 9])
+
+
+class TestPresentationRoute:
+    """Counts multiply in Z[c_1..c_r] and reach the Schubert basis through
+    products with one-column classes only, which never ask the LR memo."""
+
+    @staticmethod
+    def record_lr(monkeypatch) -> list:
+        clear_product_memos()
+        asked = []
+        original = grassmannian._lr_expansion
+        monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key) or original(*key))
+        return asked
+
+    @pytest.mark.parametrize(
+        "pipeline, args",
+        [(count_curves, ("lines", n, [2 * n - 3])) for n in (3, 4, 8, 12)]
+        + [(count_curves, ("lines", n, ds)) for n, ds in ((5, [3, 3]), (5, [2, 4]), (6, [2, 2, 3]), (7, [2] * 4))]
+        + [(count_curves, ("conics", n, ds)) for n, ds in ((4, [5]), (6, [8]), (5, [2, 4]))]
+        + [(equivalence_lines_on_factor, (5, e, 4)) for e in range(1, 6)]
+        + [(equivalence_lines_on_factor, (3, 1, 4))]
+        + [(degeneration_split_report, (5, 4)), (degeneration_split_report, (7, 5))],
+    )
+    def test_count_paths_never_call_lr(self, monkeypatch, pipeline, args):
+        asked = self.record_lr(monkeypatch)
+        pipeline(*args)
+        assert asked == []
+
+    def test_recorder_sees_an_lr_product(self, monkeypatch):
+        asked = self.record_lr(monkeypatch)
+        ring = GrassmannianRing(3, 6)
+        assert not multiply(ring.sigma((2, 1)), ring.sigma((2, 1))).is_zero()
+        assert asked == [((2, 1), (2, 1), 3, 3)]
 
 
 class TestEquivalences:
