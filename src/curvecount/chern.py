@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
-from .symfunc import DEGREE_LIMIT, SymmetricPoly, _accumulate, elementary_ring_poly, reduce_to_elementary
+from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, reduce_to_elementary, sum_of_products
 
 
 class ChernVector:
@@ -187,7 +187,9 @@ def _cache_file(r: int, d: int, trunc: int) -> Path:
 def _load_cached(r: int, d: int, trunc: int):
     """The stored polynomials for the key, or None when the file is missing,
     unreadable, of another format version, holds another key, or does not
-    have trunc + 1 degrees of r-entry exponent tuples."""
+    have trunc + 1 degrees of r-entry exponent tuples of non-negative ints,
+    each of the weighted degree sum(i * a_i) of its slot, with integer
+    coefficients."""
     path = _cache_file(r, d, trunc)
     if not path.is_file():
         return None
@@ -196,12 +198,18 @@ def _load_cached(r: int, d: int, trunc: int):
         if (data["format"], data["r"], data["d"], data["trunc"]) != (_CACHE_FORMAT, r, d, trunc):
             return None
         value = tuple(
-            tuple((tuple(exps), int(coeff)) for exps, coeff in degree)
+            tuple((tuple(exps), int(str(coeff))) for exps, coeff in degree)  # int(True), int(2.5) would pass
             for degree in data["degrees"]
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return None
-    if len(value) != trunc + 1 or any(len(exps) != r for degree in value for exps, _ in degree):
+    if len(value) != trunc + 1 or any(
+        len(exps) != r
+        or any(type(a) is not int or a < 0 for a in exps)
+        or sum(i * a for i, a in enumerate(exps, 1)) != weight
+        for weight, degree in enumerate(value)
+        for exps, _ in degree
+    ):
         return None
     return value
 
@@ -324,11 +332,7 @@ class ChernRing:
 
     def sum_of_products(self, terms: Iterable[tuple[int, SymmetricPoly, SymmetricPoly]]) -> SymmetricPoly:
         """The sum of coeff * x * y over (coeff, x, y) triples, up to degree dim."""
-        acc: dict[int, int] = {}
-        for coeff, x, y in terms:
-            if coeff:
-                _accumulate(acc, x, y, coeff, self.dim)
-        return SymmetricPoly._trusted(self.r, {k: v for k, v in acc.items() if v})
+        return sum_of_products(self.r, terms, self.dim)
 
     def generators(self) -> ChernVector:
         """The generic bundle itself: c_i = e_i."""

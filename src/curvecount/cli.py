@@ -43,20 +43,15 @@ def _parse_grassmannian(text: str) -> tuple[int, int]:
     return r, n
 
 
-def _parse_partition(text: str) -> tuple[int, ...]:
-    if text.strip() in ("", "0"):
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def _parse_degrees(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _parse_partition(text: str) -> tuple[int, ...]:
+    return () if text.strip() in ("", "0") else tuple(_parse_degrees(text))
 
 
 def _dump(payload: dict) -> str:

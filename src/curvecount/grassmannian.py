@@ -15,11 +15,10 @@ memoized as (index, coefficient) pairs, and each box keeps a table of those
 expansions keyed by the sorted pair of basis indices, packed into one int.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
 Pieri rule fills its table entry from the vertical strips.
-`_accumulate` is the one product kernel: it adds scale * x * y into a plain
-{index: int} dict, so a sum of products collects into one dict and drops
-zeros once.  A pair of weights above the ring dimension multiplies to zero
-and is skipped before any lookup.  Everything is exact: coefficients are
-plain Python integers.
+`GrassmannianRing.sum_of_products` is the one product kernel: a sum of
+products collects into one {index: int} dict and drops zeros once, and
+`multiply` is its one-term call.  Only this module knows the index
+storage.  Everything is exact: coefficients are plain Python integers.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, RingMismatchError
-from .partitions import Partition, horizontal_strips, partitions_in_box, vertical_strips
+from .partitions import Partition, horizontal_strips, partitions_in_box, partitions_of_weight, vertical_strips
 
 
 class _Box:
@@ -158,19 +157,42 @@ class GrassmannianRing:
         return self.sigma((self.cols,) * self.rows)
 
     def basis(self, weight: int | None = None) -> list[Partition]:
-        all_parts = partitions_in_box(self.rows, self.cols)
         if weight is None:
-            return all_parts
-        return [p for p in all_parts if p.weight == weight]
+            return partitions_in_box(self.rows, self.cols)
+        return partitions_of_weight(weight, self.rows, self.cols)
 
     def sum_of_products(self, terms: Iterable[tuple[int, "ChowClass", "ChowClass"]]) -> "ChowClass":
-        """The sum of coeff * x * y over (coeff, x, y) triples of classes on this ring."""
+        """The sum of coeff * x * y over (coeff, x, y) triples of classes on this ring.
+
+        A pair of basis classes whose weights sum past the ring dimension
+        multiplies to zero and is skipped before any lookup.
+        """
+        box = self.box
+        weights, products, size = box.weights, box.products, box.size
+        room = self.dim
         acc: dict[int, int] = {}
+        get = acc.get
         for coeff, x, y in terms:
-            if x.ring != self or y.ring != self:
+            # Identity first: the usual operands cost no __eq__ call.
+            if (x.ring is not self or y.ring is not self) and (x.ring != self or y.ring != self):
                 raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
-            if coeff:
-                _accumulate(acc, x, y, coeff)
+            if not coeff:
+                continue
+            ys = y._coeffs.items()
+            for i, a in x._coeffs.items():
+                left = room - weights[i]
+                a *= coeff
+                row = i * size
+                for j, b in ys:
+                    if weights[j] > left:
+                        continue
+                    key = row + j if i <= j else j * size + i
+                    expansion = products.get(key)
+                    if expansion is None:
+                        expansion = box.product(key)
+                    ab = a * b
+                    for k, m in expansion:
+                        acc[k] = get(k, 0) + ab * m
         return ChowClass._trusted(self, {k: v for k, v in acc.items() if v})
 
     def __eq__(self, other) -> bool:
@@ -234,10 +256,6 @@ class ChowClass:
         """Weights of the homogeneous components present."""
         weights = self.ring.box.weights
         return {weights[i] for i in self._coeffs}
-
-    def homogeneous_part(self, k: int) -> "ChowClass":
-        weights = self.ring.box.weights
-        return ChowClass._trusted(self.ring, {i: c for i, c in self._coeffs.items() if weights[i] == k})
 
     def _check_ring(self, other: "ChowClass") -> None:
         if self.ring != other.ring:
@@ -371,42 +389,9 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
 
-def _accumulate(acc: dict[int, int], x: ChowClass, y: ChowClass, scale: int = 1) -> None:
-    """Add scale * x * y into `acc`, keyed by basis index of the rings' box.
-
-    The rings are not checked, and entries that cancel to zero stay in
-    `acc`.  A pair whose weights exceed the ring dimension is skipped:
-    its product is zero.  The smaller basis index comes first in the key
-    of the box's expansion table.
-    """
-    box = x.ring.box
-    room = x.ring.dim
-    weights, products, size = box.weights, box.products, box.size
-    get = acc.get
-    ys = y._coeffs.items()
-    for i, a in x._coeffs.items():
-        left = room - weights[i]
-        a *= scale
-        row = i * size
-        for j, b in ys:
-            if weights[j] > left:
-                continue
-            key = row + j if i <= j else j * size + i
-            expansion = products.get(key)
-            if expansion is None:
-                expansion = box.product(key)
-            ab = a * b
-            for k, m in expansion:
-                acc[k] = get(k, 0) + ab * m
-
-
 def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
     """Product of two classes via the Littlewood-Richardson rule."""
-    if x.ring != y.ring:
-        raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring}")
-    acc: dict[int, int] = {}
-    _accumulate(acc, x, y)
-    return ChowClass._trusted(x.ring, {k: v for k, v in acc.items() if v})
+    return x.ring.sum_of_products([(1, x, y)])
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:

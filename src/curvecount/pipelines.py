@@ -22,14 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from math import comb
 
-from .chern import (
-    ChernRing,
-    ChernVector,
-    _quotient_series,
-    dual_universal_vector,
-    segre_from_chern,
-    trivial_vector,
-)
+from .chern import ChernRing, ChernVector, dual_universal_vector, segre_from_chern, trivial_vector
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate
 from .symfunc import SymmetricPoly
@@ -257,9 +250,11 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
             f"excess family of lines in P^{n}"
         )
-    small = ring.sym_power(e)
-    # Not whitney_quotient: that truncates at the quotient's rank, below k when D < 2n - 3.
-    excess = _quotient_series(ring.sym_power(D), small, k)[k]
+    forms, small = ring.sym_power(D), ring.sym_power(e)
+    # The degree-k part of c(Sym^D) s(Sym^e).  Not whitney_quotient: that
+    # truncates at the quotient's rank, below k when D < 2n - 3.
+    segre = segre_from_chern(small, k)
+    excess = ring.sum_of_products((1, forms.component(i), segre[k - i]) for i in range(k + 1))
     locus = small.top()
     schubert = ring.evaluator(dual_universal_vector(base))
     count = integrate(schubert(excess.mul_truncated(locus, ring.dim)))

@@ -9,24 +9,26 @@ satisfies
 
 Fiber integration sends z^(s-1+j) to the degree-j Segre class of E, the
 inverse of the total Chern class.  Elements are kept z-reduced at all
-times.  A sum of products collects every coefficient product into 2s - 1
-raw z-degree dicts with the Grassmannian product kernel and z-reduces them
-once, with the same kernel.
+times.  A sum of products collects every product of nonzero coefficients
+as a term of its z-degree, 2s - 1 lists in all, and z-reduces from the top
+down by appending the relation's products as terms; each degree is then
+summed by one `GrassmannianRing.sum_of_products` call, so this layer never
+touches the Schubert storage.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .chern import ChernVector, segre_from_chern
+from .chern import ChernVector
 from .errors import PreconditionError, RingMismatchError
-from .grassmannian import ChowClass, GrassmannianRing, _accumulate, integrate
+from .grassmannian import ChowClass, GrassmannianRing, integrate
 
 
 class ProjBundleRing:
     """Chow ring of P(E) for a Chern vector E over a Grassmannian base."""
 
-    __slots__ = ("base", "bundle", "_chern")
+    __slots__ = ("base", "bundle", "_relation")
 
     def __init__(self, bundle: ChernVector):
         if not isinstance(bundle.ring, GrassmannianRing):
@@ -35,7 +37,8 @@ class ProjBundleRing:
             raise PreconditionError("cannot projectivize a rank-0 bundle")
         self.base = bundle.ring
         self.bundle = bundle
-        self._chern = [bundle.component(i) for i in range(bundle.rank + 1)]
+        # The nonzero c_j(E), j >= 1, of the relation, with their indices.
+        self._relation = [(j, c) for j, c in enumerate(bundle.components[1:], 1) if not c.is_zero()]
 
     @property
     def fiber_rank(self) -> int:
@@ -44,16 +47,6 @@ class ProjBundleRing:
     @property
     def dim(self) -> int:
         return self.base.dim + self.fiber_rank - 1
-
-    def chern(self, j: int) -> ChowClass:
-        if j < 0 or j > self.fiber_rank:
-            return self.base.zero()
-        return self._chern[j]
-
-    def segre(self, j: int) -> ChowClass:
-        if j < 0 or j > self.base.dim:
-            return self.base.zero()
-        return segre_from_chern(self.bundle, j)[j]
 
     def zero(self) -> "ProjBundleElement":
         return ProjBundleElement(self, [])
@@ -73,36 +66,39 @@ class ProjBundleRing:
     def sum_of_products(
         self, terms: Iterable[tuple[int, "ProjBundleElement", "ProjBundleElement"]]
     ) -> "ProjBundleElement":
-        """The sum of coeff * x * y over (coeff, x, y) triples, z-reduced once."""
-        s = self.fiber_rank
-        raw: list[dict[int, int]] = [{} for _ in range(2 * s - 1)]
+        """The sum of coeff * x * y over (coeff, x, y) triples, z-reduced once.
+
+        Each product of two nonzero coefficients becomes a base term in the
+        list of its z-degree; zero coefficients add no term.
+        """
+        raw: list[list] = [[] for _ in range(2 * self.fiber_rank - 1)]
         for coeff, x, y in terms:
             if x.ring != self or y.ring != self:
                 raise RingMismatchError("elements live on different projective bundles")
             if not coeff:
                 continue
             for i, a in enumerate(x.coeffs):
-                if a._coeffs:
+                if not a.is_zero():
                     for j, b in enumerate(y.coeffs):
-                        if b._coeffs:
-                            _accumulate(raw[i + j], a, b, coeff)
+                        if not b.is_zero():
+                            raw[i + j].append((coeff, a, b))
         return ProjBundleElement._trusted(self, self._reduce(raw))
 
-    def _reduce(self, raw: list[dict[int, int]]) -> tuple[ChowClass, ...]:
+    def _reduce(self, raw: list[list]) -> tuple[ChowClass, ...]:
         """The fiber_rank z-reduced coefficients of the sum of raw[i] z^i.
 
-        `raw` holds {basis index: int} dicts on the base and is consumed: the
-        relation z^s = -(c_1 z^(s-1) + ... + c_s) folds each degree from the
-        top down into the s degrees below it.
+        raw[i] is a list of (coeff, x, y) product terms on the base and is
+        consumed: the relation z^s = -(c_1 z^(s-1) + ... + c_s) folds each
+        degree from the top down into the s degrees below it, as terms.
         """
         s = self.fiber_rank
-        base = self.base
-        raw += [{} for _ in range(s - len(raw))]
+        raw += [[] for _ in range(s - len(raw))]
         for i in range(len(raw) - 1, s - 1, -1):
-            top = ChowClass._trusted(base, {k: v for k, v in raw[i].items() if v})
-            for j in range(1, s + 1):
-                _accumulate(raw[i - j], top, self._chern[j], -1)
-        return tuple(ChowClass._trusted(base, {k: v for k, v in acc.items() if v}) for acc in raw[:s])
+            top = self.base.sum_of_products(raw[i])
+            if not top.is_zero():
+                for j, c in self._relation:
+                    raw[i - j].append((-1, top, c))
+        return tuple(self.base.sum_of_products(terms) for terms in raw[:s])
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -121,11 +117,12 @@ class ProjBundleElement:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: ProjBundleRing, coeffs: Sequence[ChowClass]):
+        one = ring.base.one()
         raw = []
         for a in coeffs:
             if a.ring != ring.base:
                 raise RingMismatchError("coefficients must be classes on the base")
-            raw.append(dict(a._coeffs))
+            raw.append([] if a.is_zero() else [(1, a, one)])
         self.ring = ring
         self.coeffs = ring._reduce(raw)
 

@@ -4,7 +4,10 @@ The splitting principle reduces every characteristic-class formula to
 symmetric-function algebra in formal root variables.  This module supplies
 the exact kernel for that: sparse integer polynomials, and the rewrite of a
 symmetric polynomial as a polynomial in the elementary symmetric functions
-e_1..e_r by repeated lexicographic leading-term elimination.
+e_1..e_r by repeated lexicographic leading-term elimination.  Monomials are
+stored packed into ints; only this module knows that layout, and
+`sum_of_products` is its one product kernel: `SymmetricPoly.mul_truncated`
+is its one-term call, and `chern.ChernRing` calls it directly.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
@@ -141,23 +144,11 @@ class SymmetricPoly:
         return NotImplemented
 
     def mul_truncated(self, other: "SymmetricPoly", max_degree: int | None) -> "SymmetricPoly":
-        """Product, discarding monomials of total degree above `max_degree`.
-
-        A packed sum is exact while its degree fits the exponent fields, and
-        the degree bound becomes one bound on packed keys: a key below
-        `limit` has degree at most `top`.  Raises OverflowError when a kept
-        product could overflow a field.
-        """
-        if other.nvars != self.nvars:
-            raise ValueError(f"cannot multiply polynomials in {self.nvars} and {other.nvars} variables")
+        """Product, discarding monomials of total degree above `max_degree`."""
         top = self.degree() + other.degree()
         if max_degree is not None and max_degree < top:
             top = max_degree
-        if top >= DEGREE_LIMIT:
-            raise OverflowError(f"product degree {top} does not fit {FIELD_BITS}-bit exponent fields")
-        acc: dict[int, int] = {}
-        _accumulate(acc, self, other, 1, top)
-        return SymmetricPoly._trusted(self.nvars, {k: c for k, c in acc.items() if c})
+        return sum_of_products(self.nvars, [(1, self, other)], top)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SymmetricPoly):
@@ -174,24 +165,36 @@ class SymmetricPoly:
         return " + ".join(bits)
 
 
-def _accumulate(acc: dict[int, int], x: SymmetricPoly, y: SymmetricPoly, scale: int, top: int) -> None:
-    """Add scale * x * y into `acc`, keyed by packed monomial, up to degree `top`.
+def sum_of_products(nvars: int, terms: Iterable[tuple[int, SymmetricPoly, SymmetricPoly]], top: int) -> SymmetricPoly:
+    """The sum of coeff * x * y over (coeff, x, y) triples of polynomials in
+    `nvars` variables, discarding monomials of degree above `top`.
 
-    The caller makes sure that no kept degree overflows a field: a packed
-    key below `limit` then has degree at most `top`, and with the terms of y
-    in key order the inner loop stops at the first key past it.  Entries
-    that cancel to zero stay in `acc`.
+    A packed sum is exact while its degree fits the exponent fields, and
+    the degree bound becomes one bound on packed keys: a key below `limit`
+    has degree at most `top`, so with the terms of y in key order the inner
+    loop stops at the first key past it.  Every product adds into one dict,
+    and zeros are dropped once at the end.  Raises OverflowError when a
+    kept product could overflow a field.
     """
-    limit = (top + 1) << (FIELD_BITS * x.nvars)
-    right = sorted(y._packed.items())
+    if top >= DEGREE_LIMIT:
+        raise OverflowError(f"product degree {top} does not fit {FIELD_BITS}-bit exponent fields")
+    limit = (top + 1) << (FIELD_BITS * nvars)
+    acc: dict[int, int] = {}
     get = acc.get
-    for k1, c1 in x._packed.items():
-        c1 *= scale
-        for k2, c2 in right:
-            k = k1 + k2
-            if k >= limit:
-                break
-            acc[k] = get(k, 0) + c1 * c2
+    for coeff, x, y in terms:
+        if x.nvars != nvars or y.nvars != nvars:
+            raise ValueError(f"cannot multiply polynomials in {x.nvars} and {y.nvars} variables in a ring of {nvars}")
+        if not coeff:
+            continue
+        right = sorted(y._packed.items())
+        for k1, c1 in x._packed.items():
+            c1 *= coeff
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
+                    break
+                acc[k] = get(k, 0) + c1 * c2
+    return SymmetricPoly._trusted(nvars, {k: c for k, c in acc.items() if c})
 
 
 def elementary(nvars: int, k: int) -> SymmetricPoly:

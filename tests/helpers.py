@@ -333,7 +333,7 @@ def naive_pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleE
         top = raw.pop()
         i = len(raw)
         for j in range(1, s + 1):
-            raw[i - j] = raw[i - j] - top * ring.chern(j)
+            raw[i - j] = raw[i - j] - top * ring.bundle.component(j)
     return ProjBundleElement(ring, raw)
 
 

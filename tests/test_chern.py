@@ -10,6 +10,7 @@ from curvecount import (
     PreconditionError,
     ProjBundleRing,
     RingMismatchError,
+    count_lines_hypersurface,
     dual,
     dual_universal_vector,
     integrate,
@@ -230,6 +231,8 @@ class TestWhitney:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             whitney_sum(trivial_vector(GR25, 1), trivial_vector(GR35, 1))
+        with pytest.raises(RingMismatchError):
+            whitney_quotient(trivial_vector(GR25, 2), trivial_vector(GR35, 1))
 
 
 class TestSegre:
@@ -362,6 +365,31 @@ class TestUniversalCache:
             chern._store_cached(2, 5, 6, roots_sym_power_elementary(2, 5, 6))
             monkeypatch.setattr(chern, "_compute_sym_power_elementary", refuse)
             assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    # Each damage replaces the exponents (field 0) or the coefficient (field 1)
+    # of the first entry of one degree of Sym^5 on a rank-2 bundle.
+    @pytest.mark.parametrize("degree, field, value", [
+        (1, 0, [-1, 1]), (1, 0, [1.5, 0]), (1, 0, [True, 0]), (1, 0, [0, 1]), (6, 1, 2.5), (6, 1, True),
+    ], ids=["negative", "float", "bool", "wrong weighted degree", "float coefficient", "bool coefficient"])
+    def test_corrupt_entry_recomputed(self, tmp_path, degree, field, value):
+        import curvecount.chern as chern
+
+        path = tmp_path / "sym_r2_d5_t6.json"
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            assert count_lines_hypersurface(4, 5).count == 2875
+            intact = json.loads(path.read_text())
+            stored = json.loads(path.read_text())
+            stored["degrees"][degree][0][field] = value
+            path.write_text(json.dumps(stored))
+            assert chern._load_cached(2, 5, 6) is None
+            clear_universal_cache()
+            assert count_lines_hypersurface(4, 5).count == 2875
+            assert json.loads(path.read_text()) == intact
         finally:
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -33,6 +33,14 @@ class TestCountingCommands:
         assert out == ""
         assert "rank 5" in err and "dim 6" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["equivalence", "--total", "5", "--factor", "1", "--ambient", "1"], "need ambient dimension >= 2, got 1"),
+        (["dim-count", "--ambient", "1", "--hypersurface", "5", "--curve-degree", "7"],
+         "need n >= 2, D >= 1, d >= 1, got (1, 5, 7)"),
+    ], ids=["equivalence", "dim-count"])
+    def test_ambient_below_two_exits_three(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (3, "", f"error: {message}\n")
+
     def test_lines_complete_intersection(self, capsys):
         code, out, _ = invoke(capsys, "lines-ci", "--ambient", "5", "--degrees", "2,4")
         assert code == 0

@@ -297,6 +297,8 @@ class TestEquivalences:
             equivalence_lines_on_factor(5, 0, 4)
         with pytest.raises(PreconditionError):
             equivalence_lines_on_factor(5, 6, 4)
+        with pytest.raises(PreconditionError, match="ambient dimension >= 2"):
+            equivalence_lines_on_factor(5, 1, 1)
 
 
 class TestSplitReport:
@@ -308,6 +310,8 @@ class TestSplitReport:
         assert report.trace_value("equivalence_degree_2") == "1300"
         assert report.trace_value("equivalence_degree_3") == "1575"
         assert report.trace_value("equivalence_degree_4") == "1600"
+        with pytest.raises(KeyError):
+            report.trace_value("equivalence_degree_5")
 
     def test_split_symmetry(self):
         # The split {e, D-e} lists the same pair regardless of orientation.
@@ -342,6 +346,11 @@ class TestDimensionCount:
 
     def test_quartic_surface_has_no_lines(self):
         assert naive_dimension_count(3, 4, 1).expected_dim == -1
+
+    @pytest.mark.parametrize("n, D, d", [(1, 5, 7), (4, 0, 1), (4, 5, 0)])
+    def test_bad_inputs(self, n, D, d):
+        with pytest.raises(PreconditionError, match=r"need n >= 2, D >= 1, d >= 1"):
+            naive_dimension_count(n, D, d)
 
 
 class TestNormalBundle:

@@ -8,6 +8,7 @@ from curvecount import (
     ProjBundleElement,
     ProjBundleRing,
     RingMismatchError,
+    count_curves,
     dual_universal_vector,
     pb_integrate,
     pb_multiply,
@@ -15,7 +16,9 @@ from curvecount import (
     pullback_vector,
     segre_from_chern,
     sym_power,
+    tensor_line,
     trivial_vector,
+    whitney_quotient,
 )
 
 from helpers import dense_class, naive_pb_multiply, random_bundle_vector, random_class, random_homogeneous_class
@@ -198,7 +201,7 @@ class TestPushforward:
         for _ in range(8):
             ring = random_ring(rng)
             pushed = pb_pushforward(ring.zeta() ** ring.fiber_rank)
-            assert pushed == -ring.chern(1)
+            assert pushed == -ring.bundle.component(1)
             assert pushed == segre_from_chern(ring.bundle, 1)[1]
 
     def test_higher_zeta_powers_match_segre_series(self):
@@ -208,8 +211,8 @@ class TestPushforward:
             segre = segre_from_chern(ring.bundle, ring.base.dim)
             for j in range(ring.base.dim + 1):
                 pushed = pb_pushforward(ring.zeta() ** (ring.fiber_rank - 1 + j))
-                assert pushed == segre[j] == ring.segre(j)
-            assert ring.segre(-1).is_zero() and ring.segre(ring.base.dim + 1).is_zero()
+                assert pushed == segre[j] == segre_from_chern(ring.bundle, j)[j]
+            assert segre_from_chern(ring.bundle, ring.base.dim + 1)[-1].is_zero()
 
     def test_projection_formula(self):
         rng = Random(38)
@@ -268,3 +271,30 @@ class TestPullbackVector:
         ring = ProjBundleRing(trivial_vector(GR24, 2))
         with pytest.raises(RingMismatchError):
             pullback_vector(ring, trivial_vector(GR35, 1))
+
+
+class TestConicChain:
+    """The public P(E) route of demos/conics_on_quintic.py against `count_curves`.
+
+    The moduli space is P(Sym^2 U*) over Gr(3, n+1); each degree-d equation
+    gives the forms bundle Sym^d U* / (Sym^(d-2) U* (x) O(-z)), Sym^1 U* for
+    d = 1 and Sym^0 the trivial line for d = 2.
+    """
+
+    @pytest.mark.parametrize("n, degrees, count", [
+        (4, [5], 609250),
+        (5, [2, 4], 92288),
+        (6, [8], 21553784182784),
+        (8, [11], 6879170927773883986896),
+    ])
+    def test_chain_matches_count_curves(self, n, degrees, count):
+        cu = dual_universal_vector(GrassmannianRing(3, n + 1))
+        moduli = ProjBundleRing(sym_power(cu, 2))
+        top = moduli.one()
+        for d in degrees:
+            forms = pullback_vector(moduli, sym_power(cu, d))
+            if d > 1:
+                lower = pullback_vector(moduli, sym_power(cu, d - 2)) if d > 2 else trivial_vector(moduli, 1)
+                forms = whitney_quotient(forms, tensor_line(lower, -moduli.zeta()), moduli.dim)
+            top = top * forms.top()
+        assert pb_integrate(top) == count == count_curves("conics", n, degrees).count

@@ -113,6 +113,8 @@ class TestSymmetricPoly:
             SymmetricPoly.constant(2, 1) + y, 1
         )
         assert p == SymmetricPoly.constant(2, 1) + x + y
+        with pytest.raises(ValueError, match="in 2 and 3 variables"):
+            x.mul_truncated(x_power(3, 0), 1)
 
     def test_evaluate(self):
         p = SymmetricPoly(2, {(2, 1): 3, (0, 0): -1})
