@@ -12,14 +12,15 @@ reduces them.
 
 Symmetric powers go through universal polynomials: the total class of
 Sym^d of a rank-r bundle is a product of one symmetric factor per S_r orbit
-of its formal roots, each rewritten once in e_1..e_r and multiplied there,
-cached per (rank, power, truncation degree) in memory and optionally on
-disk, and evaluated on the Chern components of any input bundle: each
+of its formal roots, each rewritten once in e_1..e_r and multiplied there.
+Its components are kept as packed e-polynomials, cached per (rank, power,
+truncation degree) in memory and optionally on disk, and mapped to any
+input bundle by `symfunc.elementary_substitution`, e_i -> c_i: each
 e-monomial once, as a shorter one times a single component.
 
 `ChernRing` is Z[c_1..c_r] truncated at a dimension, the ring in which
 those polynomials live: there they are elements as they stand, and a class
-built from them reaches a Grassmannian through one evaluation at the end.
+built from them reaches a Grassmannian through the same map at the end.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ import contextlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
-from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, reduce_to_elementary, sum_of_products
+from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, elementary_substitution
+from .symfunc import reduce_to_elementary, sum_of_products
 
 
 class ChernVector:
@@ -107,7 +110,7 @@ def dual_universal_vector(ring: GrassmannianRing) -> ChernVector:
 
 # --- universal symmetric-power polynomials ---------------------------------
 
-_SYM_CACHE: dict[tuple[int, int, int], tuple] = {}
+_SYM_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
 _CACHE_DIR: Path | None = None
 _CACHE_FORMAT = 1  # bump when the layout of a cache file changes
 
@@ -125,7 +128,8 @@ def set_universal_cache_dir(path: str | Path | None) -> None:
 
 
 def clear_universal_cache() -> None:
-    """Drop the in-memory universal-polynomial cache (used by transparency tests)."""
+    """Drop the in-memory universal-polynomial cache, so that the next lookup
+    of each key reads the disk or computes (for tests and benchmarks)."""
     _SYM_CACHE.clear()
 
 
@@ -162,22 +166,18 @@ def _orbit_factor(lam: tuple[int, ...], trunc: int) -> SymmetricPoly:
     return elementary_ring_poly(len(lam), reduce_to_elementary(orbit))
 
 
-def _compute_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
+def _compute_sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...]:
     """Per-degree e-polynomials of the total class of Sym^d(rank-r bundle).
 
     The roots of Sym^d E are the forms sum(m_i x_i) over exponent vectors m
     with |m| = d.  They fall into S_r orbits, one per partition of d into at
     most r parts; the orbit factors are multiplied in e_1..e_r up to
-    weighted degree `trunc`, and split by degree as sorted tuples of
-    (exponents, coefficient).
+    weighted degree `trunc`, and split by that degree.
     """
     total = SymmetricPoly.constant(r, 1)
     for lam in _partitions(d, r, d):
         total = total.mul_truncated(_orbit_factor(lam, trunc), trunc)
-    degrees = [[] for _ in range(trunc + 1)]
-    for exps, c in total.terms.items():
-        degrees[sum(i * a for i, a in enumerate(exps, 1))].append((exps, c))
-    return tuple(tuple(sorted(degree)) for degree in degrees)
+    return total.graded(trunc)
 
 
 def _cache_file(r: int, d: int, trunc: int) -> Path:
@@ -187,9 +187,9 @@ def _cache_file(r: int, d: int, trunc: int) -> Path:
 def _load_cached(r: int, d: int, trunc: int):
     """The stored polynomials for the key, or None when the file is missing,
     unreadable, of another format version, holds another key, or does not
-    have trunc + 1 degrees of r-entry exponent tuples of non-negative ints,
-    each of the weighted degree sum(i * a_i) of its slot, with integer
-    coefficients."""
+    have trunc + 1 degrees of distinct r-entry exponent tuples of
+    non-negative ints, each of the weighted degree sum(i * a_i) of its slot,
+    with integer coefficients."""
     path = _cache_file(r, d, trunc)
     if not path.is_file():
         return None
@@ -209,13 +209,13 @@ def _load_cached(r: int, d: int, trunc: int):
         or sum(i * a for i, a in enumerate(exps, 1)) != weight
         for weight, degree in enumerate(value)
         for exps, _ in degree
-    ):
+    ) or any(len(dict(degree)) != len(degree) for degree in value):
         return None
-    return value
+    return tuple(elementary_ring_poly(r, dict(degree)) for degree in value)
 
 
-def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
-    """Write through a temporary file, so that no reader sees a partial file.
+def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> None:
+    """Write each degree sorted by exponents, through a temporary file, so that no reader sees a partial file.
 
     A write that fails with an OSError (the directory gone, the disk full)
     leaves no temporary file behind and is dropped: the value is still
@@ -226,7 +226,7 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
         "r": r,
         "d": d,
         "trunc": trunc,
-        "degrees": [[[list(exps), str(coeff)] for exps, coeff in degree] for degree in value],
+        "degrees": [[[list(exps), str(coeff)] for exps, coeff in sorted(p.terms.items())] for p in value],
     }
     path = _cache_file(r, d, trunc)
     try:
@@ -244,7 +244,7 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple) -> None:
             raise
 
 
-def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
+def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...]:
     """Cached universal polynomials for Sym^d of a rank-r bundle up to degree trunc."""
     key = (r, d, trunc)
     if key in _SYM_CACHE:
@@ -258,27 +258,6 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
     return value
 
 
-def _evaluate_elementary(epoly, c: ChernVector, monomials: dict):
-    """Evaluate an e-polynomial on the Chern components of `c`.
-
-    `monomials` memoizes c_1^a_1 ... c_r^a_r across the components of one
-    bundle; a missing one is built, by a loop rather than recursion, as its
-    predecessor with one factor fewer of the last c_i present times that c_i.
-    """
-    acc = c.ring.zero()
-    for exps, coeff in epoly:
-        chain = []
-        while exps not in monomials:
-            i = max(j for j, a in enumerate(exps) if a)
-            chain.append((exps, c.component(i + 1)))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        term = monomials[exps]
-        for exps, factor in reversed(chain):
-            term = monomials[exps] = term * factor
-        acc = acc + term * coeff
-    return acc
-
-
 def sym_power(c: ChernVector, d: int) -> ChernVector:
     """Chern vector of the d-th symmetric power."""
     if d < 1:
@@ -288,21 +267,13 @@ def sym_power(c: ChernVector, d: int) -> ChernVector:
     if d == 1:
         return c
     new_rank = comb(c.rank + d - 1, d)
-    trunc = min(new_rank, c.ring.dim)
-    universal = sym_power_elementary(c.rank, d, trunc)
-    monomials = _monomial_memo(c)
-    components = [_evaluate_elementary(epoly, c, monomials) for epoly in universal]
-    return ChernVector(c.ring, new_rank, components)
-
-
-def _monomial_memo(c: ChernVector) -> dict:
-    """A monomial memo for `_evaluate_elementary` on `c`, holding what costs no
-    product: the empty monomial is c_0 = 1 and each e_i alone is c_i."""
-    return {tuple(int(j == i) for j in range(c.rank)): c.component(i + 1) for i in range(-1, c.rank)}
+    image = elementary_substitution([c.component(i) for i in range(c.rank + 1)], c.ring.zero())
+    return ChernVector(c.ring, new_rank, [image(p) for p in sym_power_elementary(c.rank, d, min(new_rank, c.ring.dim))])
 
 
 # --- the Chern-class presentation -------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class ChernRing:
     """Z[c_1..c_r], truncated above degree `dim`: the polynomials in the Chern
     classes of a generic rank-r bundle, before any relation of a space.
@@ -313,16 +284,16 @@ class ChernRing:
     products collects into one dict.  The ring fits the `ChernVector`
     ambient contract.  A class on a space where the generic bundle becomes
     a given one, such as U* on a Grassmannian, is computed here and mapped
-    there once by `evaluator`.
+    there once by `evaluator`.  Two rings are equal when their rank and
+    dimension are.
     """
 
-    __slots__ = ("r", "dim")
+    r: int
+    dim: int
 
-    def __init__(self, r: int, dim: int):
-        if r < 1 or not 0 <= dim < DEGREE_LIMIT:
-            raise PreconditionError(f"need rank >= 1 and 0 <= dim < {DEGREE_LIMIT}, got ({r}, {dim})")
-        self.r = r
-        self.dim = dim
+    def __post_init__(self):
+        if self.r < 1 or not 0 <= self.dim < DEGREE_LIMIT:
+            raise PreconditionError(f"need rank >= 1 and 0 <= dim < {DEGREE_LIMIT}, got ({self.r}, {self.dim})")
 
     def zero(self) -> SymmetricPoly:
         return SymmetricPoly.constant(self.r, 0)
@@ -347,15 +318,13 @@ class ChernRing:
         if d == 1:
             return self.generators()
         rank = comb(self.r + d - 1, d)
-        universal = sym_power_elementary(self.r, d, min(rank, self.dim))
-        return ChernVector(self, rank, [elementary_ring_poly(self.r, dict(epoly)) for epoly in universal])
+        return ChernVector(self, rank, sym_power_elementary(self.r, d, min(rank, self.dim)))
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), as a function with its own monomial memo."""
         if c.rank != self.r:
             raise PreconditionError(f"cannot evaluate rank-{self.r} classes on a rank-{c.rank} bundle")
-        monomials = _monomial_memo(c)
-        return lambda x: _evaluate_elementary(x.terms.items(), c, monomials)
+        return elementary_substitution([c.component(i) for i in range(self.r + 1)], c.ring.zero())
 
 
 # --- elementary bundle operations -------------------------------------------
@@ -372,7 +341,7 @@ def tensor_line(c: ChernVector, t) -> ChernVector:
     c_k(E ox L) = sum over i of binom(rank - i, k - i) c_i(E) t^(k - i).
     """
     ring = c.ring
-    if t.ring != ring:
+    if getattr(t, "ring", None) != getattr(ring.one(), "ring", None):  # `ChernRing` elements carry none
         raise RingMismatchError("twist class lives in a different ambient ring")
     if not t.is_zero() and t.degrees() != {1}:
         raise PreconditionError("twist class must be homogeneous of degree 1")

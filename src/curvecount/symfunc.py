@@ -7,7 +7,10 @@ symmetric polynomial as a polynomial in the elementary symmetric functions
 e_1..e_r by repeated lexicographic leading-term elimination.  Monomials are
 stored packed into ints; only this module knows that layout, and
 `sum_of_products` is its one product kernel: `SymmetricPoly.mul_truncated`
-is its one-term call, and `chern.ChernRing` calls it directly.
+is its one-term call, and `chern.ChernRing` calls it directly.  A
+polynomial in e_1..e_r (the layout of `elementary_ring_poly`) goes to any
+other ring through one kernel, `elementary_substitution`, the ring map
+e_i -> values[i], which reads the packed keys as they stand.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -108,6 +111,13 @@ class SymmetricPoly:
         """The degrees of the homogeneous components present."""
         shift = FIELD_BITS * self.nvars
         return {k >> shift for k in self._packed}
+
+    def graded(self, top: int) -> tuple["SymmetricPoly", ...]:
+        """The homogeneous components of degree 0..top."""
+        parts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for k, c in self._packed.items():
+            parts[k >> FIELD_BITS * self.nvars][k] = c
+        return tuple(SymmetricPoly._trusted(self.nvars, part) for part in parts)
 
     def __add__(self, other):
         if not isinstance(other, SymmetricPoly) or other.nvars != self.nvars:
@@ -235,6 +245,34 @@ def elementary_ring_poly(nvars: int, epoly: Mapping[Exponents, int]) -> Symmetri
     return SymmetricPoly._trusted(
         nvars, {_pack(e, sum(i * a for i, a in enumerate(e, 1))): c for e, c in epoly.items() if c}
     )
+
+
+def elementary_substitution(values: Sequence, zero) -> Callable[[SymmetricPoly], object]:
+    """The ring map e_i -> values[i] on e-polynomials in len(values) - 1
+    variables in the layout of `elementary_ring_poly`, into a ring with one
+    values[0] and zero `zero`.  The map memoizes each e-monomial's image by
+    packed key; a missing one is built, by a loop rather than recursion, as
+    its predecessor times values[i] for the last e_i present, the one in the
+    lowest nonzero field j, and singles[j] is the key of that e_i alone."""
+    nvars = len(values) - 1
+    singles = [((nvars - j) << FIELD_BITS * nvars) | (1 << FIELD_BITS * j) for j in range(nvars)]
+    memo = {0: values[0], **{key: values[nvars - j] for j, key in enumerate(singles)}}
+
+    def image(p: SymmetricPoly):
+        acc = zero
+        for key, coeff in p._packed.items():
+            chain = []
+            while key not in memo:
+                j = ((key & -key).bit_length() - 1) // FIELD_BITS
+                chain.append((key, values[nvars - j]))
+                key -= singles[j]
+            term = memo[key]
+            for key, factor in reversed(chain):
+                term = memo[key] = term * factor
+            acc = acc + term * coeff
+        return acc
+
+    return image
 
 
 def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:

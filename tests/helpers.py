@@ -9,7 +9,9 @@ plain exponent tuples, without the packed `SymmetricPoly` kernel, and
 `elementary_to_monomials` expands e-polynomials without the memoized
 e-monomials of `reduce_to_elementary`.  `roots_sym_power_elementary`
 multiplies every root factor of Sym^d in the formal roots, without the
-S_r-orbit factors of `chern._compute_sym_power_elementary`.
+S_r-orbit factors of `chern._compute_sym_power_elementary`.  Both return
+the per-degree tuple form of the cache files, and `packed` turns that form
+into the packed e-polynomials of production.
 `power_table_sym_power` evaluates the universal Sym^d polynomials from
 whole powers of each Chern class, without the one-component-at-a-time memo
 of `chern.sym_power`.  `naive_pb_multiply` multiplies in a projective
@@ -41,6 +43,7 @@ from curvecount import (
 )
 from curvecount import grassmannian
 from curvecount.chern import sym_power_elementary
+from curvecount.symfunc import elementary_ring_poly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -231,7 +234,7 @@ def _compositions(r: int, d: int):
 
 
 def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
-    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the production layout.
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the tuple form of the cache files.
 
     The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d; their
     product of (1 + root) is expanded up to degree `trunc`, and each degree
@@ -251,7 +254,7 @@ def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
 
 
 def roots_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
-    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the production layout.
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the tuple form of the cache files.
 
     The product of (1 + root) over all comb(d + r - 1, r - 1) roots is
     expanded in the packed kernel up to degree `trunc`, and each homogeneous
@@ -265,6 +268,13 @@ def roots_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
     for e, c in total.terms.items():
         by_degree[sum(e)][e] = c
     return tuple(tuple(sorted(reduce_to_elementary(SymmetricPoly(r, part)).items())) for part in by_degree)
+
+
+def packed(value: tuple) -> tuple[SymmetricPoly, ...]:
+    """Per-degree tuples of (exponents, coefficient) as packed e-polynomials,
+    the form of `chern.sym_power_elementary`."""
+    r = len(value[0][0][0])
+    return tuple(elementary_ring_poly(r, dict(degree)) for degree in value)
 
 
 def evaluate(p: SymmetricPoly, values: tuple[int, ...]) -> int:
@@ -306,7 +316,7 @@ def power_table_sym_power(c: ChernVector, d: int) -> ChernVector:
     components = []
     for epoly in sym_power_elementary(c.rank, d, min(new_rank, ring.dim)):
         acc = ring.zero()
-        for exps, coeff in epoly:
+        for exps, coeff in epoly.terms.items():
             term = None
             for table, a in zip(powers, exps):
                 if a:

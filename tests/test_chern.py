@@ -10,6 +10,7 @@ from curvecount import (
     PreconditionError,
     ProjBundleRing,
     RingMismatchError,
+    count_curves,
     count_lines_hypersurface,
     dual,
     dual_universal_vector,
@@ -25,7 +26,7 @@ from curvecount import (
 from curvecount.chern import ChernRing, clear_universal_cache, set_universal_cache_dir, sym_power_elementary
 from curvecount.symfunc import SymmetricPoly, reduce_to_elementary
 
-from helpers import power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
+from helpers import packed, power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
 
 GR25 = GrassmannianRing(2, 5)
 GR35 = GrassmannianRing(3, 5)
@@ -69,8 +70,8 @@ class TestSymPower:
         assert reduce_to_elementary(top) == {(2, 1): 18, (0, 2): 9}
 
         universal = sym_power_elementary(2, 3, 4)
-        assert dict(universal[1]) == {(1, 0): 6}
-        assert dict(universal[4]) == {(2, 1): 18, (0, 2): 9}
+        assert universal[1].terms == {(1, 0): 6}
+        assert universal[4].terms == {(2, 1): 18, (0, 2): 9}
 
     def test_cubic_sym_power_on_gr25(self):
         cu = dual_universal_vector(GR25)
@@ -117,6 +118,16 @@ class TestSymPower:
         conic_space = sym_power(dual_universal_vector(GR35), 2)
         lifted = pullback_vector(ProjBundleRing(conic_space), conic_space)
         assert sym_power(lifted, 2) == power_table_sym_power(lifted, 2)
+
+    def test_ring_dimension_beyond_the_packing_limit(self):
+        # dim Gr(2, 40000) = 79996 does not fit a packed exponent field, so
+        # there is no ChernRing of that dimension; sym_power needs none.
+        ring = GrassmannianRing(2, 40000)
+        with pytest.raises(PreconditionError):
+            ChernRing(2, ring.dim)
+        v = sym_power(dual_universal_vector(ring), 3)
+        assert v.rank == 4
+        assert v.component(2) == 21 * ring.sigma((1, 1)) + 11 * ring.sigma((2,))
 
     def test_every_product_is_by_one_component(self, monkeypatch):
         import curvecount.grassmannian as grassmannian
@@ -190,6 +201,11 @@ class TestTensorLine:
         v = trivial_vector(GR25, 2)
         with pytest.raises(RingMismatchError):
             tensor_line(v, GR35.sigma((1,)))
+        generic = ChernRing(2, GR25.dim).generators()
+        with pytest.raises(RingMismatchError):
+            tensor_line(v, generic.component(1))
+        with pytest.raises(RingMismatchError):
+            tensor_line(generic, GR25.sigma((1,)))
 
 
 class TestWhitney:
@@ -294,6 +310,37 @@ class TestChernRing:
         sym_power(dual_universal_vector(GR25), 5)
         assert set(chern._SYM_CACHE) == {(2, 5, 6)}
 
+    def test_evaluation_reads_no_terms_view(self, monkeypatch):
+        # From the warm cache to a Schubert class, the universal polynomials
+        # are read through their packed keys only.
+        cu = dual_universal_vector(GrassmannianRing(3, 7))
+        count_curves("conics", 6, [8])
+        warm = [sym_power(cu, d) for d in (2, 3, 4)]
+        reads = []
+        view = SymmetricPoly.terms
+        monkeypatch.setattr(SymmetricPoly, "terms", property(lambda p: reads.append(p) or view.fget(p)))
+        assert count_curves("conics", 6, [8]).count == 21553784182784
+        assert [sym_power(cu, d) for d in (2, 3, 4)] == warm
+        assert reads == []
+
+    def test_equal_rings_are_one_ambient(self):
+        a, b = ChernRing(2, 6), ChernRing(2, 6)
+        assert a == b and hash(a) == hash(b)
+        assert a != ChernRing(2, 5) and a != ChernRing(3, 6) and a != GrassmannianRing(2, 6)
+        assert a.sym_power(3) == b.sym_power(3)
+        assert whitney_sum(a.sym_power(2), b.sym_power(3)) == whitney_sum(a.sym_power(2), a.sym_power(3))
+        with pytest.raises(RingMismatchError):
+            whitney_sum(a.sym_power(2), ChernRing(2, 5).sym_power(3))
+
+    def test_twist_over_the_generic_bundle(self):
+        # c_1 of the generic bundle maps to c_1(U*) = sigma_1 on Gr(3, 6).
+        ring, base = ChernRing(3, 6), GrassmannianRing(3, 6)
+        cu = dual_universal_vector(base)
+        schubert = ring.evaluator(cu)
+        twisted = tensor_line(ring.sym_power(2), ring.generators().component(1))
+        expected = tensor_line(sym_power(cu, 2), base.sigma((1,)))
+        assert [schubert(x) for x in twisted.components] == list(expected.components)
+
     def test_sum_of_products_truncates_at_dim(self):
         ring = ChernRing(2, 4)
         c1, c2 = ring.generators().components[1:]
@@ -362,7 +409,7 @@ class TestUniversalCache:
         try:
             set_universal_cache_dir(tmp_path)
             clear_universal_cache()
-            chern._store_cached(2, 5, 6, roots_sym_power_elementary(2, 5, 6))
+            chern._store_cached(2, 5, 6, packed(roots_sym_power_elementary(2, 5, 6)))
             monkeypatch.setattr(chern, "_compute_sym_power_elementary", refuse)
             assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
         finally:
@@ -370,10 +417,14 @@ class TestUniversalCache:
             clear_universal_cache()
 
     # Each damage replaces the exponents (field 0) or the coefficient (field 1)
-    # of the first entry of one degree of Sym^5 on a rank-2 bundle.
+    # of the first entry of one degree of Sym^5 on a rank-2 bundle.  Degree 6
+    # holds (0, 3), (2, 2) and (4, 1): [2, 2] repeats an entry, which packing
+    # would collapse to one coefficient.
     @pytest.mark.parametrize("degree, field, value", [
         (1, 0, [-1, 1]), (1, 0, [1.5, 0]), (1, 0, [True, 0]), (1, 0, [0, 1]), (6, 1, 2.5), (6, 1, True),
-    ], ids=["negative", "float", "bool", "wrong weighted degree", "float coefficient", "bool coefficient"])
+        (6, 0, [2, 2]),
+    ], ids=["negative", "float", "bool", "wrong weighted degree", "float coefficient", "bool coefficient",
+            "repeated exponents"])
     def test_corrupt_entry_recomputed(self, tmp_path, degree, field, value):
         import curvecount.chern as chern
 
@@ -419,7 +470,7 @@ class TestUniversalCache:
             clear_universal_cache()
             assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
             value = sym_power_elementary(2, 5, 6)
-            assert value == roots_sym_power_elementary(2, 5, 6)
+            assert value == packed(roots_sym_power_elementary(2, 5, 6))
             assert sym_power_elementary(2, 5, 6) is value  # kept in memory
             assert not cache.exists()
         finally:
@@ -436,7 +487,7 @@ class TestUniversalCache:
             set_universal_cache_dir(tmp_path)
             clear_universal_cache()
             monkeypatch.setattr(chern.os, "replace", full_disk)
-            assert sym_power_elementary(2, 3, 4) == roots_sym_power_elementary(2, 3, 4)
+            assert sym_power_elementary(2, 3, 4) == packed(roots_sym_power_elementary(2, 3, 4))
             assert list(tmp_path.iterdir()) == []
         finally:
             set_universal_cache_dir(None)

@@ -3,7 +3,9 @@
 Each golden is the structured `--trace` output of one CLI invocation, or the
 same JSON layout for a library count the CLI does not expose, as an earlier
 engine printed it.  A change of route through the engine must leave every
-count and every traced intermediate class byte for byte as it was.
+count and every traced intermediate class byte for byte as it was.  The
+goldens in tests/golden/cache are universal-polynomial cache files as the
+CLI writes them, which must stay byte for byte as well.
 """
 
 import json
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from curvecount import count_curves
+from curvecount.chern import clear_universal_cache, set_universal_cache_dir
 from curvecount.cli import CACHE_DIR_ENV, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -33,6 +36,12 @@ CLI_CASES = {
     "split-report-7-5": ("split-report", "--degree", "7", "--ambient", "5"),
 }
 
+# Each cache golden is the one file the command writes to an empty cache directory.
+CACHE_CASES = {
+    "sym_r2_d5_t6.json": ("lines", "--ambient", "4", "--degree", "5"),
+    "sym_r3_d4_t15.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "4"),
+}
+
 # Conics beyond the quintic have no subcommand; their goldens use the CLI's JSON layout.
 LIBRARY_CASES = {
     "conics-5-2,4": ("conics", 5, [2, 4]),
@@ -52,3 +61,16 @@ def test_cli_trace_matches_golden(name, capsys, monkeypatch):
 def test_library_trace_matches_golden(name):
     payload = count_curves(*LIBRARY_CASES[name]).to_payload(include_trace=True)
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CASES))
+def test_cache_file_matches_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    clear_universal_cache()
+    try:
+        assert run(["--cache-dir", str(tmp_path), *CACHE_CASES[name]]) == 0
+    finally:
+        set_universal_cache_dir(None)
+        clear_universal_cache()
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_bytes() == (GOLDEN / "cache" / name).read_bytes()
