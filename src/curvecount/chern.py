@@ -14,13 +14,13 @@ Symmetric powers go through universal polynomials: the total class of
 Sym^d of a rank-r bundle is a product of one symmetric factor per S_r orbit
 of its formal roots, each rewritten once in e_1..e_r and multiplied there.
 Its components are kept as packed e-polynomials, cached per (rank, power,
-truncation degree) in memory and optionally on disk, and mapped to any
-input bundle by `symfunc.elementary_substitution`, e_i -> c_i: each
-e-monomial once, as a shorter one times a single component.
-
-`ChernRing` is Z[c_1..c_r] truncated at a dimension, the ring in which
-those polynomials live: there they are elements as they stand, and a class
-built from them reaches a Grassmannian through the same map at the end.
+truncation degree) in memory and optionally on disk.  `ChernRing` is
+Z[c_1..c_r] truncated at a dimension, where they are elements as they stand;
+its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i, maps
+them to a given bundle, each e-monomial once as a shorter one times one c_i.
+`sym_power` of any bundle is `ChernRing.sym_power` under that map, and the
+counts and the `chern` calculators compute a whole class in `ChernRing` and
+map it to the Schubert basis once, at the end.
 """
 
 from __future__ import annotations
@@ -258,17 +258,20 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...
     return value
 
 
-def sym_power(c: ChernVector, d: int) -> ChernVector:
-    """Chern vector of the d-th symmetric power."""
+def sym_power_rank(r: int, d: int) -> int:
+    """The rank of Sym^d of a rank-r bundle, for d >= 1."""
     if d < 1:
         raise PreconditionError(f"symmetric power needs d >= 1, got {d}")
-    if c.rank < 1:
-        raise PreconditionError("symmetric power needs a bundle of rank >= 1")
-    if d == 1:
-        return c
-    new_rank = comb(c.rank + d - 1, d)
-    image = elementary_substitution([c.component(i) for i in range(c.rank + 1)], c.ring.zero())
-    return ChernVector(c.ring, new_rank, [image(p) for p in sym_power_elementary(c.rank, d, min(new_rank, c.ring.dim))])
+    return comb(r + d - 1, d)
+
+
+def sym_power(c: ChernVector, d: int) -> ChernVector:
+    """Chern vector of the d-th symmetric power: `ChernRing.sym_power` up to
+    degree min(new rank, dim), which checks d >= 1 and rank >= 1, mapped to
+    c's ambient by `ChernRing.evaluator`."""
+    generic = ChernRing(c.rank, min(c.ring.dim, sym_power_rank(c.rank, d)))
+    universal = generic.sym_power(d)
+    return ChernVector(c.ring, universal.rank, map(generic.evaluator(c), universal.components))
 
 
 # --- the Chern-class presentation -------------------------------------------
@@ -313,11 +316,11 @@ class ChernRing:
     def sym_power(self, d: int) -> ChernVector:
         """c(Sym^d) of the generic bundle: the universal polynomials, with no product.
 
-        The cache key is the one `sym_power` uses on a space of dimension dim.
+        The cache key is (r, d, min(rank, dim)).
         """
+        rank = sym_power_rank(self.r, d)
         if d == 1:
             return self.generators()
-        rank = comb(self.r + d - 1, d)
         return ChernVector(self, rank, sym_power_elementary(self.r, d, min(rank, self.dim)))
 
     def evaluator(self, c: ChernVector):
@@ -341,8 +344,9 @@ def tensor_line(c: ChernVector, t) -> ChernVector:
     c_k(E ox L) = sum over i of binom(rank - i, k - i) c_i(E) t^(k - i).
     """
     ring = c.ring
-    if getattr(t, "ring", None) != getattr(ring.one(), "ring", None):  # `ChernRing` elements carry none
-        raise RingMismatchError("twist class lives in a different ambient ring")
+    here, there = (getattr(x, "ring", None) or f"a ring in {x.nvars} variables" for x in (t, ring.one()))
+    if here != there:
+        raise RingMismatchError(f"twist class lives in {here}, not in {there}")
     if not t.is_zero() and t.degrees() != {1}:
         raise PreconditionError("twist class must be homogeneous of degree 1")
     r = c.rank

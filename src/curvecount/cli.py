@@ -16,7 +16,7 @@ from dataclasses import asdict
 from functools import partial
 
 from . import chern
-from .chern import dual_universal_vector, segre_from_chern, sym_power, tensor_line, whitney_quotient
+from .chern import ChernRing, ChernVector, dual_universal_vector, segre_from_chern, tensor_line, whitney_quotient
 from .errors import CurveCountError, InternalCheckError
 from .grassmannian import GrassmannianRing, integrate, multiply, pieri
 from .pipelines import (
@@ -104,16 +104,6 @@ def _inputs(args, options) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _sym(ring, d: int):
-    return sym_power(dual_universal_vector(ring), d)
-
-
-def _segre(ring, args):
-    if args.trunc is None:
-        args.trunc = ring.dim  # the default is recorded in the inputs
-    return [c.to_payload() for c in segre_from_chern(_sym(ring, args.degree), args.trunc)]
-
-
 def _report(build):
     """Emitter of a subcommand that prints the CountReport `build(args)` returns."""
     return lambda pipeline, options, args: _emit_report(build(args), args)
@@ -136,6 +126,27 @@ def _calculator(compute):
         _emit_class(pipeline, inputs, value, args)
 
     return emit
+
+
+def _in_chern_ring(build, *degrees):
+    """Emitter of a `chern` calculator printing `build(ring, args)`, a Chern
+    vector or a list of classes of the `ChernRing` of U*, each class mapped to
+    the Schubert basis once.  The ring reaches the truncation and the rank of
+    Sym^d for each option named in `degrees`, capped at the Grassmannian's
+    dimension as in `sym_power`, so an answer past DEGREE_LIMIT fails at once."""
+
+    def compute(base, args):
+        if getattr(args, "trunc", 0) is None:
+            args.trunc = base.dim  # the default is recorded in the inputs
+        top = max(getattr(args, "trunc", 0), *(chern.sym_power_rank(base.r, getattr(args, d)) for d in degrees))
+        ring = ChernRing(base.r, min(base.dim, top))
+        value = build(ring, args)
+        schubert = ring.evaluator(dual_universal_vector(base))
+        if isinstance(value, ChernVector):
+            return ChernVector(base, value.rank, map(schubert, value.components)).to_payload()
+        return [schubert(x).to_payload() for x in value]
+
+    return _calculator(compute)
 
 
 # Subcommands: (name, help, options, emitter), with options as (flag, argparse
@@ -203,29 +214,31 @@ CALCULATORS = {
         (
             "sym", "components of Sym^d(U*)",
             (("--degree", _required()),),
-            _calculator(lambda ring, a: _sym(ring, a.degree).to_payload()),
+            _in_chern_ring(lambda ring, a: ring.sym_power(a.degree), "degree"),
         ),
         (
             "dual", "components of the dual of Sym^d(U*)",
             (("--degree", _required()),),
-            _calculator(lambda ring, a: chern.dual(_sym(ring, a.degree)).to_payload()),
+            _in_chern_ring(lambda ring, a: chern.dual(ring.sym_power(a.degree)), "degree"),
         ),
         (
             "twist", "Sym^d(U*) twisted by a line with c1 = by * sigma_1",
             (("--degree", _required()), ("--by", _required())),
-            _calculator(lambda ring, a: tensor_line(
-                _sym(ring, a.degree), ring.sigma((1,)) * a.by if a.by else ring.zero()
-            ).to_payload()),
+            _in_chern_ring(lambda ring, a: tensor_line(
+                ring.sym_power(a.degree), a.by * ring.generators().component(1)
+            ), "degree"),
         ),
         (
             "quotient", "c(Sym^num U*) / c(Sym^den U*)",
             (("--num", _required()), ("--den", _required())),
-            _calculator(lambda ring, a: whitney_quotient(_sym(ring, a.num), _sym(ring, a.den)).to_payload()),
+            _in_chern_ring(
+                lambda ring, a: whitney_quotient(ring.sym_power(a.num), ring.sym_power(a.den)), "num", "den"
+            ),
         ),
         (
             "segre", "Segre classes of Sym^d(U*)",
             (("--degree", _required()), ("--trunc", {"type": int, "default": None})),
-            _calculator(_segre),
+            _in_chern_ring(lambda ring, a: segre_from_chern(ring.sym_power(a.degree), a.trunc), "degree"),
         ),
     )),
 }

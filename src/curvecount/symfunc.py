@@ -20,6 +20,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .errors import RingMismatchError
+
 Exponents = tuple[int, ...]
 
 FIELD_BITS = 16  # width of each packed exponent field
@@ -259,6 +261,8 @@ def elementary_substitution(values: Sequence, zero) -> Callable[[SymmetricPoly],
     memo = {0: values[0], **{key: values[nvars - j] for j, key in enumerate(singles)}}
 
     def image(p: SymmetricPoly):
+        if p.nvars != nvars:
+            raise RingMismatchError(f"cannot map a polynomial in {p.nvars} variables by e_1..e_{nvars}")
         acc = zero
         for key, coeff in p._packed.items():
             chain = []

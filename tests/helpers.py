@@ -14,7 +14,9 @@ the per-degree tuple form of the cache files, and `packed` turns that form
 into the packed e-polynomials of production.
 `power_table_sym_power` evaluates the universal Sym^d polynomials from
 whole powers of each Chern class, without the one-component-at-a-time memo
-of `chern.sym_power`.  `naive_pb_multiply` multiplies in a projective
+of `chern.sym_power`.  `schubert_calculator` computes what a `chern`
+calculator prints in the Schubert basis, the calculators' route before
+they moved to `ChernRing`.  `naive_pb_multiply` multiplies in a projective
 bundle one coefficient product at a time and applies the relation with
 class arithmetic, without the fused `sum_of_products` kernel.
 `bott_count` counts lines, conics and equivalences by torus localization,
@@ -37,9 +39,14 @@ from curvecount import (
     Partition,
     ProjBundleElement,
     SymmetricPoly,
+    dual,
+    dual_universal_vector,
     elementary,
     pieri,
     reduce_to_elementary,
+    segre_from_chern,
+    tensor_line,
+    whitney_quotient,
 )
 from curvecount import grassmannian
 from curvecount.chern import sym_power_elementary
@@ -326,6 +333,26 @@ def power_table_sym_power(c: ChernVector, d: int) -> ChernVector:
             acc = acc + (ring.one() if term is None else term) * coeff
         components.append(acc)
     return ChernVector(ring, new_rank, components)
+
+
+def schubert_calculator(command: str, base: GrassmannianRing, options: dict[str, int]):
+    """The payload `curvecount chern <command>` prints on `base` for the
+    integer `options` (keyed by option name), computed in the Schubert
+    basis: Sym^d from `power_table_sym_power` and every other step a generic
+    `chern` function over the Grassmannian, so it multiplies Schubert classes
+    through the LR memo.  The twist class is by * c_1(U*), zero on a point."""
+    cu = dual_universal_vector(base)
+    if command == "quotient":
+        num, den = (power_table_sym_power(cu, options[name]) for name in ("num", "den"))
+        return whitney_quotient(num, den).to_payload()
+    sym = power_table_sym_power(cu, options["degree"])
+    if command == "segre":
+        return [c.to_payload() for c in segre_from_chern(sym, options.get("trunc", base.dim))]
+    if command == "dual":
+        sym = dual(sym)
+    elif command == "twist":
+        sym = tensor_line(sym, cu.component(1) * options["by"])
+    return sym.to_payload()
 
 
 # --- projective bundles -------------------------------------------------------

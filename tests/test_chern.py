@@ -97,10 +97,13 @@ class TestSymPower:
 
         assert integrate(v.top()) == 2875
 
-    def test_preconditions(self):
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_preconditions(self, d):
+        # The public route and the generic ring refuse a degree the same way.
         cu = dual_universal_vector(GR25)
-        with pytest.raises(PreconditionError):
-            sym_power(cu, 0)
+        for call in (lambda: sym_power(cu, d), lambda: ChernRing(2, 6).sym_power(d)):
+            with pytest.raises(PreconditionError, match=rf"^symmetric power needs d >= 1, got {d}$"):
+                call()
         with pytest.raises(PreconditionError):
             sym_power(trivial_vector(GR25, 0), 2)
 
@@ -121,7 +124,8 @@ class TestSymPower:
 
     def test_ring_dimension_beyond_the_packing_limit(self):
         # dim Gr(2, 40000) = 79996 does not fit a packed exponent field, so
-        # there is no ChernRing of that dimension; sym_power needs none.
+        # there is no ChernRing of that dimension; sym_power works in one of
+        # degree min(rank, dim) = 4.
         ring = GrassmannianRing(2, 40000)
         with pytest.raises(PreconditionError):
             ChernRing(2, ring.dim)
@@ -206,6 +210,8 @@ class TestTensorLine:
             tensor_line(v, generic.component(1))
         with pytest.raises(RingMismatchError):
             tensor_line(generic, GR25.sigma((1,)))
+        with pytest.raises(RingMismatchError, match="in 2 variables, not in a ring in 3 variables"):
+            tensor_line(ChernRing(3, 6).sym_power(2), ChernRing(2, 6).generators().component(1))
 
 
 class TestWhitney:
@@ -362,6 +368,10 @@ class TestChernRing:
             ChernRing(2, -1)
         with pytest.raises(PreconditionError):
             ChernRing(3, 6).evaluator(dual_universal_vector(GR25))
+        schubert = ChernRing(2, 8).evaluator(dual_universal_vector(GrassmannianRing(2, 6)))
+        for other in (ChernRing(1, 4), ChernRing(3, 4)):
+            with pytest.raises(RingMismatchError, match=f"polynomial in {other.r} variables by e_1..e_2$"):
+                schubert(other.generators().component(1))
 
 
 class TestUniversalCache:

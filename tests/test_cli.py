@@ -174,6 +174,28 @@ class TestCalculatorCommands:
         assert classes[0] == [[[], "1"]]
         assert classes[1] == [[[1], "-1"]]
 
+    def test_chern_twist_on_a_point_is_the_untwisted_class(self, capsys):
+        # On Gr(2,2), c_1(U*) = 0, so a twist by any multiple of it changes nothing.
+        untwisted = invoke(capsys, "chern", "twist", "--grassmannian", "2,2", "--degree", "1", "--by", "0")
+        assert untwisted[0] == 0
+        for by in ("1", "-2"):
+            assert invoke(capsys, "chern", "twist", "--grassmannian", "2,2", "--degree", "1", "--by", by) == untwisted
+
+    @pytest.mark.parametrize("argv", [
+        ("segre", "--grassmannian", "2,40000", "--degree", "2"),  # Segre classes up to degree 79996
+        ("sym", "--grassmannian", "2,70000", "--degree", "65535"),  # rank 65536
+    ], ids=["segre", "sym"])
+    def test_chern_answer_past_the_degree_limit_exits_three(self, capsys, monkeypatch, argv):
+        import curvecount.chern as chern
+
+        def no_work(*key):
+            raise AssertionError(f"universal polynomials {key} asked for")
+
+        monkeypatch.setattr(chern, "sym_power_elementary", no_work)
+        code, out, err = invoke(capsys, "chern", *argv)
+        assert (code, out) == (3, "")
+        assert f"dim < {chern.DEGREE_LIMIT}" in err
+
     def test_chern_segre_negative_truncation_exits_three(self, capsys):
         code, out, err = invoke(
             capsys, "chern", "segre", "--grassmannian", "2,5", "--degree", "1", "--trunc", "-3"

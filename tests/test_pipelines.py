@@ -25,6 +25,7 @@ from curvecount import (
     tally_checks,
 )
 from curvecount import grassmannian
+from curvecount.cli import CACHE_DIR_ENV, run
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
 
@@ -217,8 +218,9 @@ class TestLocalizationOracle:
 
 
 class TestPresentationRoute:
-    """Counts multiply in Z[c_1..c_r] and reach the Schubert basis through
-    products with one-column classes only, which never ask the LR memo."""
+    """Counts and the `chern` calculators multiply in Z[c_1..c_r] and reach
+    the Schubert basis through products with one-column classes only, which
+    never ask the LR memo."""
 
     @staticmethod
     def record_lr(monkeypatch) -> list:
@@ -240,6 +242,19 @@ class TestPresentationRoute:
     def test_count_paths_never_call_lr(self, monkeypatch, pipeline, args):
         asked = self.record_lr(monkeypatch)
         pipeline(*args)
+        assert asked == []
+
+    @pytest.mark.parametrize("argv", [
+        ("sym", "--degree", "4"),
+        ("dual", "--degree", "3"),
+        ("twist", "--degree", "3", "--by", "-2"),
+        ("quotient", "--num", "4", "--den", "2"),
+        ("segre", "--degree", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_chern_calculators_never_call_lr(self, monkeypatch, capsys, argv):
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        asked = self.record_lr(monkeypatch)
+        assert run(["chern", argv[0], "--grassmannian", "4,9", *argv[1:]]) == 0
         assert asked == []
 
     def test_recorder_sees_an_lr_product(self, monkeypatch):
