@@ -127,6 +127,19 @@ def set_universal_cache_dir(path: str | Path | None) -> None:
     _CACHE_DIR = path
 
 
+@contextlib.contextmanager
+def universal_cache_dir(path: str | Path | None) -> Iterator[None]:
+    """Use `path` as the cache directory (None: memory only) inside the
+    block, then restore the directory set before it."""
+    global _CACHE_DIR
+    previous = _CACHE_DIR
+    set_universal_cache_dir(path)
+    try:
+        yield
+    finally:
+        _CACHE_DIR = previous
+
+
 def clear_universal_cache() -> None:
     """Drop the in-memory universal-polynomial cache, so that the next lookup
     of each key reads the disk or computes (for tests and benchmarks)."""

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 from . import chern
 from .chern import ChernRing, ChernVector, dual_universal_vector, segre_from_chern, tensor_line, whitney_quotient
@@ -275,17 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `run` call of this process shares, built by the first."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line; the cache directory is the one that its own
+    --cache-dir or CURVECOUNT_CACHE_DIR names, if any, for this call only."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
-        if cache_dir:
-            chern.set_universal_cache_dir(cache_dir)
-        args.func(args)
+        with chern.universal_cache_dir(args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None):
+            args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

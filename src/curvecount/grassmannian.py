@@ -15,10 +15,12 @@ memoized as (index, coefficient) pairs, and each box keeps a table of those
 expansions keyed by the sorted pair of basis indices, packed into one int.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
 Pieri rule fills its table entry from the vertical strips.
-`GrassmannianRing.sum_of_products` is the one product kernel: a sum of
-products collects into one {index: int} dict and drops zeros once, and
-`multiply` is its one-term call.  Only this module knows the index
-storage.  Everything is exact: coefficients are plain Python integers.
+`GrassmannianRing.sum_of_products` is the one product kernel, and
+`multiply` is its one-term call.  It works in two phases: the first sums
+the scaled coefficient products of all terms per product-table key, the
+second walks each key's expansion once into one {index: int} dict and
+drops zeros once.  Only this module knows the index storage.  Everything
+is exact: coefficients are plain Python integers.
 """
 
 from __future__ import annotations
@@ -152,10 +154,6 @@ class GrassmannianRing:
         """The Schubert basis class for the given partition."""
         return ChowClass._trusted(self, {self.box.rank(self._parts_of(parts)): 1})
 
-    def point_class(self) -> "ChowClass":
-        """The class of a point: the full-box Schubert class."""
-        return self.sigma((self.cols,) * self.rows)
-
     def basis(self, weight: int | None = None) -> list[Partition]:
         if weight is None:
             return partitions_in_box(self.rows, self.cols)
@@ -164,14 +162,17 @@ class GrassmannianRing:
     def sum_of_products(self, terms: Iterable[tuple[int, "ChowClass", "ChowClass"]]) -> "ChowClass":
         """The sum of coeff * x * y over (coeff, x, y) triples of classes on this ring.
 
-        A pair of basis classes whose weights sum past the ring dimension
-        multiplies to zero and is skipped before any lookup.
+        Two phases.  The first sums coeff * a * b over every term and pair of
+        basis classes by product-table key, skipping a pair whose weights sum
+        past the ring dimension before any lookup.  The second fetches or
+        fills the expansion of each key with a nonzero sum once and adds it
+        scaled, so pairs that share a key walk its expansion once.
         """
         box = self.box
         weights, products, size = box.weights, box.products, box.size
         room = self.dim
-        acc: dict[int, int] = {}
-        get = acc.get
+        pairs: dict[int, int] = {}
+        get = pairs.get
         for coeff, x, y in terms:
             # Identity first: the usual operands cost no __eq__ call.
             if (x.ring is not self or y.ring is not self) and (x.ring != self or y.ring != self):
@@ -187,12 +188,17 @@ class GrassmannianRing:
                     if weights[j] > left:
                         continue
                     key = row + j if i <= j else j * size + i
-                    expansion = products.get(key)
-                    if expansion is None:
-                        expansion = box.product(key)
-                    ab = a * b
-                    for k, m in expansion:
-                        acc[k] = get(k, 0) + ab * m
+                    pairs[key] = get(key, 0) + a * b
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, ab in pairs.items():
+            if not ab:
+                continue
+            expansion = products.get(key)
+            if expansion is None:
+                expansion = box.product(key)
+            for k, m in expansion:
+                acc[k] = get(k, 0) + (ab if m == 1 else ab * m)
         return ChowClass._trusted(self, {k: v for k, v in acc.items() if v})
 
     def __eq__(self, other) -> bool:

@@ -158,6 +158,11 @@ def oracle_multiply(ring: GrassmannianRing, lam, mu) -> ChowClass:
     return total
 
 
+def point_class(ring: GrassmannianRing) -> ChowClass:
+    """The class of a point: the full-box Schubert class."""
+    return ring.sigma((ring.cols,) * ring.rows)
+
+
 def random_class(ring: GrassmannianRing, rng: Random, max_terms: int = 5) -> ChowClass:
     """Random class: up to `max_terms` basis classes with coefficients in [-9, 9]."""
     basis = ring.basis()

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from curvecount.cli import CACHE_DIR_ENV, run
+from curvecount import cli
+from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 
 from helpers import src_env
 
@@ -306,6 +307,45 @@ class TestUsageErrors:
             assert run(["schubert", "mult", "--grassmannian", text, "--a", "1", "--b", "1"]) == 2
 
 
+class TestParserReuse:
+    def test_runs_share_one_parser(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
+            assert invoke(capsys, "lines-ci", "--ambient", "5", "--degrees", "2,4")[:2] == (0, "1280\n")
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
+    def test_usage_error_then_a_valid_call(self, capsys):
+        code, out, err = invoke(capsys, "lines", "--ambient", "four", "--degree", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: curvecount lines")
+        assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5") == (0, "2875\n", "")
+
+    def test_each_segre_call_records_its_own_default_trunc(self, capsys):
+        for grassmannian, dim in (("2,5", 6), ("3,7", 12)):
+            argv = ["--format", "structured", "chern", "segre", "--grassmannian", grassmannian, "--degree", "2"]
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["inputs"] == {"grassmannian": grassmannian, "degree": 2, "trunc": dim}
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["lines", "--help"], ["schubert", "--help"], ["chern", "segre", "--help"],
+    ], ids=" ".join)
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: curvecount")
+        assert invoke(capsys, *argv) == (0, expected, "")
+        assert invoke(capsys, "lines", "--bogus")[0] == 2
+        assert invoke(capsys, *argv) == (0, expected, "")
+
+
 class TestCache:
     def test_cache_dir_flag_writes_files(self, capsys, tmp_path):
         import curvecount.chern as chern
@@ -417,6 +457,35 @@ class TestCache:
             assert chern._load_cached(3, 4, 15) == chern._compute_sym_power_elementary(3, 4, 15)
         finally:
             chern.set_universal_cache_dir(None)
+
+    def test_cache_dir_is_the_calls_own(self, capsys, tmp_path, monkeypatch):
+        import curvecount.chern as chern
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        named, library = tmp_path / "named", tmp_path / "library"
+        chern.clear_universal_cache()
+        try:
+            argv = ["lines", "--ambient", "3", "--degree", "3"]
+            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "27\n")
+            chern.clear_universal_cache()
+            assert invoke(capsys, "lines", "--ambient", "6", "--degree", "9")[:2] == (0, "305093061\n")
+            assert [p.name for p in named.iterdir()] == ["sym_r2_d3_t4.json"]
+            # The library's directory is back after a call that named another, and unused by one that names none.
+            chern.set_universal_cache_dir(library)
+            chern.clear_universal_cache()
+            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "27\n")
+            assert chern._CACHE_DIR == library
+            chern.clear_universal_cache()
+            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
+            assert not any(library.iterdir())
+            monkeypatch.setenv(CACHE_DIR_ENV, str(named))
+            chern.clear_universal_cache()
+            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
+            assert sorted(p.name for p in named.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
+            assert chern._CACHE_DIR == library
+        finally:
+            chern.set_universal_cache_dir(None)
+            chern.clear_universal_cache()
 
 
 def test_module_entry_point_subprocess():

@@ -18,7 +18,7 @@ from curvecount import (
 from curvecount.grassmannian import _box, _lr_expansion
 from curvecount.partitions import partitions_in_box
 
-from helpers import brute_lr_coefficient, clear_product_memos, oracle_multiply, random_class
+from helpers import brute_lr_coefficient, clear_product_memos, oracle_multiply, point_class, random_class
 
 GR24 = GrassmannianRing(2, 4)
 GR25 = GrassmannianRing(2, 5)
@@ -75,7 +75,7 @@ class TestBasisIndex:
         ring = GrassmannianRing(6, 24)
         product = ring.sigma((1,)) * ring.sigma((1,))
         assert product == ring.sigma((2,)) + ring.sigma((1, 1))
-        assert integrate(ring.point_class()) == 1
+        assert integrate(point_class(ring)) == 1
         assert len(ring.box.parts) < 10
 
 
@@ -228,6 +228,60 @@ class TestMultiply:
         assert cached == uncached
         _lr_expansion.cache_clear()
         assert _lr_expansion(lam, mu, 3, 3) == cached
+
+
+class TestSumOfProducts:
+    """Multi-term sums against the sum of their one-term products and an LR-free oracle."""
+
+    @staticmethod
+    def terms(ring, rng, count=6):
+        # Shared factors, swapped pairs and squares make terms fall on the same product keys.
+        xs = [random_class(ring, rng) for _ in range(3)]
+        out = [(rng.randint(-5, 5), rng.choice(xs), rng.choice(xs)) for _ in range(count)]
+        x, y, s21 = xs[0], xs[1], ring.sigma((2, 1))
+        # sigma_(2,1) squared has an LR coefficient 2 once there are three rows.
+        return out + [(2, x, y), (-3, y, x), (1, x, x), (2, x + s21, s21)]
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    @pytest.mark.parametrize("r, n", [(2, 6), (3, 7), (3, 9)])
+    def test_matches_the_sum_of_products(self, r, n, cold):
+        ring = GrassmannianRing(r, n)
+        rng = Random(1000 * r + n)
+        oracle = {}  # basis pair -> its product without the LR rule
+        for _ in range(6):
+            terms = self.terms(ring, rng)
+            expected = ring.zero()
+            for coeff, x, y in terms:
+                expected = expected + coeff * multiply(x, y)
+            by_oracle = ring.zero()
+            for coeff, x, y in terms:
+                for p, a in x.terms.items():
+                    for q, b in y.terms.items():
+                        if (p, q) not in oracle:
+                            oracle[p, q] = oracle_multiply(ring, p, q)
+                        by_oracle = by_oracle + coeff * a * b * oracle[p, q]
+            assert by_oracle == expected
+            if cold:
+                clear_product_memos()
+            assert ring.sum_of_products(terms) == expected
+            assert ring.sum_of_products(iter(terms)) == expected
+
+    def test_terms_that_cancel_give_zero(self):
+        rng = Random(7)
+        for ring in (GrassmannianRing(2, 6), GrassmannianRing(3, 7)):
+            x, y = random_class(ring, rng), random_class(ring, rng)
+            assert ring.sum_of_products([(1, x, y), (-1, y, x)]) == ring.zero()
+            assert ring.sum_of_products([(3, x, y), (-1, x, 3 * y)]) == ring.zero()
+            assert ring.sum_of_products([(2, x, y), (-1, x, y), (-1, y, x), (0, x, x)]).is_zero()
+
+    def test_ring_mismatch_in_the_last_term(self):
+        ring, other = GrassmannianRing(3, 7), GrassmannianRing(3, 8)
+        x = ring.sigma((2, 1)) + ring.sigma((1,))
+        terms = [(1, x, x), (2, x, ring.sigma((1,))), (1, x, other.sigma((1,)))]
+        with pytest.raises(RingMismatchError):
+            ring.sum_of_products(terms)
+        with pytest.raises(RingMismatchError):
+            ring.sum_of_products(iter(terms))
 
 
 class TestGiambelli:
