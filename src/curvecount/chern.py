@@ -6,7 +6,10 @@ a `ChernRing`.
 The ambient must expose `dim`, `zero()`, `one()` and
 `sum_of_products(terms)`, the sum of coeff * x * y over (coeff, x, y)
 triples, and its elements must support exact `+`, `-`, `*` (with each other
-and with ints).  Each component of a twist, sum or quotient is one
+and with ints).  `check_element` tells whether a value is an element of an
+ambient: by the ring it names, or for a packed polynomial, which names no
+ring, by its variable count; `tensor_line` and the projective-bundle
+constructor share it.  Each component of a twist, sum or quotient is one
 `sum_of_products` call, so the ambient can collect the products before it
 reduces them.
 
@@ -36,6 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
+from .partitions import partitions_of_weight
 from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, elementary_substitution
 from .symfunc import reduce_to_elementary, sum_of_products
 
@@ -97,6 +101,18 @@ class ChernVector:
         }
 
 
+def check_element(x, ring, what: str) -> None:
+    """Raise RingMismatchError unless `x` is an element of the ambient `ring`.
+
+    An element that names its ring must name an equal one; a packed
+    polynomial, such as a `ChernRing` element, names only its variable
+    count, which must be that of the ring's elements.
+    """
+    here, there = (getattr(y, "ring", None) or f"a ring in {y.nvars} variables" for y in (x, ring.one()))
+    if here != there:
+        raise RingMismatchError(f"{what} lives in {here}, not in {there}")
+
+
 def trivial_vector(ring, rank: int) -> ChernVector:
     """The Chern vector of a trivial bundle: all higher classes vanish."""
     return ChernVector(ring, rank, [ring.one()])
@@ -146,17 +162,6 @@ def clear_universal_cache() -> None:
     _SYM_CACHE.clear()
 
 
-def _partitions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing `parts`-tuples of nonnegative ints <= `cap` summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, cap), -(-total // parts) - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Each distinct rearrangement of `values` once; equal values must be adjacent."""
     if not values:
@@ -185,11 +190,12 @@ def _compute_sym_power_elementary(r: int, d: int, trunc: int) -> tuple[Symmetric
     The roots of Sym^d E are the forms sum(m_i x_i) over exponent vectors m
     with |m| = d.  They fall into S_r orbits, one per partition of d into at
     most r parts; the orbit factors are multiplied in e_1..e_r up to
-    weighted degree `trunc`, and split by that degree.
+    weighted degree `trunc`, from the lexicographically largest partition
+    down, and split by that degree.
     """
     total = SymmetricPoly.constant(r, 1)
-    for lam in _partitions(d, r, d):
-        total = total.mul_truncated(_orbit_factor(lam, trunc), trunc)
+    for lam in reversed(partitions_of_weight(d, r, d)):
+        total = total.mul_truncated(_orbit_factor(lam.parts + (0,) * (r - len(lam)), trunc), trunc)
     return total.graded(trunc)
 
 
@@ -357,9 +363,7 @@ def tensor_line(c: ChernVector, t) -> ChernVector:
     c_k(E ox L) = sum over i of binom(rank - i, k - i) c_i(E) t^(k - i).
     """
     ring = c.ring
-    here, there = (getattr(x, "ring", None) or f"a ring in {x.nvars} variables" for x in (t, ring.one()))
-    if here != there:
-        raise RingMismatchError(f"twist class lives in {here}, not in {there}")
+    check_element(t, ring, "twist class")
     if not t.is_zero() and t.degrees() != {1}:
         raise PreconditionError("twist class must be homogeneous of degree 1")
     r = c.rank

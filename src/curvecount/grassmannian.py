@@ -433,6 +433,8 @@ def giambelli(lam, ring: GrassmannianRing) -> ChowClass:
 
 def integrate(c: ChowClass) -> int:
     """Degree of the zero-dimensional part: the coefficient of the point class."""
+    if not isinstance(c, ChowClass):
+        raise PreconditionError(f"can only integrate a ChowClass, not a {type(c).__name__}")
     return c._coeffs.get(c.ring.box.last, 0)
 
 

@@ -89,8 +89,23 @@ def partitions_in_box(rows: int, cols: int) -> list[Partition]:
 
 
 def partitions_of_weight(weight: int, rows: int, cols: int) -> list[Partition]:
-    """Partitions of the given weight inside a rows x cols box."""
-    return [p for p in partitions_in_box(rows, cols) if p.weight == weight]
+    """Partitions of the given weight inside a rows x cols box, in lexicographic order.
+
+    Only parts that leave a completable rest are tried: with k rows left and
+    `remaining` boxes to place, the next part is at least ceil(remaining / k).
+    """
+    out: list[Partition] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int, cap: int) -> None:
+        if not remaining:
+            out.append(Partition(prefix))
+            return
+        for v in range(-(-remaining // (rows - len(prefix))), min(cap, remaining) + 1):
+            rec(prefix + (v,), remaining - v, v)
+
+    if 0 <= weight <= rows * cols:
+        rec((), weight, cols)
+    return out
 
 
 def horizontal_strips(base: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:

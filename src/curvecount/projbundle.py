@@ -1,4 +1,9 @@
-"""Chow ring of a projectivized bundle P(E) over a Grassmannian base.
+"""Chow ring of a projectivized bundle P(E) over any ambient base ring.
+
+The base is the ambient of E's `ChernVector`: a Grassmannian Chow ring, a
+`ChernRing`, or another projective bundle.  Coefficients are checked by
+`chern.check_element`, and the layer reaches the base only through its
+`zero`, `one`, `dim` and `sum_of_products`.
 
 P(E) parametrizes rank-1 subspaces of E.  Writing z for the first Chern
 class of the dual of the tautological subline bundle, every class is a
@@ -12,27 +17,27 @@ inverse of the total Chern class.  Elements are kept z-reduced at all
 times.  A sum of products collects every product of nonzero coefficients
 as a term of its z-degree, 2s - 1 lists in all, and z-reduces from the top
 down by appending the relation's products as terms; each degree is then
-summed by one `GrassmannianRing.sum_of_products` call, so this layer never
-touches the Schubert storage.
+summed by one `sum_of_products` call of the base, so this layer never
+touches the base's storage.  Over a `ChernRing` base no product is a
+Schubert product: `pb_pushforward` returns a polynomial in the Chern
+classes, which one `ChernRing.evaluator` maps to the space below.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .chern import ChernVector
+from .chern import ChernVector, check_element
 from .errors import PreconditionError, RingMismatchError
-from .grassmannian import ChowClass, GrassmannianRing, integrate
+from .grassmannian import integrate
 
 
 class ProjBundleRing:
-    """Chow ring of P(E) for a Chern vector E over a Grassmannian base."""
+    """Chow ring of P(E) for a Chern vector E over the ambient of E."""
 
     __slots__ = ("base", "bundle", "_relation")
 
     def __init__(self, bundle: ChernVector):
-        if not isinstance(bundle.ring, GrassmannianRing):
-            raise PreconditionError("projective bundles are supported over Grassmannian bases")
         if bundle.rank < 1:
             raise PreconditionError("cannot projectivize a rank-0 bundle")
         self.base = bundle.ring
@@ -58,9 +63,7 @@ class ProjBundleRing:
         """The hyperplane class z (reduces to -c_1(E) when the fiber is a point)."""
         return ProjBundleElement(self, [self.base.zero(), self.base.one()])
 
-    def pullback(self, c: ChowClass) -> "ProjBundleElement":
-        if c.ring != self.base:
-            raise RingMismatchError(f"class on {c.ring} is not a class on the base {self.base}")
+    def pullback(self, c) -> "ProjBundleElement":
         return ProjBundleElement(self, [c])
 
     def sum_of_products(
@@ -84,7 +87,7 @@ class ProjBundleRing:
                             raw[i + j].append((coeff, a, b))
         return ProjBundleElement._trusted(self, self._reduce(raw))
 
-    def _reduce(self, raw: list[list]) -> tuple[ChowClass, ...]:
+    def _reduce(self, raw: list[list]) -> tuple:
         """The fiber_rank z-reduced coefficients of the sum of raw[i] z^i.
 
         raw[i] is a list of (coeff, x, y) product terms on the base and is
@@ -116,18 +119,17 @@ class ProjBundleElement:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: ProjBundleRing, coeffs: Sequence[ChowClass]):
+    def __init__(self, ring: ProjBundleRing, coeffs: Sequence):
         one = ring.base.one()
         raw = []
         for a in coeffs:
-            if a.ring != ring.base:
-                raise RingMismatchError("coefficients must be classes on the base")
+            check_element(a, ring.base, "coefficient")
             raw.append([] if a.is_zero() else [(1, a, one)])
         self.ring = ring
         self.coeffs = ring._reduce(raw)
 
     @classmethod
-    def _trusted(cls, ring: ProjBundleRing, coeffs: tuple[ChowClass, ...]) -> "ProjBundleElement":
+    def _trusted(cls, ring: ProjBundleRing, coeffs: tuple) -> "ProjBundleElement":
         """An element from exactly fiber_rank z-reduced coefficients on the base of `ring`."""
         out = cls.__new__(cls)
         out.ring = ring
@@ -193,17 +195,13 @@ class ProjBundleElement:
         bits = [f"({a})*z^{i}" for i, a in enumerate(self.coeffs) if not a.is_zero()]
         return " + ".join(bits) if bits else "0"
 
-    def to_payload(self) -> list[list]:
-        """Serialized form: [[z-exponent, serialized base class], ...]."""
-        return [[i, a.to_payload()] for i, a in enumerate(self.coeffs) if not a.is_zero()]
-
 
 def pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleElement:
     """Product in the projective-bundle ring, reduced to canonical form."""
     return x.ring.sum_of_products([(1, x, y)])
 
 
-def pb_pushforward(x: ProjBundleElement) -> ChowClass:
+def pb_pushforward(x: ProjBundleElement):
     """Fiber integration to the base: a_i z^i maps to a_i * s_(i - (s-1))(E).
 
     A z-reduced element has no power of z above s - 1, so only its z^(s-1)
@@ -213,7 +211,11 @@ def pb_pushforward(x: ProjBundleElement) -> ChowClass:
 
 
 def pb_integrate(x: ProjBundleElement) -> int:
-    """Integral over the total space: push to the base, then take the degree."""
+    """Integral over the total space: push to the base, then take the degree.
+
+    The base must be a Grassmannian; push down from any other base, map the
+    class to one, and integrate it there.
+    """
     return integrate(pb_pushforward(x))
 
 

@@ -326,6 +326,15 @@ class TestIntegrate:
     def test_below_top_degree(self):
         assert integrate(GR24.sigma((1,))) == 0
 
+    def test_rejects_anything_but_a_schubert_class(self):
+        from curvecount import ProjBundleRing, dual_universal_vector
+        from curvecount.chern import ChernRing
+
+        with pytest.raises(PreconditionError, match="not a ProjBundleElement$"):
+            integrate(ProjBundleRing(dual_universal_vector(GR24)).zeta())
+        with pytest.raises(PreconditionError, match="not a SymmetricPoly$"):
+            integrate(ChernRing(2, 4).one())
+
 
 class TestDualPartition:
     def test_full_box_complements_to_identity(self):

@@ -71,6 +71,15 @@ def test_module_keeps_out_of_sibling_internals(name):
     assert violations(name) == []
 
 
+def test_projective_bundles_know_no_grassmannian():
+    # P(E) runs over any ambient; it asks the Schubert layer only to integrate.
+    for node in _sibling_imports(MODULES["projbundle"]):
+        names = {alias.name for alias in node.names}
+        assert "grassmannian" not in names
+        if (node.module or "").endswith("grassmannian"):
+            assert names <= {"integrate", "ChowClass"}
+
+
 def test_checker_sees_each_kind_of_reach():
     # A module written the way the layers were once wired into each other.
     MODULES["_probe"] = ast.parse(

@@ -1,6 +1,6 @@
 import pytest
 
-from curvecount import Partition, partitions_in_box, partitions_of_weight
+from curvecount import GrassmannianRing, Partition, partitions_in_box, partitions_of_weight
 from curvecount.partitions import horizontal_strips, vertical_strips
 
 
@@ -65,6 +65,14 @@ def test_partitions_of_weight():
         Partition((2, 1)),
         Partition((3,)),
     ]
+    # Every box up to 4 x 4 and every weight, against filtering the whole box.
+    for rows in range(5):
+        for cols in range(5):
+            box = partitions_in_box(rows, cols)
+            for weight in range(-1, rows * cols + 2):
+                assert partitions_of_weight(weight, rows, cols) == [p for p in box if p.weight == weight]
+    # The box of Gr(20, 80) holds binom(80, 20) partitions; weight 2 has two.
+    assert GrassmannianRing(20, 80).basis(2) == [Partition([1, 1]), Partition([2])]
 
 
 def test_horizontal_strips_basic():

@@ -10,6 +10,7 @@ from curvecount import (
     RingMismatchError,
     count_curves,
     dual_universal_vector,
+    integrate,
     pb_integrate,
     pb_multiply,
     pb_pushforward,
@@ -21,7 +22,10 @@ from curvecount import (
     whitney_quotient,
 )
 
-from helpers import dense_class, naive_pb_multiply, random_bundle_vector, random_class, random_homogeneous_class
+from curvecount import grassmannian
+from curvecount.chern import ChernRing
+
+from helpers import clear_product_memos, dense_class, naive_pb_multiply, random_bundle_vector, random_class, random_homogeneous_class
 
 POINT = GrassmannianRing(1, 1)
 GR24 = GrassmannianRing(2, 4)
@@ -51,15 +55,26 @@ class TestRingBasics:
         with pytest.raises(PreconditionError):
             ProjBundleRing(trivial_vector(POINT, 0))
 
+    # (base, a class that is not on it): another Grassmannian, a polynomial
+    # in another number of Chern classes, and a class of the other kind.
+    FOREIGN = [
+        (GR24, GR35.one()),
+        (ChernRing(3, 4), ChernRing(2, 4).one()),
+        (ChernRing(3, 4), GR24.one()),
+        (GR24, ChernRing(2, 4).one()),
+    ]
+
     def test_pullback_requires_base_class(self):
-        ring = ProjBundleRing(trivial_vector(GR24, 2))
-        with pytest.raises(RingMismatchError):
-            ring.pullback(GR35.one())
+        for base, foreign in self.FOREIGN:
+            ring = ProjBundleRing(trivial_vector(base, 2))
+            with pytest.raises(RingMismatchError, match="^coefficient lives in"):
+                ring.pullback(foreign)
 
     def test_constructor_requires_base_coefficients(self):
-        ring = ProjBundleRing(trivial_vector(GR24, 2))
-        with pytest.raises(RingMismatchError):
-            ProjBundleElement(ring, [GR24.one(), GR35.one()])
+        for base, foreign in self.FOREIGN:
+            ring = ProjBundleRing(trivial_vector(base, 2))
+            with pytest.raises(RingMismatchError, match="^coefficient lives in"):
+                ProjBundleElement(ring, [base.one(), foreign])
 
 
 class TestMultiplication:
@@ -250,6 +265,13 @@ class TestIntegration:
                 expected = 1 if i == s - 1 else 0
                 assert pb_integrate(ring.zeta() ** i) == expected
 
+    def test_chern_ring_base_is_not_integrated(self):
+        ring = ProjBundleRing(ChernRing(2, 4).sym_power(2))
+        top = ring.pullback(ChernRing(2, 4).generators().component(1)) ** 4 * ring.zeta() ** 2
+        assert not pb_pushforward(top).is_zero()
+        with pytest.raises(PreconditionError, match="not a SymmetricPoly$"):
+            pb_integrate(top)
+
     def test_wrong_total_degree_is_zero(self):
         rng = Random(40)
         ring = random_ring(rng)
@@ -273,28 +295,54 @@ class TestPullbackVector:
             pullback_vector(ring, trivial_vector(GR35, 1))
 
 
+CONIC_CASES = [
+    (4, [5], 609250),
+    (5, [2, 4], 92288),
+    (6, [8], 21553784182784),
+    (8, [11], 6879170927773883986896),
+]
+
+
 class TestConicChain:
     """The public P(E) route of demos/conics_on_quintic.py against `count_curves`.
 
     The moduli space is P(Sym^2 U*) over Gr(3, n+1); each degree-d equation
     gives the forms bundle Sym^d U* / (Sym^(d-2) U* (x) O(-z)), Sym^1 U* for
-    d = 1 and Sym^0 the trivial line for d = 2.
+    d = 1 and Sym^0 the trivial line for d = 2.  The chain runs over two
+    bases: the Grassmannian itself, and `ChernRing(3, dim)`, whose pushed
+    forward class one evaluator maps to the Grassmannian before it is
+    integrated.
     """
 
-    @pytest.mark.parametrize("n, degrees, count", [
-        (4, [5], 609250),
-        (5, [2, 4], 92288),
-        (6, [8], 21553784182784),
-        (8, [11], 6879170927773883986896),
-    ])
-    def test_chain_matches_count_curves(self, n, degrees, count):
-        cu = dual_universal_vector(GrassmannianRing(3, n + 1))
-        moduli = ProjBundleRing(sym_power(cu, 2))
+    @staticmethod
+    def chain(n: int, degrees: list[int], presentation: bool) -> int:
+        gr = GrassmannianRing(3, n + 1)
+        cu = dual_universal_vector(gr)
+        base = ChernRing(3, gr.dim)
+        sym = base.sym_power if presentation else (lambda d: sym_power(cu, d))
+        moduli = ProjBundleRing(sym(2))
         top = moduli.one()
         for d in degrees:
-            forms = pullback_vector(moduli, sym_power(cu, d))
+            forms = pullback_vector(moduli, sym(d))
             if d > 1:
-                lower = pullback_vector(moduli, sym_power(cu, d - 2)) if d > 2 else trivial_vector(moduli, 1)
+                lower = pullback_vector(moduli, sym(d - 2)) if d > 2 else trivial_vector(moduli, 1)
                 forms = whitney_quotient(forms, tensor_line(lower, -moduli.zeta()), moduli.dim)
             top = top * forms.top()
-        assert pb_integrate(top) == count == count_curves("conics", n, degrees).count
+        if presentation:
+            return integrate(base.evaluator(cu)(pb_pushforward(top)))
+        return pb_integrate(top)
+
+    @pytest.mark.parametrize("n, degrees, count", CONIC_CASES)
+    def test_chain_matches_count_curves(self, n, degrees, count):
+        expected = count_curves("conics", n, degrees).count
+        for presentation in (False, True):
+            assert self.chain(n, degrees, presentation) == count == expected
+
+    @pytest.mark.parametrize("n, degrees, count", CONIC_CASES)
+    def test_chern_ring_base_never_calls_lr(self, monkeypatch, n, degrees, count):
+        clear_product_memos()
+        asked = []
+        original = grassmannian._lr_expansion
+        monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key) or original(*key))
+        assert self.chain(n, degrees, presentation=True) == count
+        assert asked == []
