@@ -108,6 +108,8 @@ def check_element(x, ring, what: str) -> None:
     polynomial, such as a `ChernRing` element, names only its variable
     count, which must be that of the ring's elements.
     """
+    if not hasattr(x, "ring") and not hasattr(x, "nvars"):
+        raise RingMismatchError(f"{what} is of type {type(x).__name__}, not an element of a ring")
     here, there = (getattr(y, "ring", None) or f"a ring in {y.nvars} variables" for y in (x, ring.one()))
     if here != there:
         raise RingMismatchError(f"{what} lives in {here}, not in {there}")

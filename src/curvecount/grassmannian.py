@@ -25,6 +25,7 @@ is exact: coefficients are plain Python integers.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import comb
@@ -230,7 +231,7 @@ class ChowClass:
         clean: dict[int, int] = {}
         for p, c in terms.items():
             parts = ring._parts_of(p)
-            c = int(c)
+            c = operator.index(c)
             if c:
                 clean[ring.box.rank(parts)] = c
         self.ring = ring

@@ -7,6 +7,7 @@ without trailing zeros.
 
 from __future__ import annotations
 
+import operator
 from functools import total_ordering
 from typing import Iterable, Iterator
 
@@ -25,7 +26,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        clean = tuple(int(p) for p in parts)
+        clean = tuple(operator.index(p) for p in parts)
         while clean and clean[-1] == 0:
             clean = clean[:-1]
         if clean and clean[-1] < 0:

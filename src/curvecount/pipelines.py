@@ -11,21 +11,24 @@ provenance trace of intermediate classes, and any consistency checks.
 Every class a pipeline builds is a polynomial in the Chern classes
 c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
 `chern.ChernRing`, Z[c_1..c_r] truncated at the Grassmannian's dimension,
-where the universal Sym^d polynomials are elements as they stand.  Only
-the classes that are integrated or traced go to the Schubert basis, each
-once, through products with the one-column classes c_i(U*) = sigma_(1^i).
+where the universal Sym^d polynomials are elements as they stand.  Lines
+and conics share one moduli shape, a `projbundle.ProjBundleRing` over that
+ring (P(O) for lines, P(Sym^2 U*) for conics), pushed down to it once.
+Only the classes that are integrated or traced go to the Schubert basis,
+each once, through products with the one-column classes c_i(U*) = sigma_(1^i).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from math import comb
 
-from .chern import ChernRing, ChernVector, dual_universal_vector, segre_from_chern, trivial_vector
+from .chern import ChernRing, dual_universal_vector, segre_from_chern, trivial_vector
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate
-from .symfunc import SymmetricPoly
+from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
 
 
 def _serialize(cls) -> str:
@@ -110,8 +113,9 @@ class DimensionCount:
 def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     """Count lines or conics on a general complete intersection in P^n.
 
-    A line or conic spans a linear subspace, so its moduli space is built
-    over the Grassmannian of spans: Gr(2, n+1) for lines, and for conics the
+    A line or conic spans a linear subspace, so its moduli space is a
+    projective bundle over the Grassmannian of spans: for lines P(O), the
+    trivial line bundle, which is Gr(2, n+1) itself, and for conics the
     bundle of conics in the moving plane, P(Sym^2 U*) over Gr(3, n+1).  An
     equation of degree d restricts to a section of the forms of degree d on
     the curve: Sym^d U* for lines, and for conics Sym^d U* modulo the forms
@@ -119,13 +123,11 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     the integral of the product of the top Chern classes of these summands;
     it is defined when their total rank equals the moduli dimension.
 
-    Every class is a polynomial in c_1..c_r of U*, computed in `ChernRing`
-    truncated at the dimension of the Grassmannian.  For conics the top
-    classes are polynomials in zeta as well, pushed forward to the base
-    term by term (`_conic_pushforward`).  The class that is integrated is
-    mapped to the Schubert basis once, at the end.
+    The bundle is a `ProjBundleRing` over `ChernRing` truncated at the
+    dimension of the Grassmannian.  The product is pushed down by
+    `pb_pushforward` and mapped to the Schubert basis once, at the end.
     """
-    degrees = [int(d) for d in degrees]
+    degrees = [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):
         raise PreconditionError(f"unknown curve kind {kind!r}: expected 'lines' or 'conics'")
     if n < 2 or not degrees or any(d < 1 for d in degrees):
@@ -133,79 +135,63 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     span = 2 if kind == "lines" else 3
     base = GrassmannianRing(span, n + 1)
     ring = ChernRing(span, base.dim)
+    moduli = ProjBundleRing(trivial_vector(ring, 1) if kind == "lines" else ring.sym_power(2))
     if kind == "lines":
-        dim = base.dim
         trace = [("moduli_space", f"Gr(2,{n + 1})")]
     else:
-        conic_space = ring.sym_power(2)
-        dim = base.dim + conic_space.rank - 1
         trace = [
             ("base_space", f"Gr(3,{n + 1})"),
             ("base_dim", str(base.dim)),
-            ("conic_bundle_rank", str(conic_space.rank)),
+            ("conic_bundle_rank", str(moduli.fiber_rank)),
         ]
     # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1;
     # checking before any symmetric power is built keeps a mismatch cheap.
     rank = sum((span - 1) * d + 1 for d in degrees)
-    if rank != dim:
+    if rank != moduli.dim:
         raise PreconditionError(
-            f"rank {rank} != dim {dim}: the degrees {degrees} do not cut out "
+            f"rank {rank} != dim {moduli.dim}: the degrees {degrees} do not cut out "
             f"a finite family of {kind} in P^{n}"
         )
-    trace.append(("moduli_dim", str(dim)))
-    if kind == "lines":
-        top = ring.one()
-        for d in degrees:
-            top = top.mul_truncated(ring.sym_power(d).top(), ring.dim)
-    else:
-        top = _conic_pushforward(conic_space, degrees, trace)
+    trace.append(("moduli_dim", str(moduli.dim)))
+    top = moduli.one()
+    for d in degrees:
+        forms, divisible = ring.sym_power(d), None
+        if kind == "conics":
+            trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
+            if d > 1:
+                divisible = ring.sym_power(d - 2) if d > 2 else trivial_vector(ring, 1)
+                trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
+        top = top * _forms_top(moduli, forms, divisible)
     trace.append(("forms_rank", str(rank)))
-    top = ring.evaluator(dual_universal_vector(base))(top)
+    top = ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
     count = integrate(top)
     trace.append(("top_class_pushforward" if kind == "conics" else "top_chern_class", _serialize(top)))
     trace.append(("count", str(count)))
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
-def _conic_pushforward(conic_space: ChernVector, degrees: list[int], trace: list) -> SymmetricPoly:
-    """The pushforward to the base of the product of the top classes of the
-    forms bundles Q = Sym^d U* / (Sym^(d-2) U* (x) O(-zeta)) on P(conic_space).
-
-    Each top class is a polynomial in zeta, kept as {power: coefficient}.
-    With E = Sym^d U*, F = Sym^(d-2) U* of rank f and m = rank Q, the Segre
-    class of a twist (Fulton, Intersection Theory, 3.1-3.2) gives
+def _forms_top(moduli: ProjBundleRing, forms, divisible) -> ProjBundleElement:
+    """c_top on `moduli` of the forms on the curve, Q = E / (F (x) O(-zeta))
+    for the Chern vectors E = `forms` and F = `divisible`; with no divisible
+    form (None) it is c_top(E), pulled back from the base.  Otherwise, with
+    f = rank F and m = rank Q, the Segre class of a twist (Fulton,
+    Intersection Theory, 3.1-3.2) gives
 
         c_m(Q) = sum over i, l of binom(f-1+m-i, m-i-l) c_i(E) s_l(F) zeta^(m-i-l),
 
-    and pushing forward sends zeta^(s-1+j) to s_j(conic_space), s = its
-    rank, for every j >= 0, so no power of zeta is ever reduced.  A factor
-    coefficient of degree above the base dimension is zero and not built.
+    a polynomial in zeta that the element z-reduces.  A coefficient of
+    degree above the base dimension is zero and not built.
     """
-    ring = conic_space.ring
-    top = {0: ring.one()}
-    for d in degrees:
-        forms = ring.sym_power(d)
-        trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
-        if d == 1:
-            factor = {0: forms.top()}
-        else:
-            lower = ring.sym_power(d - 2) if d > 2 else trivial_vector(ring, 1)
-            trace.append((f"divisible_rank_degree_{d}", str(lower.rank)))
-            m, f = forms.rank - lower.rank, lower.rank
-            segre = segre_from_chern(lower, ring.dim)
-            factor = {
-                p: ring.sum_of_products(
-                    (comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1)
-                )
-                for p in range(max(0, m - ring.dim), m + 1)
-            }
-        top = {
-            t: ring.sum_of_products((1, a, factor[t - p]) for p, a in top.items() if t - p in factor)
-            for t in {p + q for p in top for q in factor}
-        }
-    s = conic_space.rank
-    segre = segre_from_chern(conic_space, ring.dim)
-    return ring.sum_of_products((1, a, segre[p - s + 1]) for p, a in top.items() if p >= s - 1)
+    if divisible is None:
+        return moduli.pullback(forms.top())
+    ring = moduli.base
+    m, f = forms.rank - divisible.rank, divisible.rank
+    segre = segre_from_chern(divisible, ring.dim)
+    low = max(0, m - ring.dim)
+    return ProjBundleElement(moduli, [ring.zero()] * low + [
+        ring.sum_of_products((comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1))
+        for p in range(low, m + 1)
+    ])
 
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:

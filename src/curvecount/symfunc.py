@@ -15,6 +15,7 @@ e_i -> values[i], which reads the packed keys as they stand.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -71,8 +72,9 @@ class SymmetricPoly:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent tuple {e} does not have {nvars} entries")
+                c = operator.index(c)
                 if c:
-                    clean[_pack(e)] = int(c)
+                    clean[_pack(e)] = c
         self._packed = clean
 
     @classmethod
@@ -195,7 +197,8 @@ def sum_of_products(nvars: int, terms: Iterable[tuple[int, SymmetricPoly, Symmet
     get = acc.get
     for coeff, x, y in terms:
         if x.nvars != nvars or y.nvars != nvars:
-            raise ValueError(f"cannot multiply polynomials in {x.nvars} and {y.nvars} variables in a ring of {nvars}")
+            bad = x.nvars if x.nvars != nvars else y.nvars
+            raise RingMismatchError(f"cannot multiply a polynomial in {bad} variables in a ring of {nvars}")
         if not coeff:
             continue
         right = sorted(y._packed.items())

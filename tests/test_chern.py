@@ -212,6 +212,8 @@ class TestTensorLine:
             tensor_line(generic, GR25.sigma((1,)))
         with pytest.raises(RingMismatchError, match="in 2 variables, not in a ring in 3 variables"):
             tensor_line(ChernRing(3, 6).sym_power(2), ChernRing(2, 6).generators().component(1))
+        with pytest.raises(RingMismatchError, match="^twist class is of type int, not an element of a ring$"):
+            tensor_line(dual_universal_vector(GrassmannianRing(2, 4)), 3)
 
 
 class TestWhitney:
@@ -372,6 +374,10 @@ class TestChernRing:
         for other in (ChernRing(1, 4), ChernRing(3, 4)):
             with pytest.raises(RingMismatchError, match=f"polynomial in {other.r} variables by e_1..e_2$"):
                 schubert(other.generators().component(1))
+        small = ChernRing(2, 6).one()
+        for terms in ([(1, small, small)], [(1, ChernRing(3, 6).one(), small)]):
+            with pytest.raises(RingMismatchError, match="^cannot multiply a polynomial in 2 variables in a ring of 3$"):
+                ChernRing(3, 6).sum_of_products(terms)
 
 
 class TestUniversalCache:

@@ -51,6 +51,12 @@ class TestRing:
         c = ChowClass(GR24, {Partition((1,)): 0, Partition((2,)): 3})
         assert c.terms == {Partition((2,)): 3}
 
+    @pytest.mark.parametrize("coeff", [1.5, 0.0, "7"])
+    def test_non_integral_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            ChowClass(GR24, {(1,): coeff})
+        assert ChowClass(GR24, {(1,): True}) == GR24.sigma((1,))
+
 
 class TestBasisIndex:
     @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (2, 3), (3, 3), (3, 5), (4, 2), (2, 0)])

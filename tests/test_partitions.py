@@ -29,6 +29,13 @@ def test_rejects_negative_parts():
         Partition((2, -1))
 
 
+def test_rejects_non_integral_parts():
+    for parts in ([2.7, 1], [2.0], ["2", 1]):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    assert Partition([2, True]).parts == (2, 1)
+
+
 def test_lexicographic_order():
     assert Partition((1,)) < Partition((1, 1)) < Partition((2,)) < Partition((2, 1))
     assert sorted([Partition((2,)), Partition(()), Partition((1, 1))]) == [

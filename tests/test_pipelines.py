@@ -148,6 +148,9 @@ class TestCountCurves:
             count_curves("planes", 4, [5])
         with pytest.raises(PreconditionError, match=r"rank 9 != dim 11"):
             count_curves("conics", 4, [4])
+        for degrees in ([3.7], [3.0], "3", ["3"]):
+            with pytest.raises(TypeError):
+                count_curves("lines", 3, degrees)
 
 
 def bott_weights(n: int) -> list[int]:

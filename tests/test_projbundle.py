@@ -24,6 +24,7 @@ from curvecount import (
 
 from curvecount import grassmannian
 from curvecount.chern import ChernRing
+from curvecount.symfunc import elementary_ring_poly
 
 from helpers import clear_product_memos, dense_class, naive_pb_multiply, random_bundle_vector, random_class, random_homogeneous_class
 
@@ -50,6 +51,9 @@ class TestRingBasics:
         ring = ProjBundleRing(sym_power(dual_universal_vector(GR35), 2))
         assert ring.dim == 11
         assert ring.fiber_rank == 6
+        lines = ProjBundleRing(trivial_vector(ChernRing(2, 6), 1))  # Gr(2, 5) as P(O)
+        assert lines.fiber_rank == 1
+        assert lines.dim == lines.base.dim == 6
 
     def test_rank_zero_rejected(self):
         with pytest.raises(PreconditionError):
@@ -69,6 +73,8 @@ class TestRingBasics:
             ring = ProjBundleRing(trivial_vector(base, 2))
             with pytest.raises(RingMismatchError, match="^coefficient lives in"):
                 ring.pullback(foreign)
+        with pytest.raises(RingMismatchError, match="^coefficient is of type int, not an element of a ring$"):
+            ProjBundleRing(dual_universal_vector(GR24)).pullback(3)
 
     def test_constructor_requires_base_coefficients(self):
         for base, foreign in self.FOREIGN:
@@ -240,6 +246,18 @@ class TestPushforward:
             left = pb_pushforward(pb_multiply(ring.pullback(a), x))
             right = a * pb_pushforward(x)
             assert left == right
+
+    def test_trivial_line_bundle_is_its_base(self):
+        # P(O) over Z[c_1, c_2] in degree <= 6 is Gr(2, 5) itself, the moduli space of lines.
+        base = ChernRing(2, 6)
+        ring = ProjBundleRing(trivial_vector(base, 1))
+        rng = Random(40)
+        monomials = [(a, b) for a in range(7) for b in range(4) if a + 2 * b <= 6]
+        for _ in range(6):
+            x, y = (elementary_ring_poly(2, {e: rng.randint(-9, 9) for e in monomials}) for _ in range(2))
+            assert pb_pushforward(ring.pullback(x)) == x
+            assert ring.pullback(x) * ring.pullback(y) == ring.pullback(x.mul_truncated(y, ring.dim))
+            assert (x * y).degree() > ring.dim  # the product does truncate
 
     def test_degree_bookkeeping(self):
         rng = Random(39)

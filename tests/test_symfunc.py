@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from curvecount import SymmetricPoly, elementary, reduce_to_elementary
+from curvecount import RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
 from curvecount.chern import _compute_sym_power_elementary, _orbit_factor
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly
 
@@ -113,7 +113,7 @@ class TestSymmetricPoly:
             SymmetricPoly.constant(2, 1) + y, 1
         )
         assert p == SymmetricPoly.constant(2, 1) + x + y
-        with pytest.raises(ValueError, match="in 2 and 3 variables"):
+        with pytest.raises(RingMismatchError, match="a polynomial in 3 variables in a ring of 2"):
             x.mul_truncated(x_power(3, 0), 1)
 
     def test_evaluate(self):
@@ -195,3 +195,9 @@ class TestPackedKernel:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             SymmetricPoly(2, {(-1, 1): 1})
+
+    @pytest.mark.parametrize("coeff", [2.5, 0.0, "7"])
+    def test_non_integral_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            SymmetricPoly(2, {(1, 0): coeff})
+        assert SymmetricPoly(2, {(1, 0): True}) == x_power(2, 0)
