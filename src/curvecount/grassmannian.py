@@ -13,6 +13,8 @@ computed by enumerating chains of horizontal strips with the lattice-word
 condition; the expansion of each sorted pair of partitions in a box is
 memoized as (index, coefficient) pairs, and each box keeps a table of those
 expansions keyed by the sorted pair of basis indices, packed into one int.
+Each box also keeps a table of horizontal strips by (parts, size), which
+the LR chains and Pieri share, so each strip set is enumerated once.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
 Pieri rule fills its table entry from the vertical strips.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
@@ -44,11 +46,14 @@ class _Box:
     partitions are first met and the box is never enumerated.  `products`
     maps the key i * size + j of an index pair i <= j to the expansion of
     sigma_i * sigma_j; an int key, unlike a tuple, leaves the garbage
-    collector nothing to track.  Entries are only ever added, with the same
-    values, so concurrent readers are safe.
+    collector nothing to track.  `strips` maps (parts, size) to the tuple of
+    parts of each in-box nu with nu/parts a horizontal strip of `size`
+    boxes, so the LR chains and Pieri enumerate each strip set once per box.
+    Entries are only ever added, with the same values, so concurrent readers
+    are safe.
     """
 
-    __slots__ = ("rows", "cols", "size", "last", "index", "parts", "weights", "products", "partition")
+    __slots__ = ("rows", "cols", "size", "last", "index", "parts", "weights", "products", "strips", "partition")
 
     def __init__(self, rows: int, cols: int):
         self.rows = rows
@@ -59,6 +64,7 @@ class _Box:
         self.parts: dict[int, tuple[int, ...]] = {}
         self.weights: dict[int, int] = {}
         self.products: dict[int, tuple] = {}
+        self.strips: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
         # The interned `Partition` of an index, built the first time it is asked for.
         self.partition = lru_cache(maxsize=None)(lambda i: Partition(self.parts[i]))
         self.rank(())  # index 0, the unit class
@@ -78,6 +84,13 @@ class _Box:
             self.weights[i] = sum(parts)
             self.index[parts] = i
         return i
+
+    def horizontal(self, parts: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+        """The horizontal strips of `size` boxes on `parts` in this box, enumerated once."""
+        strips = self.strips.get((parts, size))
+        if strips is None:
+            strips = self.strips[parts, size] = tuple(horizontal_strips(parts, size, self.rows, self.cols))
+        return strips
 
     def product(self, key: int) -> tuple:
         """The expansion of a product-table key, filled on a miss.
@@ -361,18 +374,20 @@ def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: in
     indices into the box table of `_box(rows, cols)`.  The rule is symmetric
     in lam and mu, so callers normalize the key order before the cache.
     """
+    box = _box(rows, cols)
+    strips = box.horizontal
     counts: dict[tuple[int, ...], int] = {}
 
     def extend(before: tuple[int, ...] | None, shape: tuple[int, ...], stage: int) -> None:
         if stage == len(mu):
             counts[shape] = counts.get(shape, 0) + 1
             return
-        for nu in horizontal_strips(shape, mu[stage], rows, cols):
+        for nu in strips(shape, mu[stage]):
             if before is None or _is_lattice_step(before, shape, nu):
                 extend(shape, nu, stage + 1)
 
     extend(None, lam, 0)
-    rank = _box(rows, cols).rank
+    rank = box.rank
     return tuple(sorted((rank(nu), k) for nu, k in counts.items()))
 
 
@@ -390,7 +405,7 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     box = ring.box
     acc: dict[int, int] = {}
     for i, coeff in c._coeffs.items():
-        for nu in horizontal_strips(box.parts[i], a, ring.rows, ring.cols):
+        for nu in box.horizontal(box.parts[i], a):
             k = box.rank(nu)
             acc[k] = acc.get(k, 0) + coeff
     return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})

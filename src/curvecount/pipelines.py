@@ -79,14 +79,14 @@ class NormalBundleType:
     """Splitting type O(a) + O(b) of the normal bundle of a rational curve.
 
     On a threefold with trivial canonical class the degrees satisfy
-    a + b = -2, which the constructor enforces.
+    a + b = -2, which the constructor enforces.  The degrees must be integers.
     """
 
     a: int
     b: int
 
     def __post_init__(self):
-        if self.a + self.b != -2:
+        if operator.index(self.a) + operator.index(self.b) != -2:
             raise PreconditionError(
                 f"normal bundle degrees must satisfy a + b = -2, got {self.a} + {self.b}"
             )
@@ -288,6 +288,7 @@ def naive_dimension_count(n: int, D: int, d: int) -> DimensionCount:
     hypersurface imposes D*d + 1 conditions; reparametrizations of the line
     absorb 4 parameters.
     """
+    n, D, d = operator.index(n), operator.index(D), operator.index(d)
     if n < 2 or D < 1 or d < 1:
         raise PreconditionError(f"need n >= 2, D >= 1, d >= 1, got ({n}, {D}, {d})")
     parameters = (n + 1) * (d + 1)

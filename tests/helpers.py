@@ -61,10 +61,11 @@ def src_env() -> dict:
 
 
 def clear_product_memos() -> None:
-    """Forget every LR expansion: the memo and the product table of each box."""
+    """Forget every LR expansion: the memo, and the product and strip tables of each box."""
     grassmannian._lr_expansion.cache_clear()
     for box in grassmannian._BOXES.values():
         box.products.clear()
+        box.strips.clear()
 
 
 def brute_lr_coefficient(lam, mu, nu) -> int:

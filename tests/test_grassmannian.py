@@ -235,6 +235,54 @@ class TestMultiply:
         _lr_expansion.cache_clear()
         assert _lr_expansion(lam, mu, 3, 3) == cached
 
+    @staticmethod
+    def fill_table(ring, keys):
+        """The product and strip tables of the ring's box, filled cold in the order of `keys`."""
+        clear_product_memos()
+        box = ring.box
+        for key in keys:
+            box.product(key)
+        return dict(box.products), dict(box.strips)
+
+    @staticmethod
+    def table_keys(ring):
+        """Every product-table key that `sum_of_products` asks for."""
+        box = ring.box
+        ids = sorted(box.rank(p.parts) for p in ring.basis())
+        return [i * box.size + j for i in ids for j in ids
+                if i <= j and box.weights[i] + box.weights[j] <= ring.dim]
+
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
+    def test_cold_table_fill_is_order_free_and_matches_the_oracle(self, r, n):
+        ring = GrassmannianRing(r, n)
+        keys = self.table_keys(ring)
+        forward = self.fill_table(ring, keys)
+        assert forward == self.fill_table(ring, keys[::-1])
+        products = forward[0]
+        assert sorted(products) == keys
+        parts = ring.box.parts
+        for key, expansion in products.items():
+            i, j = divmod(key, ring.box.size)
+            assert ChowClass._trusted(ring, dict(expansion)) == oracle_multiply(ring, parts[i], parts[j])
+
+    def test_cold_table_fill_enumerates_each_strip_set_once(self, monkeypatch):
+        import curvecount.grassmannian as grassmannian
+
+        ring = GrassmannianRing(3, 9)
+        keys = self.table_keys(ring)
+        asked = []
+        original = grassmannian.horizontal_strips
+
+        def counted(base, size, rows, cols):
+            asked.append((base, size, rows, cols))
+            return original(base, size, rows, cols)
+
+        monkeypatch.setattr(grassmannian, "horizontal_strips", counted)
+        self.fill_table(ring, keys)
+        assert asked
+        assert len(set(asked)) == len(asked)
+        assert {(base, size) for base, size, _, _ in asked} == set(ring.box.strips)
+
 
 class TestSumOfProducts:
     """Multi-term sums against the sum of their one-term products and an LR-free oracle."""

@@ -370,6 +370,12 @@ class TestDimensionCount:
         with pytest.raises(PreconditionError, match=r"need n >= 2, D >= 1, d >= 1"):
             naive_dimension_count(n, D, d)
 
+    @pytest.mark.parametrize("n, D, d", [(4.5, 5, 1), (4, 5.0, 1), (4, 5, "1")])
+    def test_non_integer_inputs_rejected(self, n, D, d):
+        with pytest.raises(TypeError):
+            naive_dimension_count(n, D, d)
+        assert naive_dimension_count(4, 5, True).parameters == 10
+
 
 class TestNormalBundle:
     def test_rigid_type(self):
@@ -393,6 +399,11 @@ class TestNormalBundle:
     def test_constraint_enforced(self):
         with pytest.raises(PreconditionError):
             NormalBundleType(0, -1)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, -1.5), (-1.0, -1), (0, "-2")])
+    def test_non_integer_degrees_rejected(self, a, b):
+        with pytest.raises(TypeError):
+            NormalBundleType(a, b)
 
 
 class TestTallyChecks:
