@@ -22,8 +22,10 @@ Z[c_1..c_r] truncated at a dimension, where they are elements as they stand;
 its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i, maps
 them to a given bundle, each e-monomial once as a shorter one times one c_i.
 `sym_power` of any bundle is `ChernRing.sym_power` under that map, and the
-counts and the `chern` calculators compute a whole class in `ChernRing` and
-map it to the Schubert basis once, at the end.
+conic counts, the equivalences and the `chern` calculators compute a whole
+class in `ChernRing` and map it to the Schubert basis once, at the end.
+`ChernRing.sym_power_top` builds c_top(Sym^d) alone, orbit by orbit, with
+no cache; the line counts need nothing else and integrate it in the ring.
 """
 
 from __future__ import annotations
@@ -343,6 +345,22 @@ class ChernRing:
         if d == 1:
             return self.generators()
         return ChernVector(self, rank, sym_power_elementary(self.r, d, min(rank, self.dim)))
+
+    def sym_power_top(self, d: int) -> SymmetricPoly:
+        """c_top(Sym^d) of the generic bundle alone, zero when the rank of Sym^d
+        exceeds dim: the product of the roots m.x, one S_r orbit at a time.
+        Each orbit's product is symmetric and homogeneous, so it is rewritten
+        in e_1..e_r once and no truncation or lower degree is built."""
+        if sym_power_rank(self.r, d) > self.dim:
+            return self.zero()
+        top = self.one()
+        for lam in partitions_of_weight(d, self.r, d):
+            roots = _distinct_permutations(lam.parts + (0,) * (self.r - len(lam)))
+            orbit = SymmetricPoly.linear_form(next(roots))
+            for m in roots:
+                orbit = orbit * SymmetricPoly.linear_form(m)
+            top = top * elementary_ring_poly(self.r, reduce_to_elementary(orbit))
+        return top
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), as a function with its own monomial memo."""

@@ -14,8 +14,11 @@ c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
 where the universal Sym^d polynomials are elements as they stand.  Lines
 and conics share one moduli shape, a `projbundle.ProjBundleRing` over that
 ring (P(O) for lines, P(Sym^2 U*) for conics), pushed down to it once.
-Only the classes that are integrated or traced go to the Schubert basis,
-each once, through products with the one-column classes c_i(U*) = sigma_(1^i).
+A line count needs only the top class of each Sym^d U*, and integrates it
+over Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts and
+the equivalences map the classes they integrate or trace to the Schubert
+basis, each once, through products with the one-column classes
+c_i(U*) = sigma_(1^i).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import operator
 from dataclasses import dataclass, replace
 from math import comb
 
-from .chern import ChernRing, dual_universal_vector, segre_from_chern, trivial_vector
+from .chern import ChernRing, dual_universal_vector, segre_from_chern, sym_power_rank, trivial_vector
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate
 from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
@@ -125,9 +128,10 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
 
     The bundle is a `ProjBundleRing` over `ChernRing` truncated at the
     dimension of the Grassmannian.  The product is pushed down by
-    `pb_pushforward` and mapped to the Schubert basis once, at the end.
+    `pb_pushforward`; for lines it is integrated by `_catalan_integral`,
+    and for conics mapped to the Schubert basis once, at the end.
     """
-    degrees = [operator.index(d) for d in degrees]
+    n, degrees = operator.index(n), [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):
         raise PreconditionError(f"unknown curve kind {kind!r}: expected 'lines' or 'conics'")
     if n < 2 or not degrees or any(d < 1 for d in degrees):
@@ -155,25 +159,30 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     trace.append(("moduli_dim", str(moduli.dim)))
     top = moduli.one()
     for d in degrees:
-        forms, divisible = ring.sym_power(d), None
+        divisible = None
         if kind == "conics":
-            trace.append((f"sym_rank_degree_{d}", str(forms.rank)))
+            trace.append((f"sym_rank_degree_{d}", str(sym_power_rank(span, d))))
             if d > 1:
                 divisible = ring.sym_power(d - 2) if d > 2 else trivial_vector(ring, 1)
                 trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
-        top = top * _forms_top(moduli, forms, divisible)
+        top = top * _forms_top(moduli, d, divisible)
     trace.append(("forms_rank", str(rank)))
-    top = ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
-    count = integrate(top)
-    trace.append(("top_class_pushforward" if kind == "conics" else "top_chern_class", _serialize(top)))
+    if kind == "lines":
+        count = _catalan_integral(pb_pushforward(top), base)
+        trace.append(("top_chern_class", _serialize(base.sigma((base.cols,) * base.rows) * count)))
+    else:
+        top = ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
+        count = integrate(top)
+        trace.append(("top_class_pushforward", _serialize(top)))
     trace.append(("count", str(count)))
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
-def _forms_top(moduli: ProjBundleRing, forms, divisible) -> ProjBundleElement:
-    """c_top on `moduli` of the forms on the curve, Q = E / (F (x) O(-zeta))
-    for the Chern vectors E = `forms` and F = `divisible`; with no divisible
-    form (None) it is c_top(E), pulled back from the base.  Otherwise, with
+def _forms_top(moduli: ProjBundleRing, d: int, divisible) -> ProjBundleElement:
+    """c_top on `moduli` of the degree-d forms on the curve, Q = E / (F (x) O(-zeta))
+    for E = Sym^d U* and the Chern vector F = `divisible`; with no divisible
+    form (None) it is `ChernRing.sym_power_top(d)`, pulled back from the base,
+    and no other class of Sym^d is built.  Otherwise, with
     f = rank F and m = rank Q, the Segre class of a twist (Fulton,
     Intersection Theory, 3.1-3.2) gives
 
@@ -182,9 +191,10 @@ def _forms_top(moduli: ProjBundleRing, forms, divisible) -> ProjBundleElement:
     a polynomial in zeta that the element z-reduces.  A coefficient of
     degree above the base dimension is zero and not built.
     """
-    if divisible is None:
-        return moduli.pullback(forms.top())
     ring = moduli.base
+    if divisible is None:
+        return moduli.pullback(ring.sym_power_top(d))
+    forms = ring.sym_power(d)
     m, f = forms.rank - divisible.rank, divisible.rank
     segre = segre_from_chern(divisible, ring.dim)
     low = max(0, m - ring.dim)
@@ -192,6 +202,16 @@ def _forms_top(moduli: ProjBundleRing, forms, divisible) -> ProjBundleElement:
         ring.sum_of_products((comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1))
         for p in range(low, m + 1)
     ])
+
+
+def _catalan_integral(x, base: GrassmannianRing) -> int:
+    """The integral over base = Gr(2, N) of a polynomial x in e_1 = c_1(U*) and
+    e_2 = c_2(U*).  e_2 = sigma_(1,1) is the class of Gr(2, N-1), and e_1^(2k)
+    integrates over Gr(2, k+2) to its Plücker degree, the Catalan number C_k,
+    so e_1^a e_2^b of top degree a + 2b = 2(N-2) integrates to C_(N-2-b).
+    Terms below the top degree integrate to zero."""
+    k = base.cols
+    return sum(c * (comb(2 * (k - b), k - b) // (k - b + 1)) for (a, b), c in x.terms.items() if a + 2 * b == 2 * k)
 
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:
@@ -224,6 +244,7 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
 
     Z is assumed smooth of the expected dimension, as for general members.
     """
+    D, e, n = operator.index(D), operator.index(e), operator.index(n)
     if not 1 <= e <= D:
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:

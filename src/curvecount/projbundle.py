@@ -20,9 +20,10 @@ down by appending the relation's products as terms; each degree is then
 summed by one `sum_of_products` call of the base, so this layer never
 touches the base's storage.  Over a `ChernRing` base no product is a
 Schubert product: `pb_pushforward` returns a polynomial in the Chern
-classes, which one `ChernRing.evaluator` maps to the space below.  The
-curve counts of `pipelines.count_curves` take this route, on P(O) over
-Gr(2, n+1) for lines and P(Sym^2 U*) over Gr(3, n+1) for conics.
+classes.  The curve counts of `pipelines.count_curves` take this route, on
+P(O) over Gr(2, n+1) for lines and P(Sym^2 U*) over Gr(3, n+1) for conics;
+a conic class then goes below by one `ChernRing.evaluator`, and a line
+class is integrated in the Chern classes as it stands.
 """
 
 from __future__ import annotations

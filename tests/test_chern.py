@@ -1,5 +1,6 @@
 import json
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 from random import Random
 
 import pytest
@@ -11,9 +12,9 @@ from curvecount import (
     ProjBundleRing,
     RingMismatchError,
     count_curves,
-    count_lines_hypersurface,
     dual,
     dual_universal_vector,
+    equivalence_lines_on_factor,
     integrate,
     pullback_vector,
     segre_from_chern,
@@ -331,6 +332,28 @@ class TestChernRing:
         assert [sym_power(cu, d) for d in (2, 3, 4)] == warm
         assert reads == []
 
+    @pytest.mark.parametrize("r, dim", [(2, 8), (3, 15), (4, 10)])
+    def test_sym_power_top_is_the_top_of_sym_power(self, r, dim):
+        # Sym^8 at rank 2, Sym^5 at rank 3 and Sym^3 at rank 4 already have
+        # a rank above dim, so both sides are zero there.
+        ring = ChernRing(r, dim)
+        tops = [ring.sym_power_top(d) for d in range(1, 9)]
+        assert tops == [ring.sym_power(d).top() for d in range(1, 9)]
+        assert [top.is_zero() for top in tops] == [comb(r + d - 1, d) > dim for d in range(1, 9)]
+
+    @pytest.mark.parametrize("r, d", [(2, 53), (3, 9), (4, 5), (5, 3)])
+    def test_sym_power_top_is_the_product_of_the_roots(self, r, d):
+        # At x = (2, 3, 5, ...) the e-polynomial, read with e_i at its value
+        # e_i(x), is the product of the roots m.x over all |m| = d.
+        x = (2, 3, 5, 7, 11)[:r]
+        e = [sum(prod(c) for c in combinations(x, i)) for i in range(1, r + 1)]
+        rank = comb(r + d - 1, d)
+        top = ChernRing(r, rank).sym_power_top(d)
+        value = sum(c * prod(v**a for v, a in zip(e, exps)) for exps, c in top.terms.items())
+        roots = [m for m in product(range(d + 1), repeat=r) if sum(m) == d]
+        assert len(roots) == rank
+        assert value == prod(sum(a * b for a, b in zip(m, x)) for m in roots)
+
     def test_equal_rings_are_one_ambient(self):
         a, b = ChernRing(2, 6), ChernRing(2, 6)
         assert a == b and hash(a) == hash(b)
@@ -448,14 +471,14 @@ class TestUniversalCache:
         try:
             set_universal_cache_dir(tmp_path)
             clear_universal_cache()
-            assert count_lines_hypersurface(4, 5).count == 2875
+            assert equivalence_lines_on_factor(5, 1, 4).count == 1275
             intact = json.loads(path.read_text())
             stored = json.loads(path.read_text())
             stored["degrees"][degree][0][field] = value
             path.write_text(json.dumps(stored))
             assert chern._load_cached(2, 5, 6) is None
             clear_universal_cache()
-            assert count_lines_hypersurface(4, 5).count == 2875
+            assert equivalence_lines_on_factor(5, 1, 4).count == 1275
             assert json.loads(path.read_text()) == intact
         finally:
             set_universal_cache_dir(None)

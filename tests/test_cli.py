@@ -346,7 +346,30 @@ class TestParserReuse:
         assert invoke(capsys, *argv) == (0, expected, "")
 
 
+# Each writes exactly one universal-polynomial file to an empty cache
+# directory: sym_r2_d3_t4.json and sym_r2_d5_t6.json.
+EQUIVALENCE_3_1_3 = ("equivalence", "--total", "3", "--factor", "1", "--ambient", "3")
+EQUIVALENCE_5_1_4 = ("equivalence", "--total", "5", "--factor", "1", "--ambient", "4")
+
+
 class TestCache:
+    @pytest.mark.parametrize("argv, count", [
+        (("lines", "--ambient", "4", "--degree", "5"), "2875"),
+        (("lines-ci", "--ambient", "5", "--degrees", "3,3"), "1053"),
+    ], ids=["lines", "lines-ci"])
+    def test_line_counts_write_no_cache_file(self, capsys, tmp_path, argv, count):
+        # A line count builds only the top class of each Sym^d U*, which is
+        # not a universal polynomial of the cache.
+        import curvecount.chern as chern
+
+        chern.clear_universal_cache()
+        try:
+            assert invoke(capsys, "--cache-dir", str(tmp_path), *argv)[:2] == (0, count + "\n")
+        finally:
+            chern.set_universal_cache_dir(None)
+            chern.clear_universal_cache()
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_dir_flag_writes_files(self, capsys, tmp_path):
         import curvecount.chern as chern
 
@@ -355,10 +378,10 @@ class TestCache:
             code, out, _ = invoke(
                 capsys,
                 "--cache-dir", str(tmp_path),
-                "lines", "--ambient", "4", "--degree", "5",
+                "equivalence", "--total", "5", "--factor", "1", "--ambient", "4",
             )
             assert code == 0
-            assert out.strip() == "2875"
+            assert out.strip() == "1275"
             assert any(tmp_path.iterdir())
         finally:
             chern.set_universal_cache_dir(None)
@@ -370,9 +393,9 @@ class TestCache:
         chern.clear_universal_cache()
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         try:
-            code, out, _ = invoke(capsys, "lines", "--ambient", "3", "--degree", "3")
+            code, out, _ = invoke(capsys, "equivalence", "--total", "3", "--factor", "1", "--ambient", "3")
             assert code == 0
-            assert out.strip() == "27"
+            assert out.strip() == "15"
             assert any(tmp_path.iterdir())
         finally:
             chern.set_universal_cache_dir(None)
@@ -384,12 +407,12 @@ class TestCache:
 
         chern.clear_universal_cache()
         try:
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), "lines", "--ambient", "3", "--degree", "3")
-            assert (code, out.strip()) == (0, "27")
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *EQUIVALENCE_3_1_3)
+            assert (code, out.strip()) == (0, "15")
             shutil.copy(tmp_path / "sym_r2_d3_t4.json", tmp_path / "sym_r2_d5_t6.json")
             chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), "lines", "--ambient", "4", "--degree", "5")
-            assert (code, out.strip()) == (0, "2875")
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *EQUIVALENCE_5_1_4)
+            assert (code, out.strip()) == (0, "1275")
             rewritten = json.loads((tmp_path / "sym_r2_d5_t6.json").read_text())
             assert (rewritten["r"], rewritten["d"], rewritten["trunc"]) == (2, 5, 6)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
@@ -404,8 +427,8 @@ class TestCache:
         path = tmp_path / "sym_r2_d5_t6.json"
         chern.clear_universal_cache()
         try:
-            argv = ["--cache-dir", str(tmp_path), "lines", "--ambient", "4", "--degree", "5"]
-            assert invoke(capsys, *argv)[:2] == (0, "2875\n")
+            argv = ["--cache-dir", str(tmp_path), *EQUIVALENCE_5_1_4]
+            assert invoke(capsys, *argv)[:2] == (0, "1275\n")
             intact = json.loads(path.read_text())
             stored = json.loads(path.read_text())
             if damage == "drop last degree":
@@ -414,7 +437,7 @@ class TestCache:
                 stored["degrees"][6][0][0].pop()
             path.write_text(json.dumps(stored))
             chern.clear_universal_cache()
-            assert invoke(capsys, *argv)[:2] == (0, "2875\n")
+            assert invoke(capsys, *argv)[:2] == (0, "1275\n")
             assert json.loads(path.read_text()) == intact
         finally:
             chern.set_universal_cache_dir(None)
@@ -465,22 +488,23 @@ class TestCache:
         named, library = tmp_path / "named", tmp_path / "library"
         chern.clear_universal_cache()
         try:
-            argv = ["lines", "--ambient", "3", "--degree", "3"]
-            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "27\n")
+            argv = EQUIVALENCE_3_1_3
+            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "15\n")
             chern.clear_universal_cache()
-            assert invoke(capsys, "lines", "--ambient", "6", "--degree", "9")[:2] == (0, "305093061\n")
+            assert invoke(capsys, "equivalence", "--total", "9", "--factor", "1", "--ambient", "6")[:2] == (
+                0, "111428037\n")
             assert [p.name for p in named.iterdir()] == ["sym_r2_d3_t4.json"]
             # The library's directory is back after a call that named another, and unused by one that names none.
             chern.set_universal_cache_dir(library)
             chern.clear_universal_cache()
-            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "27\n")
+            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "15\n")
             assert chern._CACHE_DIR == library
             chern.clear_universal_cache()
-            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
+            assert invoke(capsys, *EQUIVALENCE_5_1_4)[:2] == (0, "1275\n")
             assert not any(library.iterdir())
             monkeypatch.setenv(CACHE_DIR_ENV, str(named))
             chern.clear_universal_cache()
-            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
+            assert invoke(capsys, *EQUIVALENCE_5_1_4)[:2] == (0, "1275\n")
             assert sorted(p.name for p in named.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
             assert chern._CACHE_DIR == library
         finally:

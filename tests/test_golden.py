@@ -54,7 +54,7 @@ CLI_CASES = {
 
 # Each cache golden is the one file the command writes to an empty cache directory.
 CACHE_CASES = {
-    "sym_r2_d5_t6.json": ("lines", "--ambient", "4", "--degree", "5"),
+    "sym_r2_d5_t6.json": ("equivalence", "--total", "5", "--factor", "1", "--ambient", "4"),
     "sym_r3_d4_t15.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "4"),
 }
 

@@ -25,7 +25,10 @@ from curvecount import (
     tally_checks,
 )
 from curvecount import grassmannian
+from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
+from curvecount.pipelines import _catalan_integral
+from curvecount.symfunc import elementary_ring_poly
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
 
@@ -152,6 +155,30 @@ class TestCountCurves:
             with pytest.raises(TypeError):
                 count_curves("lines", 3, degrees)
 
+    @pytest.mark.parametrize("call", [
+        lambda: count_curves("lines", 4.0, [5]),
+        lambda: count_curves("conics", 4.0, [5]),
+        lambda: count_curves("lines", "4", [5]),
+        lambda: equivalence_lines_on_factor(5, 1, 4.0),
+        lambda: equivalence_lines_on_factor(5.0, 1, 4),
+        lambda: equivalence_lines_on_factor(5, 1.0, 4),
+    ], ids=["lines", "conics", "lines str", "equivalence n", "equivalence D", "equivalence e"])
+    def test_non_integer_ambient_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_catalan_integral_is_the_schubert_integral(self, N):
+        # Every e-monomial e_1^a e_2^b of top degree a + 2b = dim Gr(2, N).
+        base = GrassmannianRing(2, N)
+        ring = ChernRing(2, base.dim)
+        schubert = ring.evaluator(dual_universal_vector(base))
+        for b in range(base.dim // 2 + 1):
+            monomial = elementary_ring_poly(2, {(base.dim - 2 * b, b): 1})
+            assert _catalan_integral(monomial, base) == integrate(schubert(monomial))
+        below = elementary_ring_poly(2, {(base.dim - 1, 0): 5}) if base.dim else ring.zero()
+        assert _catalan_integral(below, base) == 0
+
 
 def bott_weights(n: int) -> list[int]:
     return [3**i + 7 * i * i for i in range(n + 1)]
@@ -175,6 +202,8 @@ class TestLocalizationOracle:
     @pytest.mark.parametrize(
         "kind, n, degrees",
         [("lines", n, [2 * n - 3]) for n in range(4, 13)]
+        # The lines rungs of the benchmark, up to its top rung P^28.
+        + [("lines", n, [2 * n - 3]) for n in (16, 20, 24, 28)]
         + [("lines", 5, [3, 3]), ("lines", 5, [2, 4]), ("lines", 6, [2, 2, 3]), ("lines", 7, [2, 2, 2, 2])]
         + [("conics", 4, [5]), ("conics", 6, [8]), ("conics", 8, [11]), ("conics", 5, [2, 4])],
     )
