@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 usage error, 3 mathematical precondition failure,
 4 internal assertion failure.  Output is plain text by default; pass
 `--format structured` for a canonical JSON object whose counts are decimal
 strings.
+
+`run` parses with one parser per process, made by its first call with its
+top level alone: each subcommand's parser, a calculator group's included,
+is built when a command line first reaches it and is reused after that.
+Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -245,15 +250,43 @@ CALCULATORS = {
 _GRASSMANNIAN = ("--grassmannian", _required(_parse_grassmannian, "r,N"))
 
 
+class _Deferred:
+    """A subcommand's parser, as `add_subparsers(parser_class=_Deferred)`
+    makes it from add_parser's keywords: the first attribute that argparse
+    looks up on it builds the real parser, which `fill` completes and which
+    serves that lookup and every later one."""
+
+    def __init__(self, fill, **kwargs):
+        self._fill, self._kwargs, self._parser = fill, kwargs, None
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            parser = argparse.ArgumentParser(**self._kwargs)
+            self._fill(parser)
+            self._parser = parser
+        return getattr(self._parser, name)
+
+
+def _fill_command(options, func, parser) -> None:
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+
+
+def _fill_group(group, commands, parser) -> None:
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Deferred)
+    _add_commands(sub, f"{group}-", commands, (_GRASSMANNIAN,))
+
+
 def _add_commands(sub, prefix: str, commands, common=()) -> None:
     for name, summary, options, emit in commands:
-        p = sub.add_parser(name, help=summary)
-        for flag, keywords in common + options:
-            p.add_argument(flag, **keywords)
-        p.set_defaults(func=partial(emit, prefix + name, options))
+        fill = partial(_fill_command, common + options, partial(emit, prefix + name, options))
+        sub.add_parser(name, help=summary, fill=fill)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; each subcommand's parser is built when a
+    command line first reaches it."""
     parser = argparse.ArgumentParser(
         prog="curvecount",
         description="Exact curve counts on Calabi-Yau threefolds via Schubert calculus.",
@@ -267,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help=f"directory for the universal-polynomial cache (or ${CACHE_DIR_ENV})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
     _add_commands(sub, "", COMMANDS)
     for group, (summary, commands) in CALCULATORS.items():
-        group_sub = sub.add_parser(group, help=summary).add_subparsers(dest="subcommand", required=True)
-        _add_commands(group_sub, f"{group}-", commands, (_GRASSMANNIAN,))
+        sub.add_parser(group, help=summary, fill=partial(_fill_group, group, commands))
     return parser
 
 

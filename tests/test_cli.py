@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -8,13 +9,30 @@ import pytest
 from curvecount import cli
 from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 
-from helpers import src_env
+from helpers import eager_parser, src_env
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+HELP_LINES = [
+    ["--help"],
+    *([name, "--help"] for name, *_ in cli.COMMANDS),
+    *([group, "--help"] for group in cli.CALCULATORS),
+    *([group, name, "--help"] for group, (_, commands) in cli.CALCULATORS.items() for name, *_ in commands),
+]
+# Usage errors, and an abbreviated global option that argparse accepts: (argv, exit code).
+USAGE_LINES = [
+    (["twisted-cubics"], 2),
+    ([], 2),
+    (["chern"], 2),
+    (["lines", "--ambient", "4", "--degree", "5", "--bogus"], 2),
+    (["schubert", "mult", "--grassmannian", "2x5", "--a", "1", "--b", "1"], 2),
+    (["--form", "structured", "lines", "--ambient", "4", "--degree", "5"], 0),
+]
 
 
 class TestCountingCommands:
@@ -332,18 +350,50 @@ class TestParserReuse:
             assert code == 0
             assert json.loads(out)["inputs"] == {"grassmannian": grassmannian, "degree": 2, "trunc": dim}
 
-    @pytest.mark.parametrize("argv", [
-        ["--help"], ["lines", "--help"], ["schubert", "--help"], ["chern", "segre", "--help"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", HELP_LINES, ids=" ".join)
     def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
+        cli._parser.cache_clear()
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+            eager_parser().parse_args(argv)
         expected = capsys.readouterr().out
         assert expected.startswith("usage: curvecount")
         assert invoke(capsys, *argv) == (0, expected, "")
         assert invoke(capsys, "lines", "--bogus")[0] == 2
         assert invoke(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, code", USAGE_LINES, ids=[" ".join(argv) or "no-command" for argv, _ in USAGE_LINES]
+    )
+    def test_usage_errors_match_an_eager_parser(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._parser.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", eager_parser)
+            expected = invoke(capsys, *argv)
+        assert expected[0] == code
+        assert invoke(capsys, *argv) == expected
+        assert invoke(capsys, *argv) == expected
+
+    def test_a_command_line_builds_only_the_parsers_it_reaches(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw)
+        )
+        lines = ("lines", "--ambient", "4", "--degree", "5")
+        try:
+            cli._parser.cache_clear()
+            assert invoke(capsys, *lines)[:2] == (0, "2875\n")
+            assert built == ["curvecount", "curvecount lines"]
+            assert invoke(capsys, *lines)[:2] == (0, "2875\n")
+            assert len(built) == 2
+            cli._parser.cache_clear()
+            built.clear()
+            assert invoke(capsys, "chern", "segre", "--grassmannian", "2,5", "--degree", "2")[0] == 0
+            assert built == ["curvecount", "curvecount chern", "curvecount chern segre"]
+        finally:
+            cli._parser.cache_clear()
 
 
 # Each writes exactly one universal-polynomial file to an empty cache
@@ -512,7 +562,7 @@ class TestCache:
             chern.clear_universal_cache()
 
 
-def test_module_entry_point_subprocess():
+def test_module_entry_point_subprocess(capsys, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "curvecount", "lines", "--ambient", "4", "--degree", "5"],
         capture_output=True,
@@ -521,3 +571,11 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2875"
+    # As the first command line of an interpreter, before any subcommand's
+    # parser exists, the module prints what the in-process `run` prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["twisted-cubics"], ["chern", "segre", "--help"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvecount", *argv], capture_output=True, text=True, env=src_env()
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
