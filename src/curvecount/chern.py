@@ -11,21 +11,23 @@ ambient: by the ring it names, or for a packed polynomial, which names no
 ring, by its variable count; `tensor_line` and the projective-bundle
 constructor share it.  Each component of a twist, sum or quotient is one
 `sum_of_products` call, so the ambient can collect the products before it
-reduces them.
+reduces them.  Every series c(E)/c(S), a Whitney quotient, a Segre class or
+the excess part of an equivalence, is one `quotient_series`.
 
-Symmetric powers go through universal polynomials: the total class of
-Sym^d of a rank-r bundle is a product of one symmetric factor per S_r orbit
-of its formal roots, each rewritten once in e_1..e_r and multiplied there.
-Its components are kept as packed e-polynomials, cached per (rank, power,
-truncation degree) in memory and optionally on disk.  `ChernRing` is
-Z[c_1..c_r] truncated at a dimension, where they are elements as they stand;
-its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i, maps
-them to a given bundle, each e-monomial once as a shorter one times one c_i.
+Symmetric powers go through universal polynomials: the product of
+(unit + root) over the formal roots of Sym^d of a rank-r bundle is one
+symmetric factor per S_r orbit of the roots, each rewritten once in
+e_1..e_r, multiplied there.  With unit 1 it is the total class, kept as
+packed e-polynomials per degree, cached per (rank, power, truncation
+degree) in memory and optionally on disk.  `ChernRing` is Z[c_1..c_r]
+truncated at a dimension, where they are elements as they stand; its
+`evaluator`, `symfunc.elementary_substitution` with e_i -> c_i, maps them
+to a given bundle, each e-monomial once as a shorter one times one c_i.
 `sym_power` of any bundle is `ChernRing.sym_power` under that map, and the
 conic counts, the equivalences and the `chern` calculators compute a whole
 class in `ChernRing` and map it to the Schubert basis once, at the end.
-`ChernRing.sym_power_top` builds c_top(Sym^d) alone, orbit by orbit, with
-no cache; the line counts need nothing else and integrate it in the ring.
+With unit 0 the product is c_top(Sym^d) alone, `ChernRing.sym_power_top`,
+with no cache; the line counts need nothing else and integrate it in the ring.
 """
 
 from __future__ import annotations
@@ -177,30 +179,29 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
                 yield (v,) + rest
 
 
-def _orbit_factor(lam: tuple[int, ...], trunc: int) -> SymmetricPoly:
-    """The product of (1 + m.x) over the distinct rearrangements m of `lam` up to
+def _orbit_factor(lam: tuple[int, ...], unit: int, trunc: int) -> SymmetricPoly:
+    """The product of (unit + m.x) over the distinct rearrangements m of `lam` up to
     degree `trunc`: symmetric, so rewritten once into the packed e-monomial ring."""
-    one = SymmetricPoly.constant(len(lam), 1)
     roots = _distinct_permutations(lam)
-    orbit = one + SymmetricPoly.linear_form(next(roots))
+    orbit = SymmetricPoly.linear_form(next(roots), unit)
     for m in roots:
-        orbit = orbit.mul_truncated(one + SymmetricPoly.linear_form(m), trunc)
+        orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
     return elementary_ring_poly(len(lam), reduce_to_elementary(orbit))
 
 
-def _compute_sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...]:
-    """Per-degree e-polynomials of the total class of Sym^d(rank-r bundle).
+def _sym_power_product(r: int, d: int, unit: int, trunc: int) -> SymmetricPoly:
+    """The product of (unit + root) over the roots of Sym^d(rank-r bundle), in
+    e_1..e_r up to weighted degree `trunc`: the total class for unit 1, and
+    the top class for unit 0 and `trunc` the rank.
 
-    The roots of Sym^d E are the forms sum(m_i x_i) over exponent vectors m
-    with |m| = d.  They fall into S_r orbits, one per partition of d into at
-    most r parts; the orbit factors are multiplied in e_1..e_r up to
-    weighted degree `trunc`, from the lexicographically largest partition
-    down, and split by that degree.
+    The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d, in one S_r
+    orbit per partition of d into at most r parts; the orbit factors are
+    multiplied from the lexicographically largest partition down.
     """
     total = SymmetricPoly.constant(r, 1)
     for lam in reversed(partitions_of_weight(d, r, d)):
-        total = total.mul_truncated(_orbit_factor(lam.parts + (0,) * (r - len(lam)), trunc), trunc)
-    return total.graded(trunc)
+        total = total.mul_truncated(_orbit_factor(lam.parts + (0,) * (r - len(lam)), unit, trunc), trunc)
+    return total
 
 
 def _cache_file(r: int, d: int, trunc: int) -> Path:
@@ -274,7 +275,7 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...
         return _SYM_CACHE[key]
     value = _load_cached(r, d, trunc) if _CACHE_DIR is not None else None
     if value is None:
-        value = _compute_sym_power_elementary(r, d, trunc)
+        value = _sym_power_product(r, d, 1, trunc).graded(trunc)
         if _CACHE_DIR is not None:
             _store_cached(r, d, trunc, value)
     _SYM_CACHE[key] = value
@@ -349,18 +350,10 @@ class ChernRing:
     def sym_power_top(self, d: int) -> SymmetricPoly:
         """c_top(Sym^d) of the generic bundle alone, zero when the rank of Sym^d
         exceeds dim: the product of the roots m.x, one S_r orbit at a time.
-        Each orbit's product is symmetric and homogeneous, so it is rewritten
-        in e_1..e_r once and no truncation or lower degree is built."""
-        if sym_power_rank(self.r, d) > self.dim:
-            return self.zero()
-        top = self.one()
-        for lam in partitions_of_weight(d, self.r, d):
-            roots = _distinct_permutations(lam.parts + (0,) * (self.r - len(lam)))
-            orbit = SymmetricPoly.linear_form(next(roots))
-            for m in roots:
-                orbit = orbit * SymmetricPoly.linear_form(m)
-            top = top * elementary_ring_poly(self.r, reduce_to_elementary(orbit))
-        return top
+        Each orbit's product is symmetric and homogeneous, so no lower degree
+        is built."""
+        rank = sym_power_rank(self.r, d)
+        return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), as a function with its own monomial memo."""
@@ -412,18 +405,19 @@ def whitney_sum(a: ChernVector, b: ChernVector) -> ChernVector:
     return ChernVector(ring, rank, comps)
 
 
-def _quotient_series(e: ChernVector, s: ChernVector, top: int) -> list:
+def quotient_series(e: ChernVector, s: ChernVector, top: int) -> list:
     """Components 0..top of the total class c(E)/c(S).
 
     Power-series division, exact over the integers because c_0(S) = 1; the
-    components of E and S beyond their stored lists are zero.
+    components of E and S beyond their stored lists are zero, and so is
+    every component above the ambient's dimension.
     """
     ring = e.ring
     comps = [ring.one()]
-    for k in range(1, top + 1):
+    for k in range(1, min(top, ring.dim) + 1):
         products = ring.sum_of_products((1, s.component(j), comps[k - j]) for j in range(1, k + 1))
         comps.append(e.component(k) - products)
-    return comps
+    return comps + [ring.zero()] * (top + 1 - len(comps))
 
 
 def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -> ChernVector:
@@ -441,7 +435,7 @@ def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -
         trunc = ring.dim
     elif trunc < 0:
         raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
-    return ChernVector(ring, rank, _quotient_series(e, s, min(rank, trunc, ring.dim)))
+    return ChernVector(ring, rank, quotient_series(e, s, min(rank, trunc, ring.dim)))
 
 
 def segre_from_chern(c: ChernVector, trunc: int) -> list:
@@ -451,4 +445,4 @@ def segre_from_chern(c: ChernVector, trunc: int) -> list:
     """
     if trunc < 0:
         raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
-    return _quotient_series(trivial_vector(c.ring, 0), c, trunc)
+    return quotient_series(trivial_vector(c.ring, 0), c, trunc)

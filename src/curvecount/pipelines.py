@@ -18,7 +18,7 @@ A line count needs only the top class of each Sym^d U*, and integrates it
 over Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts and
 the equivalences map the classes they integrate or trace to the Schubert
 basis, each once, through products with the one-column classes
-c_i(U*) = sigma_(1^i).
+c_i(U*) = sigma_(1^i).  An equivalence's excess part is one `quotient_series`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass, replace
 from math import comb
 
-from .chern import ChernRing, dual_universal_vector, segre_from_chern, sym_power_rank, trivial_vector
+from .chern import ChernRing, dual_universal_vector, quotient_series, segre_from_chern, sym_power_rank, trivial_vector
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate
 from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
@@ -257,11 +257,8 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
             f"excess family of lines in P^{n}"
         )
-    forms, small = ring.sym_power(D), ring.sym_power(e)
-    # The degree-k part of c(Sym^D) s(Sym^e).  Not whitney_quotient: that
-    # truncates at the quotient's rank, below k when D < 2n - 3.
-    segre = segre_from_chern(small, k)
-    excess = ring.sum_of_products((1, forms.component(i), segre[k - i]) for i in range(k + 1))
+    small = ring.sym_power(e)
+    excess = quotient_series(ring.sym_power(D), small, k)[k]
     locus = small.top()
     schubert = ring.evaluator(dual_universal_vector(base))
     count = integrate(schubert(excess.mul_truncated(locus, ring.dim)))

@@ -90,10 +90,10 @@ class SymmetricPoly:
         return cls._trusted(nvars, {0: c} if c else {})
 
     @classmethod
-    def linear_form(cls, coeffs: tuple[int, ...]) -> "SymmetricPoly":
-        """The form sum(coeffs[i] * x_i)."""
+    def linear_form(cls, coeffs: tuple[int, ...], unit: int = 0) -> "SymmetricPoly":
+        """The form unit + sum(coeffs[i] * x_i)."""
         n = len(coeffs)
-        terms = {}
+        terms = {(0,) * n: unit} if unit else {}
         for i, m in enumerate(coeffs):
             if m:
                 e = [0] * n

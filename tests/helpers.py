@@ -9,7 +9,7 @@ plain exponent tuples, without the packed `SymmetricPoly` kernel, and
 `elementary_to_monomials` expands e-polynomials without the memoized
 e-monomials of `reduce_to_elementary`.  `roots_sym_power_elementary`
 multiplies every root factor of Sym^d in the formal roots, without the
-S_r-orbit factors of `chern._compute_sym_power_elementary`.  Both return
+S_r-orbit factors of `chern._sym_power_product`.  Both return
 the per-degree tuple form of the cache files, and `packed` turns that form
 into the packed e-polynomials of production.
 `power_table_sym_power` evaluates the universal Sym^d polynomials from

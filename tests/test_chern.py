@@ -285,6 +285,18 @@ class TestSegre:
             segre_from_chern(trivial_vector(GR25, 2), -3)
         assert segre_from_chern(trivial_vector(GR25, 2), 0) == [GR25.one()]
 
+    def test_no_products_above_the_ambient_dimension(self, monkeypatch):
+        # Every class above dim Gr(2,4) = 4 is zero, so a series asked to
+        # degree 104 takes one sum of products per degree 1..4 and no more.
+        calls = []
+        kernel = ChernRing.sum_of_products
+        monkeypatch.setattr(ChernRing, "sum_of_products", lambda ring, terms: calls.append(1) or kernel(ring, terms))
+        ring = ChernRing(2, 4)
+        s = segre_from_chern(ring.sym_power(2), 104)
+        assert len(calls) <= 4
+        assert len(s) == 105 and all(si.is_zero() for si in s[5:])
+        assert s[:5] == segre_from_chern(ring.sym_power(2), 4)
+
     def test_convolution_with_chern_is_one(self):
         rng = Random(14)
         for _ in range(10):
@@ -449,7 +461,7 @@ class TestUniversalCache:
             set_universal_cache_dir(tmp_path)
             clear_universal_cache()
             chern._store_cached(2, 5, 6, packed(roots_sym_power_elementary(2, 5, 6)))
-            monkeypatch.setattr(chern, "_compute_sym_power_elementary", refuse)
+            monkeypatch.setattr(chern, "_sym_power_product", refuse)
             assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
         finally:
             set_universal_cache_dir(None)

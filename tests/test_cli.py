@@ -527,7 +527,7 @@ class TestCache:
         assert (stored["format"], stored["r"], stored["d"], stored["trunc"]) == (chern._CACHE_FORMAT, 3, 4, 15)
         try:
             chern.set_universal_cache_dir(tmp_path)
-            assert chern._load_cached(3, 4, 15) == chern._compute_sym_power_elementary(3, 4, 15)
+            assert chern._load_cached(3, 4, 15) == chern._sym_power_product(3, 4, 1, 15).graded(15)
         finally:
             chern.set_universal_cache_dir(None)
 

@@ -5,10 +5,15 @@ from random import Random
 import pytest
 
 from curvecount import RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
-from curvecount.chern import _compute_sym_power_elementary, _orbit_factor
+from curvecount.chern import _orbit_factor, _sym_power_product
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly
 
 from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_elementary, tuple_sym_power_elementary
+
+
+def total_class(r, d, trunc):
+    """The per-degree e-polynomials of c(Sym^d) of a rank-r bundle, as the cache holds them."""
+    return _sym_power_product(r, d, 1, trunc).graded(trunc)
 
 
 def x_power(nvars, i, a=1):
@@ -139,23 +144,27 @@ class TestPackedKernel:
         rank = comb(r + d - 1, d)
         uncut = tuple_sym_power_elementary(r, d, rank + 1)
         for trunc in range(rank + 2):
-            assert _compute_sym_power_elementary(r, d, trunc) == packed(uncut[:trunc + 1])
+            assert total_class(r, d, trunc) == packed(uncut[:trunc + 1])
 
     @pytest.mark.parametrize("key", [(2, 53, 54), (3, 11, 18), (3, 9, 18), (4, 4, 12)])
     def test_universal_polynomials_match_roots_oracle(self, key):
-        assert _compute_sym_power_elementary(*key) == packed(roots_sym_power_elementary(*key))
+        assert total_class(*key) == packed(roots_sym_power_elementary(*key))
 
     @pytest.mark.parametrize("a, b", [(5, 0), (4, 1), (3, 2), (7, 2), (3, 3)])
     def test_rank_two_orbit_factor(self, a, b):
         # (1 + a x1 + b x2)(1 + b x1 + a x2) = 1 + d e1 + ab e1^2 + (a-b)^2 e2
-        # for a != b; a single root a(x1 + x2) when a == b.
+        # for a != b; a single root a(x1 + x2) when a == b.  With unit 0 the
+        # orbit is the product of the roots alone, ab e1^2 + (a-b)^2 e2 or a e1.
         d = a + b
         if a != b:
             expected = {(0, 0): 1, (1, 0): d, (2, 0): a * b, (0, 1): (a - b) ** 2}
+            top = {(2, 0): a * b, (0, 1): (a - b) ** 2}
         else:
             expected = {(0, 0): 1, (1, 0): a}
-        assert _orbit_factor((a, b), 2) == elementary_ring_poly(2, expected)
-        assert _orbit_factor((a, b), 1) == elementary_ring_poly(2, {(0, 0): 1, (1, 0): d if a != b else a})
+            top = {(1, 0): a}
+        assert _orbit_factor((a, b), 1, 2) == elementary_ring_poly(2, expected)
+        assert _orbit_factor((a, b), 1, 1) == elementary_ring_poly(2, {(0, 0): 1, (1, 0): d if a != b else a})
+        assert _orbit_factor((a, b), 0, 2) == elementary_ring_poly(2, top)
 
     def test_elementary_ring_grades_by_weight(self):
         # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
