@@ -19,13 +19,15 @@ Symmetric powers go through universal polynomials: the product of
 symmetric factor per S_r orbit of the roots, each rewritten once in
 e_1..e_r, multiplied there.  With unit 1 it is the total class, kept as
 packed e-polynomials per degree, cached per (rank, power, truncation
-degree) in memory and optionally on disk.  `ChernRing` is Z[c_1..c_r]
-truncated at a dimension, where they are elements as they stand; its
-`evaluator`, `symfunc.elementary_substitution` with e_i -> c_i, maps them
-to a given bundle, each e-monomial once as a shorter one times one c_i.
-`sym_power` of any bundle is `ChernRing.sym_power` under that map, and the
-conic counts, the equivalences and the `chern` calculators compute a whole
-class in `ChernRing` and map it to the Schubert basis once, at the end.
+degree) in memory and optionally on disk.  A disk file is served only if
+it is byte for byte the text `_store_cached` writes for its key; any other
+file, or one that cannot be read, is recomputed.  `ChernRing` is
+Z[c_1..c_r] truncated at a dimension, where they are elements as they
+stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
+maps them to a given bundle, each e-monomial once as a shorter one times
+one c_i.  `sym_power` of any bundle is `ChernRing.sym_power` under that
+map, and the conic counts and the `chern` calculators compute a whole class
+in `ChernRing` and map it to the Schubert basis once, at the end.
 With unit 0 the product is c_top(Sym^d) alone, `ChernRing.sym_power_top`,
 with no cache; the line counts need nothing else and integrate it in the ring.
 """
@@ -208,50 +210,33 @@ def _cache_file(r: int, d: int, trunc: int) -> Path:
     return _CACHE_DIR / f"sym_r{r}_d{d}_t{trunc}.json"
 
 
+def _cache_text(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> str:
+    """The text of the key's file: each degree sorted by exponents, coefficients as decimal strings."""
+    degrees = [[[list(exps), str(coeff)] for exps, coeff in sorted(p.terms.items())] for p in value]
+    return json.dumps({"format": _CACHE_FORMAT, "r": r, "d": d, "trunc": trunc, "degrees": degrees})
+
+
 def _load_cached(r: int, d: int, trunc: int):
-    """The stored polynomials for the key, or None when the file is missing,
-    unreadable, of another format version, holds another key, or does not
-    have trunc + 1 degrees of distinct r-entry exponent tuples of
-    non-negative ints, each of the weighted degree sum(i * a_i) of its slot,
-    with integer coefficients."""
-    path = _cache_file(r, d, trunc)
-    if not path.is_file():
-        return None
+    """The stored polynomials for the key, or None when the file cannot be read
+    or parsed, or is not byte for byte the `_cache_text` of the polynomials it
+    parses to: another format or key, a repeated entry, an entry in the slot
+    of another degree or a non-integer value all render differently."""
     try:
-        data = json.loads(path.read_text())
-        if (data["format"], data["r"], data["d"], data["trunc"]) != (_CACHE_FORMAT, r, d, trunc):
-            return None
-        value = tuple(
-            tuple((tuple(exps), int(str(coeff))) for exps, coeff in degree)  # int(True), int(2.5) would pass
-            for degree in data["degrees"]
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        text = _cache_file(r, d, trunc).read_text()
+        entries = {tuple(exps): int(coeff) for degree in json.loads(text)["degrees"] for exps, coeff in degree}
+        value = elementary_ring_poly(r, entries).graded(trunc)
+    except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError):
         return None
-    if len(value) != trunc + 1 or any(
-        len(exps) != r
-        or any(type(a) is not int or a < 0 for a in exps)
-        or sum(i * a for i, a in enumerate(exps, 1)) != weight
-        for weight, degree in enumerate(value)
-        for exps, _ in degree
-    ) or any(len(dict(degree)) != len(degree) for degree in value):
-        return None
-    return tuple(elementary_ring_poly(r, dict(degree)) for degree in value)
+    return value if _cache_text(r, d, trunc, value) == text else None
 
 
 def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> None:
-    """Write each degree sorted by exponents, through a temporary file, so that no reader sees a partial file.
+    """Write `_cache_text` through a temporary file, so that no reader sees a partial file.
 
     A write that fails with an OSError (the directory gone, the disk full)
     leaves no temporary file behind and is dropped: the value is still
     served from memory, and a later process computes it again.
     """
-    payload = {
-        "format": _CACHE_FORMAT,
-        "r": r,
-        "d": d,
-        "trunc": trunc,
-        "degrees": [[[list(exps), str(coeff)] for exps, coeff in sorted(p.terms.items())] for p in value],
-    }
     path = _cache_file(r, d, trunc)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -259,7 +244,7 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) 
         return
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(_cache_text(r, d, trunc, value))
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -441,8 +426,11 @@ def whitney_quotient(e: ChernVector, s: ChernVector, trunc: int | None = None) -
 def segre_from_chern(c: ChernVector, trunc: int) -> list:
     """Segre classes: the coefficients of the inverse of the total Chern class.
 
-    Returns [s_0 = 1, s_1, ..., s_trunc] with s_1 = -c_1, s_2 = c_1^2 - c_2, ...
+    Returns [s_0 = 1, s_1, ..., s_trunc] with s_1 = -c_1, s_2 = c_1^2 - c_2, ...;
+    a truncation at or past DEGREE_LIMIT, the bound of every degree, is refused.
     """
     if trunc < 0:
         raise PreconditionError(f"truncation degree must be >= 0, got {trunc}")
+    if trunc >= DEGREE_LIMIT:
+        raise PreconditionError(f"truncation degree {trunc} must be below {DEGREE_LIMIT}")
     return quotient_series(trivial_vector(c.ring, 0), c, trunc)

@@ -317,13 +317,19 @@ class ChowClass:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """(c + n)^p for c the degree-0 coefficient: the sum of binom(p, j) c^(p-j) n^j
+        over j <= dim, since n^(dim+1) = 0, so at most dim products for any p."""
         if exponent < 0:
             raise PreconditionError(f"negative powers are not defined, got {exponent}")
-        out = self.ring.one()
-        for _ in range(exponent):
-            out = out * self
-            if out.is_zero():
+        c = self._coeffs.get(0, 0)
+        n = ChowClass._trusted(self.ring, {i: a for i, a in self._coeffs.items() if i})
+        out = self.ring.one() * c ** exponent
+        n_j = self.ring.one()
+        for j in range(1, min(exponent, self.ring.dim) + 1):
+            n_j = n_j * n
+            if n_j.is_zero():
                 break
+            out = out + n_j * (comb(exponent, j) * c ** (exponent - j))
         return out
 
     def __eq__(self, other) -> bool:

@@ -14,11 +14,12 @@ c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
 where the universal Sym^d polynomials are elements as they stand.  Lines
 and conics share one moduli shape, a `projbundle.ProjBundleRing` over that
 ring (P(O) for lines, P(Sym^2 U*) for conics), pushed down to it once.
-A line count needs only the top class of each Sym^d U*, and integrates it
-over Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts and
-the equivalences map the classes they integrate or trace to the Schubert
-basis, each once, through products with the one-column classes
-c_i(U*) = sigma_(1^i).  An equivalence's excess part is one `quotient_series`.
+A line count needs only the top class of each Sym^d U*.  It and an
+equivalence, whose excess part is one `quotient_series`, integrate over
+Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts
+map the class they integrate, and the equivalences the classes they trace,
+to the Schubert basis, each once, through products with the one-column
+classes c_i(U*) = sigma_(1^i).
 """
 
 from __future__ import annotations
@@ -260,8 +261,8 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     small = ring.sym_power(e)
     excess = quotient_series(ring.sym_power(D), small, k)[k]
     locus = small.top()
+    count = _catalan_integral(excess.mul_truncated(locus, ring.dim), base)
     schubert = ring.evaluator(dual_universal_vector(base))
-    count = integrate(schubert(excess.mul_truncated(locus, ring.dim)))
     excess, locus = schubert(excess), schubert(locus)
     trace = (
         ("moduli_space", f"Gr(2,{n + 1})"),

@@ -23,7 +23,8 @@ class arithmetic, without the fused `sum_of_products` kernel.
 with no Schubert calculus, symmetric-function reduction or bundle relation.
 `eager_parser` builds the whole command-line parser up front, every
 subcommand's parser with it, as `cli.build_parser` did before it deferred
-them.
+them.  `cap_products` makes `GrassmannianRing.sum_of_products` fail after a
+number of calls, so a loop that would run for hours fails at once.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def src_env() -> dict:
     """The environment for a subprocess that imports curvecount from this tree."""
     return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def cap_products(monkeypatch, limit: int = 50) -> None:
+    """Make `GrassmannianRing.sum_of_products`, every Schubert product, raise after `limit` calls."""
+    original = GrassmannianRing.sum_of_products
+    calls = []
+
+    def capped(ring, terms):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} Schubert products")
+        return original(ring, terms)
+
+    monkeypatch.setattr(GrassmannianRing, "sum_of_products", capped)
 
 
 def clear_product_memos() -> None:

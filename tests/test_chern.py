@@ -1,6 +1,7 @@
 import json
 from itertools import combinations, product
 from math import comb, prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -25,7 +26,7 @@ from curvecount import (
     whitney_sum,
 )
 from curvecount.chern import ChernRing, clear_universal_cache, set_universal_cache_dir, sym_power_elementary
-from curvecount.symfunc import SymmetricPoly, reduce_to_elementary
+from curvecount.symfunc import DEGREE_LIMIT, SymmetricPoly, reduce_to_elementary
 
 from helpers import packed, power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
 
@@ -285,6 +286,10 @@ class TestSegre:
             segre_from_chern(trivial_vector(GR25, 2), -3)
         assert segre_from_chern(trivial_vector(GR25, 2), 0) == [GR25.one()]
 
+    def test_truncation_at_the_degree_limit_rejected(self):
+        with pytest.raises(PreconditionError, match=f"truncation degree {DEGREE_LIMIT} must be below {DEGREE_LIMIT}"):
+            segre_from_chern(trivial_vector(GR25, 2), DEGREE_LIMIT)
+
     def test_no_products_above_the_ambient_dimension(self, monkeypatch):
         # Every class above dim Gr(2,4) = 4 is zero, so a series asked to
         # degree 104 takes one sum of products per degree 1..4 and no more.
@@ -492,6 +497,44 @@ class TestUniversalCache:
             clear_universal_cache()
             assert equivalence_lines_on_factor(5, 1, 4).count == 1275
             assert json.loads(path.read_text()) == intact
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_reformatted_cache_file_recomputed_and_rewritten(self, tmp_path, monkeypatch):
+        # The same payload with other whitespace is not the file this version
+        # writes, so it is computed again and replaced by the canonical text.
+        import curvecount.chern as chern
+
+        path = tmp_path / "sym_r2_d5_t6.json"
+        computed = []
+        product = chern._sym_power_product
+        monkeypatch.setattr(chern, "_sym_power_product", lambda *key: computed.append(key) or product(*key))
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            value = sym_power_elementary(2, 5, 6)
+            canonical = path.read_text()
+            path.write_text(json.dumps(json.loads(canonical), indent=1))
+            clear_universal_cache()
+            assert sym_power_elementary(2, 5, 6) == value
+            assert len(computed) == 2
+            assert path.read_text() == canonical
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    def test_unreadable_cache_file_recomputed(self, tmp_path, monkeypatch):
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            assert equivalence_lines_on_factor(5, 1, 4).count == 1275
+            clear_universal_cache()
+            monkeypatch.setattr(Path, "read_text", denied)
+            assert equivalence_lines_on_factor(5, 1, 4).count == 1275
         finally:
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -9,7 +9,7 @@ import pytest
 from curvecount import cli
 from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 
-from helpers import eager_parser, src_env
+from helpers import cap_products, eager_parser, src_env
 
 
 def invoke(capsys, *argv):
@@ -109,6 +109,14 @@ class TestCalculatorCommands:
         )
         assert code == 0
         assert out.strip() == '"5"'
+
+    @pytest.mark.parametrize("grassmannian, integral", [("2,4", "0"), ("2,2", "1")])
+    def test_schubert_integrate_huge_power_of_the_unit(self, capsys, monkeypatch, grassmannian, integral):
+        cap_products(monkeypatch)
+        code, out, _ = invoke(
+            capsys, "schubert", "integrate", "--grassmannian", grassmannian, "--a", "0", "--power", str(10**12)
+        )
+        assert (code, out) == (0, f'"{integral}"\n')
 
     def test_schubert_out_of_box_exits_three(self, capsys):
         code, _, err = invoke(
@@ -214,6 +222,16 @@ class TestCalculatorCommands:
         code, out, err = invoke(capsys, "chern", *argv)
         assert (code, out) == (3, "")
         assert f"dim < {chern.DEGREE_LIMIT}" in err
+
+    def test_chern_segre_truncation_at_the_degree_limit_exits_three(self, capsys):
+        import curvecount.chern as chern
+
+        limit = chern.DEGREE_LIMIT
+        code, out, err = invoke(
+            capsys, "chern", "segre", "--grassmannian", "2,4", "--degree", "2", "--trunc", str(limit)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: truncation degree {limit} must be below {limit}\n"
 
     def test_chern_segre_negative_truncation_exits_three(self, capsys):
         code, out, err = invoke(

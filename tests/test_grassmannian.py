@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -18,7 +19,7 @@ from curvecount import (
 from curvecount.grassmannian import _box, _lr_expansion
 from curvecount.partitions import partitions_in_box
 
-from helpers import brute_lr_coefficient, clear_product_memos, oracle_multiply, point_class, random_class
+from helpers import brute_lr_coefficient, cap_products, clear_product_memos, oracle_multiply, point_class, random_class
 
 GR24 = GrassmannianRing(2, 4)
 GR25 = GrassmannianRing(2, 5)
@@ -136,6 +137,26 @@ class TestMultiply:
     def test_negative_power_rejected(self):
         with pytest.raises(PreconditionError):
             GR25.sigma((1,)) ** -1
+
+    def test_power_of_a_class_with_a_degree_zero_part_takes_at_most_dim_products(self, monkeypatch):
+        sigma1 = GR24.sigma((1,))
+        p = 10**6
+        expected = GR24.zero()
+        for j in range(GR24.dim + 1):
+            expected = expected + comb(p, j) * sigma1 ** j
+        cap_products(monkeypatch)
+        assert GR24.one() ** 10**12 == GR24.one()
+        assert (GR24.one() + sigma1) ** p == expected
+        assert (-1 * GR24.one()) ** (10**12 + 1) == -1 * GR24.one()
+
+    def test_power_matches_repeated_products(self):
+        rng = Random(19)
+        for _ in range(10):
+            x = random_class(GR24, rng)
+            product = GR24.one()
+            for k in range(GR24.dim + 3):
+                assert x ** k == product
+                product = product * x
 
     def test_warm_memo_builds_no_partition(self, monkeypatch):
         ring = GrassmannianRing(3, 8)

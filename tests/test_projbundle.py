@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -109,6 +110,35 @@ class TestMultiplication:
     def test_negative_power_rejected(self):
         with pytest.raises(PreconditionError):
             proj_space(3).zeta() ** -1
+
+    def test_power_with_a_degree_zero_part_squares(self, monkeypatch):
+        import curvecount.projbundle as projbundle
+
+        p3, p = proj_space(3), 10**12
+        zeta = p3.zeta()
+        expected = p3.zero()
+        for j in range(4):
+            expected = expected + comb(p, j) * zeta ** j
+        calls = []
+        original = projbundle.pb_multiply
+
+        def capped(x, y):
+            calls.append(1)
+            assert len(calls) <= 2 * p.bit_length(), "a product per unit of the exponent"
+            return original(x, y)
+
+        monkeypatch.setattr(projbundle, "pb_multiply", capped)
+        assert (p3.one() + zeta) ** p == expected
+
+    def test_power_matches_repeated_products(self):
+        rng = Random(33)
+        for _ in range(4):
+            ring = random_ring(rng)
+            x = ring.pullback(random_class(ring.base, rng)) + ring.zeta()
+            product = ring.one()
+            for k in range(ring.dim + 2):
+                assert x ** k == product
+                product = product * x
 
     def test_rank_one_bundle_collapses_zeta(self):
         # s = 1: the fiber is a point and z reduces to -c1(E).
