@@ -20,8 +20,9 @@ symmetric factor per S_r orbit of the roots, each rewritten once in
 e_1..e_r, multiplied there.  With unit 1 it is the total class, kept as
 packed e-polynomials per degree, cached per (rank, power, truncation
 degree) in memory and optionally on disk.  A disk file is served only if
-it is byte for byte the text `_store_cached` writes for its key; any other
-file, or one that cannot be read, is recomputed.  `ChernRing` is
+it is byte for byte the text `_store_cached` writes for its key and its
+values at the roots (1, ..., r) are those of Sym^d; any other file, or one
+that cannot be read, is recomputed.  `ChernRing` is
 Z[c_1..c_r] truncated at a dimension, where they are elements as they
 stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
 maps them to a given bundle, each e-monomial once as a shorter one times
@@ -216,18 +217,36 @@ def _cache_text(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) ->
     return json.dumps({"format": _CACHE_FORMAT, "r": r, "d": d, "trunc": trunc, "degrees": degrees})
 
 
+def _sym_power_at_roots(r: int, d: int, trunc: int) -> list[int]:
+    """c_0..c_trunc of Sym^d of a rank-r bundle at the roots x = (1, ..., r):
+    the elementary symmetric functions of the values of the forms m.x, |m| = d."""
+    out = [1] + [0] * trunc
+    for lam in partitions_of_weight(d, r, d):
+        for m in _distinct_permutations(lam.parts + (0,) * (r - len(lam))):
+            root = sum(i * a for i, a in enumerate(m, 1))
+            for k in range(trunc, 0, -1):
+                out[k] += root * out[k - 1]
+    return out
+
+
 def _load_cached(r: int, d: int, trunc: int):
     """The stored polynomials for the key, or None when the file cannot be read
     or parsed, or is not byte for byte the `_cache_text` of the polynomials it
     parses to: another format or key, a repeated entry, an entry in the slot
-    of another degree or a non-integer value all render differently."""
+    of another degree or a non-integer value all render differently.  A file
+    that renders the same is still refused unless each degree, mapped by
+    e_i -> e_i(1, ..., r), takes its value in `_sym_power_at_roots`; each
+    e-monomial is positive there, so a changed coefficient changes a value."""
     try:
         text = _cache_file(r, d, trunc).read_text()
         entries = {tuple(exps): int(coeff) for degree in json.loads(text)["degrees"] for exps, coeff in degree}
         value = elementary_ring_poly(r, entries).graded(trunc)
     except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError):
         return None
-    return value if _cache_text(r, d, trunc, value) == text else None
+    if _cache_text(r, d, trunc, value) != text:
+        return None
+    at_roots = elementary_substitution(_sym_power_at_roots(r, 1, r), 0)  # Sym^1: e_0..e_r of (1, ..., r)
+    return value if [at_roots(p) for p in value] == _sym_power_at_roots(r, d, trunc) else None
 
 
 def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> None:

@@ -4,17 +4,18 @@ Classes on Gr(r, N) (r-dimensional subspaces of an N-dimensional space) are
 finite integer combinations of Schubert classes indexed by partitions inside
 the r x (N-r) box.  Arithmetic works on basis indices: a partition's index is
 its position among the box's partitions in lexicographic order, so () is 0
-and the full box is last.  Each box has one table, filled as partitions are
-first met, that maps parts tuples to indices and back.  Below the API a
-partition is its parts tuple; `Partition` objects are built only from
+and the full box is last.  There is one `GrassmannianRing` per (r, N), and
+it holds its own tables, filled as partitions are first met: parts tuples
+to indices and back, product expansions and horizontal strips.  Below the
+API a partition is its parts tuple; `Partition` objects are built only from
 outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 `basis`, `dual_partition`).  Products use the Littlewood-Richardson rule,
 computed by enumerating chains of horizontal strips with the lattice-word
 condition; the expansion of each sorted pair of partitions in a box is
-memoized as (index, coefficient) pairs, and each box keeps a table of those
+memoized as (index, coefficient) pairs, and each ring keeps a table of those
 expansions keyed by the sorted pair of basis indices, packed into one int.
-Each box also keeps a table of horizontal strips by (parts, size), which
-the LR chains and Pieri share, so each strip set is enumerated once.
+The ring's table of horizontal strips by (parts, size) serves the LR chains
+and Pieri alike, so each strip set is enumerated once.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
 Pieri rule fills its table entry from the vertical strips.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
@@ -38,36 +39,55 @@ from .errors import PreconditionError, RingMismatchError
 from .partitions import Partition, horizontal_strips, partitions_in_box, partitions_of_weight, vertical_strips
 
 
-class _Box:
-    """Basis table of the rows x cols box: parts and weight by index.
+_RINGS: dict[tuple[int, int], "GrassmannianRing"] = {}  # by (r, N); cold-cache tests clear the product tables here
 
-    An index is the lexicographic rank of the partition among all partitions
-    in the box, computed from the parts alone, so entries are added as
-    partitions are first met and the box is never enumerated.  `products`
-    maps the key i * size + j of an index pair i <= j to the expansion of
-    sigma_i * sigma_j; an int key, unlike a tuple, leaves the garbage
-    collector nothing to track.  `strips` maps (parts, size) to the tuple of
-    parts of each in-box nu with nu/parts a horizontal strip of `size`
-    boxes, so the LR chains and Pieri enumerate each strip set once per box.
-    Entries are only ever added, with the same values, so concurrent readers
-    are safe.
+
+class GrassmannianRing:
+    """Chow ring of Gr(r, N), the r-dimensional subspaces of an N-space.
+
+    r == N is allowed and gives a point (zero-dimensional ring), which the
+    projective-bundle layer uses to model plain projective spaces.  There is
+    one ring per (r, N), compared by identity, and it is the basis table of
+    its rows x cols box (rows = r, cols = N - r): an index is the lex rank
+    of a partition in the box, computed from its parts, so entries are added
+    as partitions are first met and the box is never enumerated.  `products`
+    maps the key i * size + j of indices i <= j to the expansion of
+    sigma_i * sigma_j (an int key leaves the garbage collector nothing to
+    track); `strips` maps (parts, size) to the in-box horizontal strips of
+    `size` boxes on `parts`, which the LR chains and Pieri share.  Entries
+    are only ever added, with the same values, so concurrent readers are safe.
     """
 
-    __slots__ = ("rows", "cols", "size", "last", "index", "parts", "weights", "products", "strips", "partition")
+    __slots__ = ("r", "N", "rows", "cols", "dim", "size", "last",
+                 "index", "parts", "weights", "products", "strips", "partition")
 
-    def __init__(self, rows: int, cols: int):
-        self.rows = rows
-        self.cols = cols
-        self.size = comb(rows + cols, rows)  # the number of partitions in the box
-        self.last = self.size - 1  # the index of the full box
-        self.index: dict[tuple[int, ...], int] = {}
-        self.parts: dict[int, tuple[int, ...]] = {}
-        self.weights: dict[int, int] = {}
-        self.products: dict[int, tuple] = {}
-        self.strips: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+    def __new__(cls, r: int, N: int):
+        r, N = operator.index(r), operator.index(N)
+        ring = _RINGS.get((r, N))
+        if ring is not None:
+            return ring
+        if not 0 < r <= N:
+            raise PreconditionError(f"need 0 < r <= N, got Gr({r},{N})")
+        ring = super().__new__(cls)
+        ring.r = ring.rows = r
+        ring.N = N
+        ring.cols = N - r
+        ring.dim = r * (N - r)
+        ring.size = comb(N, r)  # the number of partitions in the box
+        ring.last = ring.size - 1  # the index of the full box
+        ring.index: dict[tuple[int, ...], int] = {}
+        ring.parts: dict[int, tuple[int, ...]] = {}
+        ring.weights: dict[int, int] = {}
+        ring.products: dict[int, tuple] = {}
+        ring.strips: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
         # The interned `Partition` of an index, built the first time it is asked for.
-        self.partition = lru_cache(maxsize=None)(lambda i: Partition(self.parts[i]))
-        self.rank(())  # index 0, the unit class
+        ring.partition = lru_cache(maxsize=None)(lambda i: Partition(ring.parts[i]))
+        ring.rank(())  # index 0, the unit class
+        return _RINGS.setdefault((r, N), ring)
+
+    def __reduce__(self):
+        """Copies and unpickled rings are the one ring of their (r, N)."""
+        return GrassmannianRing, (self.r, self.N)
 
     def rank(self, parts: tuple[int, ...]) -> int:
         """Index of an in-box partition, given its parts without trailing zeros.
@@ -86,7 +106,7 @@ class _Box:
         return i
 
     def horizontal(self, parts: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-        """The horizontal strips of `size` boxes on `parts` in this box, enumerated once."""
+        """The horizontal strips of `size` boxes on `parts` in the box, enumerated once."""
         strips = self.strips.get((parts, size))
         if strips is None:
             strips = self.strips[parts, size] = tuple(horizontal_strips(parts, size, self.rows, self.cols))
@@ -111,43 +131,6 @@ class _Box:
         self.products[key] = expansion
         return expansion
 
-
-_BOXES: dict[tuple[int, int], _Box] = {}  # by (rows, cols); cold-cache tests clear the product tables here
-
-
-def _box(rows: int, cols: int) -> _Box:
-    """The one table of the rows x cols box."""
-    return _BOXES.get((rows, cols)) or _BOXES.setdefault((rows, cols), _Box(rows, cols))
-
-
-class GrassmannianRing:
-    """Chow ring of Gr(r, N), the r-dimensional subspaces of an N-space.
-
-    r == N is allowed and gives a point (zero-dimensional ring), which the
-    projective-bundle layer uses to model plain projective spaces.
-    """
-
-    __slots__ = ("r", "N", "box")
-
-    def __init__(self, r: int, N: int):
-        if not 0 < r <= N:
-            raise PreconditionError(f"need 0 < r <= N, got Gr({r},{N})")
-        self.r = r
-        self.N = N
-        self.box = _box(r, N - r)
-
-    @property
-    def rows(self) -> int:
-        return self.r
-
-    @property
-    def cols(self) -> int:
-        return self.N - self.r
-
-    @property
-    def dim(self) -> int:
-        return self.r * (self.N - self.r)
-
     def contains(self, p: Partition) -> bool:
         return p.fits(self.rows, self.cols)
 
@@ -166,7 +149,7 @@ class GrassmannianRing:
 
     def sigma(self, parts: Iterable[int]) -> "ChowClass":
         """The Schubert basis class for the given partition."""
-        return ChowClass._trusted(self, {self.box.rank(self._parts_of(parts)): 1})
+        return ChowClass._trusted(self, {self.rank(self._parts_of(parts)): 1})
 
     def basis(self, weight: int | None = None) -> list[Partition]:
         if weight is None:
@@ -182,14 +165,12 @@ class GrassmannianRing:
         fills the expansion of each key with a nonzero sum once and adds it
         scaled, so pairs that share a key walk its expansion once.
         """
-        box = self.box
-        weights, products, size = box.weights, box.products, box.size
+        weights, products, size = self.weights, self.products, self.size
         room = self.dim
         pairs: dict[int, int] = {}
         get = pairs.get
         for coeff, x, y in terms:
-            # Identity first: the usual operands cost no __eq__ call.
-            if (x.ring is not self or y.ring is not self) and (x.ring != self or y.ring != self):
+            if x.ring is not self or y.ring is not self:
                 raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
             if not coeff:
                 continue
@@ -210,20 +191,10 @@ class GrassmannianRing:
                 continue
             expansion = products.get(key)
             if expansion is None:
-                expansion = box.product(key)
+                expansion = self.product(key)
             for k, m in expansion:
                 acc[k] = get(k, 0) + (ab if m == 1 else ab * m)
         return ChowClass._trusted(self, {k: v for k, v in acc.items() if v})
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, GrassmannianRing):
-            return (self.r, self.N) == (other.r, other.N)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.N))
 
     def __repr__(self) -> str:
         return f"Gr({self.r},{self.N})"
@@ -232,7 +203,7 @@ class GrassmannianRing:
 class ChowClass:
     """An element of a Grassmannian Chow ring in the Schubert basis.
 
-    Coefficients are stored by basis index of the ring's box; the zero class
+    Coefficients are stored by basis index of the ring; the zero class
     has none.  `terms` is a read-only view keyed by `Partition`.  Instances
     are treated as immutable: all arithmetic returns new objects, so sharing
     across threads is safe.
@@ -246,7 +217,7 @@ class ChowClass:
             parts = ring._parts_of(p)
             c = operator.index(c)
             if c:
-                clean[ring.box.rank(parts)] = c
+                clean[ring.rank(parts)] = c
         self.ring = ring
         self._coeffs = clean
 
@@ -260,7 +231,7 @@ class ChowClass:
 
     @property
     def terms(self) -> Mapping[Partition, int]:
-        partition = self.ring.box.partition
+        partition = self.ring.partition
         return MappingProxyType({partition(i): c for i, c in self._coeffs.items()})
 
     def is_zero(self) -> bool:
@@ -270,11 +241,11 @@ class ChowClass:
         p = parts if isinstance(parts, Partition) else Partition(parts)
         if not self.ring.contains(p):
             return 0
-        return self._coeffs.get(self.ring.box.rank(p.parts), 0)
+        return self._coeffs.get(self.ring.rank(p.parts), 0)
 
     def degrees(self) -> set[int]:
         """Weights of the homogeneous components present."""
-        weights = self.ring.box.weights
+        weights = self.ring.weights
         return {weights[i] for i in self._coeffs}
 
     def _check_ring(self, other: "ChowClass") -> None:
@@ -340,7 +311,7 @@ class ChowClass:
     def __repr__(self) -> str:
         if not self._coeffs:
             return "0"
-        parts = self.ring.box.parts
+        parts = self.ring.parts
         bits = []
         for i, c in sorted(self._coeffs.items()):
             name = "s" + repr(list(parts[i])) if i else "1"
@@ -349,7 +320,7 @@ class ChowClass:
 
     def to_payload(self) -> list[list]:
         """Serialized form: [[parts, coefficient-as-decimal-string], ...], lex-sorted."""
-        parts = self.ring.box.parts
+        parts = self.ring.parts
         return [[list(parts[i]), str(c)] for i, c in sorted(self._coeffs.items())]
 
 
@@ -377,11 +348,12 @@ def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: in
     """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
 
     Returns a tuple of (nu index, coefficient) pairs in index order, with
-    indices into the box table of `_box(rows, cols)`.  The rule is symmetric
-    in lam and mu, so callers normalize the key order before the cache.
+    indices into the basis table of `GrassmannianRing(rows, rows + cols)`.
+    The rule is symmetric in lam and mu, so callers normalize the key order
+    before the cache.
     """
-    box = _box(rows, cols)
-    strips = box.horizontal
+    ring = GrassmannianRing(rows, rows + cols)
+    strips = ring.horizontal
     counts: dict[tuple[int, ...], int] = {}
 
     def extend(before: tuple[int, ...] | None, shape: tuple[int, ...], stage: int) -> None:
@@ -393,7 +365,7 @@ def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: in
                 extend(shape, nu, stage + 1)
 
     extend(None, lam, 0)
-    rank = box.rank
+    rank = ring.rank
     return tuple(sorted((rank(nu), k) for nu, k in counts.items()))
 
 
@@ -408,11 +380,10 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
     if a == 0:
         return c
     ring = c.ring
-    box = ring.box
     acc: dict[int, int] = {}
     for i, coeff in c._coeffs.items():
-        for nu in box.horizontal(box.parts[i], a):
-            k = box.rank(nu)
+        for nu in ring.horizontal(ring.parts[i], a):
+            k = ring.rank(nu)
             acc[k] = acc.get(k, 0) + coeff
     return ChowClass._trusted(ring, {k: v for k, v in acc.items() if v})
 
@@ -457,7 +428,7 @@ def integrate(c: ChowClass) -> int:
     """Degree of the zero-dimensional part: the coefficient of the point class."""
     if not isinstance(c, ChowClass):
         raise PreconditionError(f"can only integrate a ChowClass, not a {type(c).__name__}")
-    return c._coeffs.get(c.ring.box.last, 0)
+    return c._coeffs.get(c.ring.last, 0)
 
 
 def dual_partition(lam, ring: GrassmannianRing) -> Partition:

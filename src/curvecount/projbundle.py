@@ -180,25 +180,19 @@ class ProjBundleElement:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        """Products until the power vanishes, within dim + 1 of them, when every
-        degree is positive; a degree-0 part never vanishes, so such an element
-        is squared and multiplied, about 2 log2(p) products for any base."""
+        """Square and multiply, about 2 log2(p) products for any base; once a
+        square vanishes, every later factor does too, so the power is zero."""
         if exponent < 0:
             raise PreconditionError(f"negative powers are not defined, got {exponent}")
-        out = self.ring.one()
-        if 0 not in self.degrees():
-            for _ in range(exponent):
-                out = out * self
-                if out.is_zero():
-                    break
-            return out
-        square = self
+        out, square = self.ring.one(), self
         while exponent:
             if exponent & 1:
                 out = out * square
             exponent >>= 1
             if exponent:
                 square = square * square
+                if square.is_zero():
+                    return self.ring.zero()
         return out
 
     def __eq__(self, other) -> bool:

@@ -10,13 +10,14 @@ stored packed into ints; only this module knows that layout, and
 is its one-term call, and `chern.ChernRing` calls it directly.  A
 polynomial in e_1..e_r (the layout of `elementary_ring_poly`) goes to any
 other ring through one kernel, `elementary_substitution`, the ring map
-e_i -> values[i], which reads the packed keys as they stand.
+e_i -> values[i], which reads the packed keys as they stand; the
+elementary-basis rewrite takes each e-monomial's expansion in the variables
+from it too, with e_i -> e_i.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -225,20 +226,6 @@ def elementary(nvars: int, k: int) -> SymmetricPoly:
     return SymmetricPoly(nvars, terms)
 
 
-@lru_cache(maxsize=None)
-def _elementary_monomial(nvars: int, exps: Exponents) -> SymmetricPoly:
-    """Expansion of e_1^exps[0] * ... * e_nvars^exps[-1] into monomials.
-
-    Built as the memoized expansion with one factor fewer of the last e_i
-    present, times that e_i.
-    """
-    for i in range(nvars - 1, -1, -1):
-        if exps[i]:
-            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            return _elementary_monomial(nvars, lower).mul_truncated(elementary(nvars, i + 1), None)
-    return SymmetricPoly.constant(nvars, 1)
-
-
 def elementary_ring_poly(nvars: int, epoly: Mapping[Exponents, int]) -> SymmetricPoly:
     """An e-polynomial {(a_1, ..., a_r): c} as a packed polynomial in e_1..e_r.
 
@@ -258,28 +245,36 @@ def elementary_substitution(values: Sequence, zero) -> Callable[[SymmetricPoly],
     values[0] and zero `zero`.  The map memoizes each e-monomial's image by
     packed key; a missing one is built, by a loop rather than recursion, as
     its predecessor times values[i] for the last e_i present, the one in the
-    lowest nonzero field j, and singles[j] is the key of that e_i alone."""
+    lowest nonzero field j, and singles[j] is the key of that e_i alone.
+    `image.monomial(key)` is the shared image of one e-monomial by its key."""
     nvars = len(values) - 1
     singles = [((nvars - j) << FIELD_BITS * nvars) | (1 << FIELD_BITS * j) for j in range(nvars)]
     memo = {0: values[0], **{key: values[nvars - j] for j, key in enumerate(singles)}}
+
+    def monomial(key: int):
+        chain = []
+        while key not in memo:
+            j = ((key & -key).bit_length() - 1) // FIELD_BITS
+            chain.append((key, values[nvars - j]))
+            key -= singles[j]
+        term = memo[key]
+        for key, factor in reversed(chain):
+            term = memo[key] = term * factor
+        return term
 
     def image(p: SymmetricPoly):
         if p.nvars != nvars:
             raise RingMismatchError(f"cannot map a polynomial in {p.nvars} variables by e_1..e_{nvars}")
         acc = zero
         for key, coeff in p._packed.items():
-            chain = []
-            while key not in memo:
-                j = ((key & -key).bit_length() - 1) // FIELD_BITS
-                chain.append((key, values[nvars - j]))
-                key -= singles[j]
-            term = memo[key]
-            for key, factor in reversed(chain):
-                term = memo[key] = term * factor
-            acc = acc + term * coeff
+            acc = acc + monomial(key) * coeff
         return acc
 
+    image.monomial = monomial
     return image
+
+
+_EXPANSIONS: dict[int, Callable[[int], SymmetricPoly]] = {}  # e-monomials in x, by variable count
 
 
 def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
@@ -294,6 +289,10 @@ def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
     ValueError.
     """
     r = p.nvars
+    expand = _EXPANSIONS.get(r) or _EXPANSIONS.setdefault(
+        r, elementary_substitution([elementary(r, i) for i in range(r + 1)], SymmetricPoly(r)).monomial
+    )
+    low = (1 << FIELD_BITS * r) - 1  # the exponent fields
     work = dict(p._packed)
     out: dict[Exponents, int] = {}
     while work:
@@ -302,9 +301,14 @@ def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
         m = _unpack(key, r)
         if any(m[i] < m[i + 1] for i in range(r - 1)):
             raise ValueError(f"input is not symmetric: stuck on leading monomial {m}")
-        e_exps = tuple(m[i] - m[i + 1] for i in range(r - 1)) + (m[r - 1],)
+        # Field by field m_i - m_(i+1), with no borrow as m is dominant; the
+        # weighted degree of those e-exponents is the degree of m, so the
+        # degree field stays: the key of the e-monomial in the layout of
+        # `elementary_ring_poly`.
+        e_key = key - ((key << FIELD_BITS) & low)
+        e_exps = _unpack(e_key, r)
         out[e_exps] = out.get(e_exps, 0) + c
-        for e, k in _elementary_monomial(r, e_exps)._packed.items():
+        for e, k in expand(e_key)._packed.items():
             new = work.get(e, 0) - c * k
             if new:
                 work[e] = new

@@ -81,11 +81,11 @@ def cap_products(monkeypatch, limit: int = 50) -> None:
 
 
 def clear_product_memos() -> None:
-    """Forget every LR expansion: the memo, and the product and strip tables of each box."""
+    """Forget every LR expansion: the memo, and the product and strip tables of each ring."""
     grassmannian._lr_expansion.cache_clear()
-    for box in grassmannian._BOXES.values():
-        box.products.clear()
-        box.strips.clear()
+    for ring in grassmannian._RINGS.values():
+        ring.products.clear()
+        ring.strips.clear()
 
 
 def brute_lr_coefficient(lam, mu, nu) -> int:

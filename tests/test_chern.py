@@ -524,6 +524,40 @@ class TestUniversalCache:
             set_universal_cache_dir(None)
             clear_universal_cache()
 
+    @pytest.mark.parametrize("degree, entry, before, after", [
+        (1, 0, "15", "16"), (4, 1, "1183", "1883"), (6, 1, "1450", "1451"),
+    ])
+    def test_changed_coefficient_digit_recomputed_and_rewritten(self, tmp_path, monkeypatch,
+                                                                degree, entry, before, after):
+        # The damaged file renders to its own bytes, so only the check of its
+        # values at the roots (1, 2) tells it from the file this version writes.
+        import curvecount.chern as chern
+
+        path = tmp_path / "sym_r2_d5_t6.json"
+        computed = []
+        product = chern._sym_power_product
+        monkeypatch.setattr(chern, "_sym_power_product", lambda *key: computed.append(key) or product(*key))
+        try:
+            set_universal_cache_dir(tmp_path)
+            clear_universal_cache()
+            value = sym_power_elementary(2, 5, 6)
+            canonical = path.read_text()
+            stored = json.loads(canonical)
+            assert stored["degrees"][degree][entry][1] == before
+            stored["degrees"][degree][entry][1] = after
+            damaged = json.dumps(stored)
+            path.write_text(damaged)
+            entries = {tuple(e): int(c) for part in stored["degrees"] for e, c in part}
+            assert chern._cache_text(2, 5, 6, chern.elementary_ring_poly(2, entries).graded(6)) == damaged
+            assert chern._load_cached(2, 5, 6) is None
+            clear_universal_cache()
+            assert sym_power_elementary(2, 5, 6) == value
+            assert len(computed) == 2
+            assert path.read_text() == canonical
+        finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
     def test_unreadable_cache_file_recomputed(self, tmp_path, monkeypatch):
         def denied(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))

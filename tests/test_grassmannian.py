@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import comb
 from random import Random
 
@@ -16,7 +18,7 @@ from curvecount import (
     pieri,
     universal_dual_chern,
 )
-from curvecount.grassmannian import _box, _lr_expansion
+from curvecount.grassmannian import _lr_expansion
 from curvecount.partitions import partitions_in_box
 
 from helpers import brute_lr_coefficient, cap_products, clear_product_memos, oracle_multiply, point_class, random_class
@@ -40,6 +42,27 @@ class TestRing:
         with pytest.raises(PreconditionError):
             GrassmannianRing(5, 4)
 
+    def test_one_ring_per_size(self):
+        assert GrassmannianRing(2, 5) is GR25
+        assert GrassmannianRing(2, 4) is not GR25
+        # Rings compare by identity.
+        assert "__eq__" not in vars(GrassmannianRing) and "__hash__" not in vars(GrassmannianRing)
+
+    @pytest.mark.parametrize("r, n", [(2.0, 5), ("2", 5), (2, 5.0)])
+    def test_non_integral_size_rejected_after_the_ring_exists(self, r, n):
+        assert GrassmannianRing(2, 5).dim == 6
+        with pytest.raises(TypeError):
+            GrassmannianRing(r, n)
+
+    def test_copies_land_on_the_same_ring(self):
+        c = 2 * GR35.sigma((2, 1)) - GR35.sigma((1,))
+        copied = copy.deepcopy(c)
+        assert copied.ring is GR35
+        assert copied == c
+        assert copy.copy(GR35) is GR35
+        assert pickle.loads(pickle.dumps(GR35)) is GR35
+        assert pickle.loads(pickle.dumps(c)) == c
+
     def test_constructor_rejects_out_of_box_keys(self):
         with pytest.raises(PreconditionError):
             ChowClass(GR24, {Partition((3,)): 1})
@@ -62,11 +85,11 @@ class TestRing:
 class TestBasisIndex:
     @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (2, 3), (3, 3), (3, 5), (4, 2), (2, 0)])
     def test_index_is_lex_position(self, rows, cols):
-        box = _box(rows, cols)
+        ring = GrassmannianRing(rows, rows + cols)
         basis = partitions_in_box(rows, cols)
-        assert [box.rank(p.parts) for p in basis] == list(range(len(basis)))
-        assert box.rank(()) == 0
-        assert box.rank(basis[-1].parts) == box.last == len(basis) - 1
+        assert [ring.rank(p.parts) for p in basis] == list(range(len(basis)))
+        assert ring.rank(()) == 0
+        assert ring.rank(basis[-1].parts) == ring.last == len(basis) - 1
 
     def test_terms_view_interns_partitions(self):
         c = 2 * GR35.sigma((2, 1)) - GR35.sigma((1,))
@@ -83,7 +106,7 @@ class TestBasisIndex:
         product = ring.sigma((1,)) * ring.sigma((1,))
         assert product == ring.sigma((2,)) + ring.sigma((1, 1))
         assert integrate(point_class(ring)) == 1
-        assert len(ring.box.parts) < 10
+        assert len(ring.parts) < 10
 
 
 class TestPieri:
@@ -196,7 +219,7 @@ class TestMultiply:
             return original(lam, mu, *box)
 
         monkeypatch.setattr(grassmannian, "_lr_expansion", recorded)
-        monkeypatch.setattr(GR36.box, "products", {})
+        monkeypatch.setattr(GR36, "products", {})
         full = ChowClass(GR36, {p: 1 for p in basis})
         assert not multiply(full, full).is_zero()
         assert asked and max(asked) <= GR36.dim
@@ -226,11 +249,11 @@ class TestMultiply:
         monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key))
         pairs = 0
         for rows, cols in [(2, 5), (3, 4), (3, 6), (4, 4), (4, 5)]:
-            box = _box(rows, cols)
+            ring = GrassmannianRing(rows, rows + cols)
             for lam in partitions_in_box(rows, cols):
                 for i in range(1, rows + 1):
-                    first, second = sorted((box.rank(lam.parts), box.rank((1,) * i)))
-                    expansion = box.product(first * box.size + second)
+                    first, second = sorted((ring.rank(lam.parts), ring.rank((1,) * i)))
+                    expansion = ring.product(first * ring.size + second)
                     assert expansion == _lr_expansion(lam.parts, (1,) * i, rows, cols)
                     pairs += 1
         assert pairs == 1183
@@ -258,20 +281,18 @@ class TestMultiply:
 
     @staticmethod
     def fill_table(ring, keys):
-        """The product and strip tables of the ring's box, filled cold in the order of `keys`."""
+        """The product and strip tables of the ring, filled cold in the order of `keys`."""
         clear_product_memos()
-        box = ring.box
         for key in keys:
-            box.product(key)
-        return dict(box.products), dict(box.strips)
+            ring.product(key)
+        return dict(ring.products), dict(ring.strips)
 
     @staticmethod
     def table_keys(ring):
         """Every product-table key that `sum_of_products` asks for."""
-        box = ring.box
-        ids = sorted(box.rank(p.parts) for p in ring.basis())
-        return [i * box.size + j for i in ids for j in ids
-                if i <= j and box.weights[i] + box.weights[j] <= ring.dim]
+        ids = sorted(ring.rank(p.parts) for p in ring.basis())
+        return [i * ring.size + j for i in ids for j in ids
+                if i <= j and ring.weights[i] + ring.weights[j] <= ring.dim]
 
     @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
     def test_cold_table_fill_is_order_free_and_matches_the_oracle(self, r, n):
@@ -281,9 +302,9 @@ class TestMultiply:
         assert forward == self.fill_table(ring, keys[::-1])
         products = forward[0]
         assert sorted(products) == keys
-        parts = ring.box.parts
+        parts = ring.parts
         for key, expansion in products.items():
-            i, j = divmod(key, ring.box.size)
+            i, j = divmod(key, ring.size)
             assert ChowClass._trusted(ring, dict(expansion)) == oracle_multiply(ring, parts[i], parts[j])
 
     def test_cold_table_fill_enumerates_each_strip_set_once(self, monkeypatch):
@@ -302,7 +323,7 @@ class TestMultiply:
         self.fill_table(ring, keys)
         assert asked
         assert len(set(asked)) == len(asked)
-        assert {(base, size) for base, size, _, _ in asked} == set(ring.box.strips)
+        assert {(base, size) for base, size, _, _ in asked} == set(ring.strips)
 
 
 class TestSumOfProducts:

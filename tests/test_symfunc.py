@@ -63,6 +63,12 @@ class TestReduceToElementary:
     def test_zero(self):
         assert reduce_to_elementary(SymmetricPoly(3)) == {}
 
+    @pytest.mark.parametrize("n", [500, 1200])
+    def test_deep_e_monomial_needs_no_recursion(self, n):
+        # (xy)^n = e2^n: its expansion is built by a loop, as deep as n.
+        assert reduce_to_elementary(SymmetricPoly(2, {(n, n): 1})) == {(0, n): 1}
+        assert reduce_to_elementary(SymmetricPoly(2, {(n + 1, n): 1, (n, n + 1): 1})) == {(1, n): 1}
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             reduce_to_elementary(x_power(2, 0))
