@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import tempfile
-from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -304,7 +304,9 @@ def sym_power(c: ChernVector, d: int) -> ChernVector:
 
 # --- the Chern-class presentation -------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+_RINGS: dict[tuple[int, int], "ChernRing"] = {}  # by (r, dim)
+
+
 class ChernRing:
     """Z[c_1..c_r], truncated above degree `dim`: the polynomials in the Chern
     classes of a generic rank-r bundle, before any relation of a space.
@@ -315,16 +317,35 @@ class ChernRing:
     products collects into one dict.  The ring fits the `ChernVector`
     ambient contract.  A class on a space where the generic bundle becomes
     a given one, such as U* on a Grassmannian, is computed here and mapped
-    there once by `evaluator`.  Two rings are equal when their rank and
-    dimension are.
+    there once by `evaluator`.  There is one read-only ring per (r, dim),
+    compared by identity.
     """
 
-    r: int
-    dim: int
+    __slots__ = ("r", "dim")
 
-    def __post_init__(self):
-        if self.r < 1 or not 0 <= self.dim < DEGREE_LIMIT:
-            raise PreconditionError(f"need rank >= 1 and 0 <= dim < {DEGREE_LIMIT}, got ({self.r}, {self.dim})")
+    def __new__(cls, r: int, dim: int):
+        r, dim = operator.index(r), operator.index(dim)
+        ring = _RINGS.get((r, dim))
+        if ring is not None:
+            return ring
+        if r < 1 or not 0 <= dim < DEGREE_LIMIT:
+            raise PreconditionError(f"need rank >= 1 and 0 <= dim < {DEGREE_LIMIT}, got ({r}, {dim})")
+        ring = super().__new__(cls)
+        object.__setattr__(ring, "r", r)
+        object.__setattr__(ring, "dim", dim)
+        return _RINGS.setdefault((r, dim), ring)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Copies and unpickled rings are the one ring of their (r, dim)."""
+        return ChernRing, (self.r, self.dim)
+
+    def __repr__(self) -> str:
+        return f"ChernRing(r={self.r}, dim={self.dim})"
 
     def zero(self) -> SymmetricPoly:
         return SymmetricPoly.constant(self.r, 0)

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import cache, partial
 
 from . import chern
@@ -75,18 +74,19 @@ def _emit_report(report: CountReport, args) -> None:
             print(f"trace {label}: {value}")
 
 
-def _emit_record(pipeline: str, inputs: dict, record: dict, headline: str, args) -> None:
+def _emit_record(pipeline: str, inputs: dict, record, headline: str, args) -> None:
+    fields = {name: getattr(record, name) for name in record.__slots__}  # in declared order
     if args.output_format == "structured":
         payload = {
             "pipeline": pipeline,
             "inputs": inputs,
-            "count": str(record[headline]),
-            "record": {k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v) for k, v in record.items()},
+            "count": str(fields[headline]),
+            "record": {k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v) for k, v in fields.items()},
             "consistency": [],
         }
         print(_dump(payload))
         return
-    print(" ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in record.items()))
+    print(" ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in fields.items()))
 
 
 def _emit_class(pipeline: str, inputs: dict, payload_value, args) -> None:
@@ -115,10 +115,8 @@ def _report(build):
 
 
 def _record(build, headline: str):
-    """Emitter of a subcommand that prints the record dataclass `build(args)` returns."""
-    return lambda pipeline, options, args: _emit_record(
-        pipeline, _inputs(args, options), asdict(build(args)), headline, args
-    )
+    """Emitter of a subcommand that prints the record `build(args)` returns."""
+    return lambda pipeline, options, args: _emit_record(pipeline, _inputs(args, options), build(args), headline, args)
 
 
 def _calculator(compute):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, replace
+import sys
 from math import comb
 
 from .chern import ChernRing, dual_universal_vector, quotient_series, segre_from_chern, sym_power_rank, trivial_vector
@@ -39,21 +39,55 @@ def _serialize(cls) -> str:
     return json.dumps(cls.to_payload(), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class CountReport:
+class _Record:
+    """A read-only record whose fields are its `__slots__`, in order: bound
+    by position or keyword, with `_defaults` for those left out, and
+    validated by `_check`.  A record compares, hashes and pickles as its
+    type and fields, and prints as `Type(field=value, ...)`."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        values = dict(self._defaults, **dict(zip(self.__slots__, args)), **kwargs)
+        if len(args) > len(self.__slots__) or values.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {self.__slots__}: got {len(args)} args, {sorted(kwargs)}")
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        """Raise unless the fields are valid."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self.__reduce__()[1]))})"
+
+
+class CountReport(_Record):
     """Pipeline output: the exact count plus a trace of intermediate classes.
 
     The final trace entry always records the count itself, so the trace is a
     self-contained derivation of the reported number.
     """
 
-    pipeline: str
-    inputs: dict
-    count: int
-    trace: tuple[tuple[str, str], ...]
-    consistency: tuple[tuple[str, bool], ...] = ()
+    __slots__ = ("pipeline", "inputs", "count", "trace", "consistency")
+    _defaults = {"consistency": ()}
 
-    def __post_init__(self):
+    def _check(self):
         if not self.trace or self.trace[-1][1] != str(self.count):
             raise InternalCheckError("count must equal the integral in the last trace entry")
 
@@ -78,40 +112,32 @@ class CountReport:
         return payload
 
 
-@dataclass(frozen=True)
-class NormalBundleType:
+class NormalBundleType(_Record):
     """Splitting type O(a) + O(b) of the normal bundle of a rational curve.
 
     On a threefold with trivial canonical class the degrees satisfy
     a + b = -2, which the constructor enforces.  The degrees must be integers.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
+    def _check(self):
         if operator.index(self.a) + operator.index(self.b) != -2:
             raise PreconditionError(
                 f"normal bundle degrees must satisfy a + b = -2, got {self.a} + {self.b}"
             )
 
 
-@dataclass(frozen=True)
-class H0Count:
+class H0Count(_Record):
     """Sections of the normal bundle: the infinitesimal deformations."""
 
-    h0: int
-    rigid: bool
+    __slots__ = ("h0", "rigid")
 
 
-@dataclass(frozen=True)
-class DimensionCount:
+class DimensionCount(_Record):
     """Naive parameter count for degree-d rational curves on a hypersurface."""
 
-    parameters: int
-    conditions: int
-    reparametrizations: int
-    expected_dim: int
+    __slots__ = ("parameters", "conditions", "reparametrizations", "expected_dim")
 
 
 def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
@@ -170,12 +196,15 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     trace.append(("forms_rank", str(rank)))
     if kind == "lines":
         count = _catalan_integral(pb_pushforward(top), base)
-        trace.append(("top_chern_class", _serialize(base.sigma((base.cols,) * base.rows) * count)))
+        label, top = "top_chern_class", base.sigma((base.cols,) * base.rows) * count
     else:
-        top = ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
+        label, top = "top_class_pushforward", ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
         count = integrate(top)
-        trace.append(("top_class_pushforward", _serialize(top)))
-    trace.append(("count", str(count)))
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # str(int)'s bound on digits; 0 (none) before 3.10.7
+    # Past `limit` digits a count has over 3.32 * limit bits; that screen spares most calls building 10**limit.
+    if limit and count.bit_length() > 3.32 * limit and abs(count) >= 10**limit:
+        raise PreconditionError(f"the count has more than {limit} digits, over the sys.get_int_max_str_digits() limit")
+    trace += [(label, _serialize(top)), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
@@ -217,9 +246,8 @@ def _catalan_integral(x, base: GrassmannianRing) -> int:
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:
     """Lines on a general degree-d hypersurface in P^n (2875 for the quintic)."""
-    return replace(
-        count_curves("lines", n, [d]), pipeline="lines-hypersurface", inputs={"ambient": n, "degree": d}
-    )
+    report = count_curves("lines", n, [d])
+    return CountReport("lines-hypersurface", {"ambient": n, "degree": d}, report.count, report.trace)
 
 
 def count_lines_complete_intersection(n: int, degrees: list[int]) -> CountReport:
@@ -229,7 +257,8 @@ def count_lines_complete_intersection(n: int, degrees: list[int]) -> CountReport
 
 def count_conics_quintic() -> CountReport:
     """Conics on a general quintic threefold in P^4 (609250)."""
-    return replace(count_curves("conics", 4, [5]), pipeline="conics-quintic", inputs={})
+    report = count_curves("conics", 4, [5])
+    return CountReport("conics-quintic", {}, report.count, report.trace)
 
 
 def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
@@ -372,8 +374,8 @@ class TestChernRing:
         assert value == prod(sum(a * b for a, b in zip(m, x)) for m in roots)
 
     def test_equal_rings_are_one_ambient(self):
-        a, b = ChernRing(2, 6), ChernRing(2, 6)
-        assert a == b and hash(a) == hash(b)
+        a, b = ChernRing(2, 6), ChernRing(r=2, dim=6)
+        assert a is b and a == b and hash(a) == hash(b)
         assert a != ChernRing(2, 5) and a != ChernRing(3, 6) and a != GrassmannianRing(2, 6)
         assert a.sym_power(3) == b.sym_power(3)
         assert whitney_sum(a.sym_power(2), b.sym_power(3)) == whitney_sum(a.sym_power(2), a.sym_power(3))
@@ -402,6 +404,22 @@ class TestChernRing:
         generic = ChernRing(3, 2).generators()
         assert [c.terms for c in generic.components] == [{(0, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
         assert generic.top().is_zero()
+
+    def test_one_read_only_ring_per_key(self):
+        ring = ChernRing(3, 18)
+        assert repr(ring) == "ChernRing(r=3, dim=18)"
+        assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring and pickle.loads(pickle.dumps(ring)) is ring
+        for name in ("r", "dim", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ring, name, 4)
+        with pytest.raises(AttributeError):
+            del ring.r
+        assert (ring.r, ring.dim) == (3, 18)
+
+    @pytest.mark.parametrize("r, dim", [(2.0, 5), (2, 5.0), ("2", 5), (2, None)])
+    def test_non_integer_sizes_rejected(self, r, dim):
+        with pytest.raises(TypeError):
+            ChernRing(r, dim)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -52,6 +52,18 @@ class TestCountingCommands:
         assert out == ""
         assert "rank 5" in err and "dim 6" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_count_past_the_digit_limit_exits_three(self, capsys):
+        # Lines on a degree-1397 hypersurface in P^700: a count of 4393 digits,
+        # past CPython's default limit of 4300.
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            error = "error: the count has more than 4300 digits, over the sys.get_int_max_str_digits() limit\n"
+            assert invoke(capsys, "lines", "--ambient", "700", "--degree", "1397") == (3, "", error)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     @pytest.mark.parametrize("argv, message", [
         (["equivalence", "--total", "5", "--factor", "1", "--ambient", "1"], "need ambient dimension >= 2, got 1"),
         (["dim-count", "--ambient", "1", "--hypersurface", "5", "--curve-degree", "7"],
@@ -243,6 +255,22 @@ class TestCalculatorCommands:
 
 
 class TestOutputContract:
+    @pytest.mark.parametrize("argv, plain, payload", [
+        (["dim-count", "--ambient", "4", "--hypersurface", "5", "--curve-degree", "7"],
+         "parameters=40 conditions=36 reparametrizations=4 expected_dim=0\n",
+         {"consistency": [], "count": "0", "inputs": {"ambient": 4, "curve_degree": 7, "hypersurface": 5},
+          "pipeline": "dim-count",
+          "record": {"conditions": "36", "expected_dim": "0", "parameters": "40", "reparametrizations": "4"}}),
+        (["normal-bundle", "--a", "1", "--b", "-3"], "h0=2 rigid=false\n",
+         {"consistency": [], "count": "2", "inputs": {"a": 1, "b": -3}, "pipeline": "normal-bundle",
+          "record": {"h0": "2", "rigid": False}}),
+    ], ids=["dim-count", "normal-bundle"])
+    def test_record_output_text(self, capsys, argv, plain, payload):
+        # Plain output lists the fields in declared order; structured output is sorted JSON.
+        assert invoke(capsys, *argv) == (0, plain, "")
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert invoke(capsys, "--format", "structured", *argv) == (0, expected, "")
+
     def test_structured_round_trip_is_byte_identical(self, capsys):
         code, out, _ = invoke(
             capsys, "--format", "structured", "--trace", "lines", "--ambient", "4", "--degree", "5"
@@ -578,6 +606,17 @@ class TestCache:
         finally:
             chern.set_universal_cache_dir(None)
             chern.clear_universal_cache()
+
+
+def test_import_loads_no_introspection_modules():
+    # `dataclasses` pulls in inspect, ast, dis and tokenize, which every
+    # fresh interpreter that imports the CLI would pay for.  The module sets
+    # before and after the import are compared, since `site` may preload some.
+    code = "import sys; before = set(sys.modules); import curvecount.cli; print(*set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True)
+    loaded = set(proc.stdout.split())
+    assert "curvecount.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_module_entry_point_subprocess(capsys, monkeypatch):

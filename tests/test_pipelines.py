@@ -1,11 +1,16 @@
+import copy
 import json
+import pickle
+import sys
 from random import Random
 
 import pytest
 
 from curvecount import (
     CountReport,
+    DimensionCount,
     GrassmannianRing,
+    H0Count,
     InternalCheckError,
     NormalBundleType,
     PreconditionError,
@@ -461,3 +466,99 @@ class TestCountReport:
         payload = count_lines_hypersurface(4, 5).to_payload()
         assert payload["count"] == "2875"
         assert isinstance(payload["count"], str)
+
+
+# Each record type: its field names in declared order, the values of one
+# record, and its repr.
+RECORDS = [
+    (CountReport, ("pipeline", "inputs", "count", "trace", "consistency"),
+     ("x", {"n": 1}, 5, (("count", "5"),), (("ok", True),)),
+     "CountReport(pipeline='x', inputs={'n': 1}, count=5, trace=(('count', '5'),), consistency=(('ok', True),))"),
+    (NormalBundleType, ("a", "b"), (0, -2), "NormalBundleType(a=0, b=-2)"),
+    (H0Count, ("h0", "rigid"), (1, False), "H0Count(h0=1, rigid=False)"),
+    (DimensionCount, ("parameters", "conditions", "reparametrizations", "expected_dim"), (10, 6, 4, 0),
+     "DimensionCount(parameters=10, conditions=6, reparametrizations=4, expected_dim=0)"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+class TestRecords:
+    def test_fields_bind_by_position_and_keyword(self, cls, names, values, text):
+        record = cls(*values)
+        assert tuple(getattr(record, name) for name in names) == values
+        assert cls(**dict(zip(names, values))) == record == cls(values[0], **dict(zip(names[1:], values[1:])))
+        assert repr(record) == text
+        for args, kwargs in [
+            (values + (0,), {}),
+            (values[:1], {}),
+            (values, {names[0]: values[0]}),
+            (values, {"bogus": 1}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_equality_and_hash(self, cls, names, values, text):
+        record, twin = cls(*values), cls(*values)
+        assert record == twin and record is not twin
+        assert record != values and record != list(values)
+        assert all(record != other(*fields) for other, _, fields, _ in RECORDS if other is not cls)
+        if cls is CountReport:
+            with pytest.raises(TypeError):
+                hash(record)  # `inputs` is a dict
+        else:
+            assert hash(record) == hash(twin)
+
+    def test_read_only(self, cls, names, values, text):
+        record = cls(*values)
+        for name in names + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+        assert tuple(getattr(record, name) for name in names) == values
+
+    def test_copies_and_pickles_to_an_equal_record(self, cls, names, values, text):
+        record = cls(*values)
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(other) is cls and other == record and other is not record
+
+
+class TestRecordChecks:
+    def test_equal_fields_of_another_type_are_not_equal(self):
+        assert H0Count(-1, -1) != NormalBundleType(-1, -1) and NormalBundleType(-1, -1) != NormalBundleType(0, -2)
+
+    def test_consistency_defaults_to_empty(self):
+        report = CountReport(pipeline="x", inputs={}, count=5, trace=(("count", "5"),))
+        assert report.consistency == () and report.all_consistent()
+
+    def test_validation_runs_for_keyword_fields(self):
+        with pytest.raises(InternalCheckError):
+            CountReport(pipeline="x", inputs={}, count=5, trace=(("count", "4"),))
+        with pytest.raises(InternalCheckError):
+            CountReport("x", {}, 5, ())
+        with pytest.raises(PreconditionError, match=r"a \+ b = -2, got 0 \+ -1"):
+            NormalBundleType(b=-1, a=0)
+        with pytest.raises(TypeError):
+            NormalBundleType(a=-1.0, b=-1)
+
+
+class TestDigitLimit:
+    """A count is refused before any of it is written in decimal when it has
+    more digits than `sys.get_int_max_str_digits()` allows."""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_refused_exactly_past_the_limit(self):
+        n = 140  # lines on a degree-277 hypersurface in P^140: a count of 676 digits
+        digits = len(str(count_lines_hypersurface(n, 2 * n - 3).count))
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(digits)
+            assert len(str(count_curves("lines", n, [2 * n - 3]).count)) == digits
+            sys.set_int_max_str_digits(digits - 1)
+            message = f"more than {digits - 1} digits, over the sys.get_int_max_str_digits\\(\\) limit"
+            with pytest.raises(PreconditionError, match=message):
+                count_curves("lines", n, [2 * n - 3])
+            sys.set_int_max_str_digits(0)  # no limit
+            assert len(str(count_curves("lines", n, [2 * n - 3]).count)) == digits
+        finally:
+            sys.set_int_max_str_digits(previous)
