@@ -13,14 +13,17 @@ outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 computed by enumerating chains of horizontal strips with the lattice-word
 condition; the expansion of each sorted pair of partitions in a box is
 memoized as (index, coefficient) pairs, and each ring keeps a table of those
-expansions keyed by the sorted pair of basis indices, packed into one int.
+expansions keyed by the ordered pair of basis indices, packed into one int;
+a pair and its mirror share one expansion, filled once.
 The ring's table of horizontal strips by (parts, size) serves the LR chains
 and Pieri alike, so each strip set is enumerated once.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
 Pieri rule fills its table entry from the vertical strips.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
 `multiply` is its one-term call.  It works in two phases: the first sums
-the scaled coefficient products of all terms per product-table key, the
+the scaled coefficient products of all terms per product-table key,
+checking weights against the ring dimension per term by the weight spans
+of its classes and per pair only where a term straddles the dimension; the
 second walks each key's expansion once into one {index: int} dict and
 drops zeros once.  Only this module knows the index storage.  Everything
 is exact: coefficients are plain Python integers.
@@ -51,11 +54,12 @@ class GrassmannianRing:
     its rows x cols box (rows = r, cols = N - r): an index is the lex rank
     of a partition in the box, computed from its parts, so entries are added
     as partitions are first met and the box is never enumerated.  `products`
-    maps the key i * size + j of indices i <= j to the expansion of
-    sigma_i * sigma_j (an int key leaves the garbage collector nothing to
-    track); `strips` maps (parts, size) to the in-box horizontal strips of
-    `size` boxes on `parts`, which the LR chains and Pieri share.  Entries
-    are only ever added, with the same values, so concurrent readers are safe.
+    maps the key i * size + j of indices i and j to the expansion of
+    sigma_i * sigma_j, one object under both orders (an int key leaves the
+    garbage collector nothing to track); `strips` maps (parts, size) to the
+    in-box horizontal strips of `size` boxes on `parts`, which the LR chains
+    and Pieri share.  Entries are only ever added, with the same values, so
+    concurrent readers are safe.
     """
 
     __slots__ = ("r", "N", "rows", "cols", "dim", "size", "last",
@@ -115,11 +119,13 @@ class GrassmannianRing:
     def product(self, key: int) -> tuple:
         """The expansion of a product-table key, filled on a miss.
 
-        A one-column factor sigma_(1^k), such as c_k(U*), takes the dual Pieri
-        rule: one term of coefficient 1 per vertical strip.  Any other pair
-        goes to the LR memo.
+        The expansion is stored under the key and its mirror j * size + i
+        alike, so a miss on one is a miss on both and each unordered pair is
+        computed once.  A one-column factor sigma_(1^k), such as c_k(U*),
+        takes the dual Pieri rule: one term of coefficient 1 per vertical
+        strip.  Any other pair goes to the LR memo.
         """
-        i, j = divmod(key, self.size)
+        i, j = sorted(divmod(key, self.size))
         lam, mu = self.parts[i], self.parts[j]
         if lam[:1] in ((), (1,)):  # the unit or a column goes second
             lam, mu = mu, lam
@@ -128,7 +134,7 @@ class GrassmannianRing:
             expansion = tuple(sorted((self.rank(nu), 1) for nu in strips))
         else:
             expansion = _lr_expansion(lam, mu, self.rows, self.cols)
-        self.products[key] = expansion
+        self.products[i * self.size + j] = self.products[j * self.size + i] = expansion
         return expansion
 
     def contains(self, p: Partition) -> bool:
@@ -160,10 +166,15 @@ class GrassmannianRing:
         """The sum of coeff * x * y over (coeff, x, y) triples of classes on this ring.
 
         Two phases.  The first sums coeff * a * b over every term and pair of
-        basis classes by product-table key, skipping a pair whose weights sum
-        past the ring dimension before any lookup.  The second fetches or
-        fills the expansion of each key with a nonzero sum once and adds it
-        scaled, so pairs that share a key walk its expansion once.
+        basis classes by the ordered-pair key i * size + j.  A product of
+        weight past the ring dimension is zero, so the weight spans of x and
+        y sort each term before its pairs: a term whose lowest weights sum
+        past the dimension is dropped whole, one whose highest weights fit
+        runs every pair unchecked with the shorter class outside, and only a
+        term that straddles the dimension checks the weights of each pair.
+        The second fetches or fills the expansion of each key with a nonzero
+        sum once and adds it scaled, so pairs that share a key walk its
+        expansion once.
         """
         weights, products, size = self.weights, self.products, self.size
         room = self.dim
@@ -174,15 +185,29 @@ class GrassmannianRing:
                 raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
             if not coeff:
                 continue
-            ys = y._coeffs.items()
-            for i, a in x._coeffs.items():
+            x_low, x_high = x._weight_span()
+            y_low, y_high = y._weight_span()
+            if x_low + y_low > room:
+                continue
+            xs, ys = x._coeffs.items(), y._coeffs.items()
+            if x_high + y_high <= room:
+                if len(xs) > len(ys):
+                    xs, ys = ys, xs
+                for i, a in xs:
+                    a *= coeff
+                    row = i * size
+                    for j, b in ys:
+                        key = row + j
+                        pairs[key] = get(key, 0) + a * b
+                continue
+            for i, a in xs:
                 left = room - weights[i]
                 a *= coeff
                 row = i * size
                 for j, b in ys:
                     if weights[j] > left:
                         continue
-                    key = row + j if i <= j else j * size + i
+                    key = row + j
                     pairs[key] = get(key, 0) + a * b
         acc: dict[int, int] = {}
         get = acc.get
@@ -206,10 +231,11 @@ class ChowClass:
     Coefficients are stored by basis index of the ring; the zero class
     has none.  `terms` is a read-only view keyed by `Partition`.  Instances
     are treated as immutable: all arithmetic returns new objects, so sharing
-    across threads is safe.
+    across threads is safe.  `_span`, the (lowest, highest) weight of the
+    terms, is set by `_weight_span` on first use and kept.
     """
 
-    __slots__ = ("ring", "_coeffs")
+    __slots__ = ("ring", "_coeffs", "_span")
 
     def __init__(self, ring: GrassmannianRing, terms: Mapping[Partition, int]):
         clean: dict[int, int] = {}
@@ -228,6 +254,16 @@ class ChowClass:
         out.ring = ring
         out._coeffs = coeffs
         return out
+
+    def _weight_span(self) -> tuple[int, int]:
+        """(lowest, highest) weight of the terms; (dim + 1, -1) for the zero
+        class, so no product with it passes the dimension check."""
+        try:
+            return self._span
+        except AttributeError:
+            ws = self.degrees()
+            self._span = (min(ws), max(ws)) if ws else (self.ring.dim + 1, -1)
+            return self._span
 
     @property
     def terms(self) -> Mapping[Partition, int]:

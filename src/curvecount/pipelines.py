@@ -35,7 +35,17 @@ from .grassmannian import GrassmannianRing, integrate
 from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
 
 
+def _check_digits(*numbers: int) -> None:
+    """Refuse a count or coefficient that str() cannot print: one with more
+    digits than `sys.get_int_max_str_digits()` allows (0, no limit, before 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # Past `limit` digits a number has over 3.32 * limit bits; that screen spares most calls building 10**limit.
+    if limit and any(n.bit_length() > 3.32 * limit and abs(n) >= 10**limit for n in numbers):
+        raise PreconditionError(f"the count has more than {limit} digits, over the sys.get_int_max_str_digits() limit")
+
+
 def _serialize(cls) -> str:
+    _check_digits(*cls.terms.values())
     return json.dumps(cls.to_payload(), separators=(",", ":"))
 
 
@@ -200,10 +210,7 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     else:
         label, top = "top_class_pushforward", ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
         count = integrate(top)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # str(int)'s bound on digits; 0 (none) before 3.10.7
-    # Past `limit` digits a count has over 3.32 * limit bits; that screen spares most calls building 10**limit.
-    if limit and count.bit_length() > 3.32 * limit and abs(count) >= 10**limit:
-        raise PreconditionError(f"the count has more than {limit} digits, over the sys.get_int_max_str_digits() limit")
+    _check_digits(count)
     trace += [(label, _serialize(top)), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
@@ -293,6 +300,7 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     count = _catalan_integral(excess.mul_truncated(locus, ring.dim), base)
     schubert = ring.evaluator(dual_universal_vector(base))
     excess, locus = schubert(excess), schubert(locus)
+    _check_digits(count)
     trace = (
         ("moduli_space", f"Gr(2,{n + 1})"),
         ("family_dim", str(k)),

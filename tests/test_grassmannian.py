@@ -10,13 +10,20 @@ from curvecount import (
     GrassmannianRing,
     Partition,
     PreconditionError,
+    ProjBundleRing,
     RingMismatchError,
     dual_partition,
+    dual_universal_vector,
     giambelli,
     integrate,
     multiply,
+    pb_pushforward,
     pieri,
+    pullback_vector,
+    sym_power,
+    tensor_line,
     universal_dual_chern,
+    whitney_quotient,
 )
 from curvecount.grassmannian import _lr_expansion
 from curvecount.partitions import partitions_in_box
@@ -289,10 +296,11 @@ class TestMultiply:
 
     @staticmethod
     def table_keys(ring):
-        """Every product-table key that `sum_of_products` asks for."""
+        """Every ordered-pair key i * size + j whose weights fit the ring
+        dimension: the keys `sum_of_products` can ask for, each pair in both orders."""
         ids = sorted(ring.rank(p.parts) for p in ring.basis())
         return [i * ring.size + j for i in ids for j in ids
-                if i <= j and ring.weights[i] + ring.weights[j] <= ring.dim]
+                if ring.weights[i] + ring.weights[j] <= ring.dim]
 
     @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
     def test_cold_table_fill_is_order_free_and_matches_the_oracle(self, r, n):
@@ -378,6 +386,123 @@ class TestSumOfProducts:
             ring.sum_of_products(terms)
         with pytest.raises(RingMismatchError):
             ring.sum_of_products(iter(terms))
+
+
+class _CountingWeights(dict):
+    """A ring's weight table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return dict.__getitem__(self, i)
+
+
+class TestWeightSpans:
+    """The per-term weight check of `sum_of_products` and its table of
+    ordered-pair keys, against the LR-free oracle."""
+
+    @staticmethod
+    def oracle(x, y):
+        out = x.ring.zero()
+        for p, a in x.terms.items():
+            for q, b in y.terms.items():
+                out = out + a * b * oracle_multiply(x.ring, p, q)
+        return out
+
+    @staticmethod
+    def counted(ring, monkeypatch, *classes):
+        """Count weight lookups and table fills on `ring` from here on, with
+        the spans of `classes` already known.  Every partition of the box is
+        ranked first, so the counting copy of the weight table gains no entry
+        that the ring's own table would lack once the patch is undone."""
+        for c in classes:
+            c._weight_span()
+        for p in ring.basis():
+            ring.rank(p.parts)
+        weights = _CountingWeights(ring.weights)
+        monkeypatch.setattr(ring, "weights", weights)
+        filled = []
+        original = GrassmannianRing.product
+        monkeypatch.setattr(GrassmannianRing, "product", lambda self, key: filled.append(key) or original(self, key))
+        return weights, filled
+
+    def test_span_is_the_lowest_and_highest_weight_and_survives_a_pickle(self):
+        x = 2 * GR36.sigma((1,)) - GR36.sigma((3, 2)) + GR36.sigma((2, 2, 2))
+        with pytest.raises(AttributeError):
+            x._span  # computed on first use
+        assert x._weight_span() == (min(x.degrees()), max(x.degrees())) == (1, 6)
+        assert x._span == (1, 6)
+        copied = pickle.loads(pickle.dumps(x))
+        assert copied._span == (1, 6)
+        assert copied == x and multiply(copied, x) == self.oracle(x, x)
+        assert GR36.zero()._weight_span() == (GR36.dim + 1, -1)
+
+    def test_terms_within_and_across_the_dimension_in_one_sum(self, monkeypatch):
+        ring = GrassmannianRing(3, 7)  # dimension 12
+        # Weights 1, 5 and 10 times 0, 4 and 10: the spans straddle the dimension.
+        x = ring.sigma((1,)) + 2 * ring.sigma((2, 2, 1)) - ring.sigma((4, 4, 2))
+        y = 3 * ring.one() - ring.sigma((3, 1)) + ring.sigma((4, 3, 3))
+        # Weights 2, 3 and 3 times 9: every pair fits, and the longer class comes first.
+        u = ring.sigma((2,)) - ring.sigma((2, 1)) + 4 * ring.sigma((1, 1, 1))
+        v = 5 * ring.sigma((3, 3, 3))
+        assert x._weight_span()[1] + y._weight_span()[1] > ring.dim >= x._weight_span()[0] + y._weight_span()[0]
+        assert u._weight_span()[1] + v._weight_span()[1] <= ring.dim
+        expected = self.oracle(x, y) - 2 * self.oracle(u, v)
+        assert not expected.is_zero()
+        clear_product_memos()
+        weights, _ = self.counted(ring, monkeypatch, x, y, u, v)
+        assert ring.sum_of_products([(-2, u, v)]) == -2 * self.oracle(u, v)
+        assert weights.lookups == 0  # no pair of a term that fits is checked
+        assert ring.sum_of_products([(1, x, y), (-2, u, v)]) == expected
+        assert weights.lookups == 3 + 9  # one per row and one per pair of the straddling term
+
+    def test_a_term_past_the_dimension_is_dropped_whole(self, monkeypatch):
+        # Weights 5 and 7 times 5 and 6 on Gr(3, 6), of dimension 9: no pair fits.
+        x = GR36.sigma((3, 2)) + GR36.sigma((3, 3, 1))
+        y = GR36.sigma((2, 2, 1)) - 7 * GR36.sigma((3, 3))
+        s1 = GR36.sigma((1,))
+        assert self.oracle(x, y).is_zero()
+        clear_product_memos()
+        weights, filled = self.counted(GR36, monkeypatch, x, y, s1)
+        assert GR36.sum_of_products([(1, x, y), (2, s1, x), (3, y, x)]) == 2 * self.oracle(s1, x)
+        assert weights.lookups == 0
+        assert len(filled) == 2  # s1 times each term of x, nothing for x and y
+
+    def test_both_key_orders_in_one_sum(self, monkeypatch):
+        ring = GrassmannianRing(3, 7)
+        rng = Random(22)
+        x, y = random_class(ring, rng), random_class(ring, rng)
+        expected = self.oracle(x, y)
+        assert expected == self.oracle(y, x) and not expected.is_zero()
+        clear_product_memos()
+        _, filled = self.counted(ring, monkeypatch)
+        assert ring.sum_of_products([(1, x, y), (2, y, x)]) == 3 * expected
+        assert multiply(x, y) == multiply(y, x) == expected
+        unordered = [tuple(sorted(divmod(key, ring.size))) for key in filled]
+        assert len(set(unordered)) == len(unordered)
+        for i, j in unordered:
+            assert ring.products[i * ring.size + j] is ring.products[j * ring.size + i]
+
+    def test_a_cold_conic_chain_fills_each_unordered_key_once(self, monkeypatch):
+        # Conics on a degree-11 hypersurface in P^8, in the Schubert basis of Gr(3, 9).
+        base = GrassmannianRing(3, 9)
+        clear_product_memos()
+        _, filled = self.counted(base, monkeypatch)
+        cu = dual_universal_vector(base)
+        total = ProjBundleRing(sym_power(cu, 2))
+        forms = pullback_vector(total, sym_power(cu, 11))
+        divisible = tensor_line(pullback_vector(total, sym_power(cu, 9)), -total.zeta())
+        quotient = whitney_quotient(forms, divisible, total.dim)
+        assert integrate(pb_pushforward(quotient.top())) == 6879170927773883986896
+        pairs = [divmod(key, base.size) for key in filled]
+        unordered = {(min(i, j), max(i, j)) for i, j in pairs}
+        assert len(unordered) == len(pairs)
+        assert {key for i, j in unordered for key in (i * base.size + j, j * base.size + i)} == set(base.products)
+        for i, j in unordered:
+            expansion = base.products[i * base.size + j]
+            assert base.products[j * base.size + i] is expansion
+            assert ChowClass._trusted(base, dict(expansion)) == oracle_multiply(base, base.parts[i], base.parts[j])
 
 
 class TestGiambelli:

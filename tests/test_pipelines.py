@@ -32,7 +32,7 @@ from curvecount import (
 from curvecount import grassmannian
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
-from curvecount.pipelines import _catalan_integral
+from curvecount.pipelines import _catalan_integral, _serialize
 from curvecount.symfunc import elementary_ring_poly
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
@@ -543,8 +543,27 @@ class TestRecordChecks:
 
 
 class TestDigitLimit:
-    """A count is refused before any of it is written in decimal when it has
-    more digits than `sys.get_int_max_str_digits()` allows."""
+    """A count, or a class in its trace, is refused before any of it is
+    written in decimal when it has more digits than
+    `sys.get_int_max_str_digits()` allows."""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_trace_class_refused_past_the_limit(self):
+        # The equivalences write their family and excess classes through `_serialize`.
+        ring = GrassmannianRing(2, 5)
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            fits = (10**640 - 1) * ring.sigma((1,)) - ring.sigma((2, 1))
+            assert json.loads(_serialize(fits)) == [[[1], "9" * 640], [[2, 1], "-1"]]
+            past = fits - 10**640 * ring.sigma((2,))
+            with pytest.raises(PreconditionError) as refused:
+                _serialize(past)
+            assert str(refused.value) == "the count has more than 640 digits, over the sys.get_int_max_str_digits() limit"
+            sys.set_int_max_str_digits(0)  # no limit
+            assert json.loads(_serialize(past)) == past.to_payload()
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
     def test_refused_exactly_past_the_limit(self):
