@@ -16,13 +16,15 @@ the excess part of an equivalence, is one `quotient_series`.
 
 Symmetric powers go through universal polynomials: the product of
 (unit + root) over the formal roots of Sym^d of a rank-r bundle is one
-symmetric factor per S_r orbit of the roots, each rewritten once in
-e_1..e_r, multiplied there.  With unit 1 it is the total class, kept as
-packed e-polynomials per degree, cached per (rank, power, truncation
-degree) in memory and optionally on disk.  A disk file is served only if
-it is byte for byte the text `_store_cached` writes for its key and its
-values at the roots (1, ..., r) are those of Sym^d; any other file, or one
-that cannot be read, is recomputed.  `ChernRing` is
+symmetric factor per S_r orbit of the roots, each in e_1..e_r, multiplied
+there.  A one-root orbit and a rank-2 orbit take a closed form; only an
+orbit of rank 3 or more with more than one root is multiplied out in the
+roots and rewritten once by `reduce_to_elementary`.  With unit 1 it is the
+total class, kept as packed e-polynomials per degree, cached per (rank,
+power, truncation degree) in memory and optionally on disk.  A disk file
+is served only if it is byte for byte the text `_store_cached` writes for
+its key and its values at the roots (1, ..., r) are those of Sym^d; any
+other file, or one that cannot be read, is recomputed.  `ChernRing` is
 Z[c_1..c_r] truncated at a dimension, where they are elements as they
 stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
 maps them to a given bundle, each e-monomial once as a shorter one times
@@ -46,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
-from .partitions import partitions_of_weight
+from .partitions import parts_of_weight
 from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, elementary_substitution
 from .symfunc import reduce_to_elementary, sum_of_products
 
@@ -183,13 +185,27 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
 
 
 def _orbit_factor(lam: tuple[int, ...], unit: int, trunc: int) -> SymmetricPoly:
-    """The product of (unit + m.x) over the distinct rearrangements m of `lam` up to
-    degree `trunc`: symmetric, so rewritten once into the packed e-monomial ring."""
-    roots = _distinct_permutations(lam)
-    orbit = SymmetricPoly.linear_form(next(roots), unit)
-    for m in roots:
-        orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
-    return elementary_ring_poly(len(lam), reduce_to_elementary(orbit))
+    """The product of (unit + m.x) over the distinct rearrangements m of `lam`,
+    in the packed e-monomial ring up to degree `trunc`.
+
+    Two shapes have a closed form: a one-root orbit (a, ..., a) is
+    unit + a e1 at any rank, and a rank-2 orbit (a, b) with a != b is
+    (unit + a x1 + b x2)(unit + b x1 + a x2)
+    = unit^2 + unit (a + b) e1 + ab e1^2 + (a - b)^2 e2.  Any other orbit
+    is multiplied out in the roots and rewritten once by `reduce_to_elementary`.
+    """
+    r, a, b = len(lam), lam[0], lam[-1]
+    if a == b:
+        by_degree = [{(0,) * r: unit}, {(1,) + (0,) * (r - 1): a}]
+    elif r == 2:
+        by_degree = [{(0, 0): unit * unit}, {(1, 0): unit * (a + b)}, {(2, 0): a * b, (0, 1): (a - b) ** 2}]
+    else:
+        roots = _distinct_permutations(lam)
+        orbit = SymmetricPoly.linear_form(next(roots), unit)
+        for m in roots:
+            orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
+        return elementary_ring_poly(r, reduce_to_elementary(orbit))
+    return elementary_ring_poly(r, {e: c for terms in by_degree[:trunc + 1] for e, c in terms.items()})
 
 
 def _sym_power_product(r: int, d: int, unit: int, trunc: int) -> SymmetricPoly:
@@ -198,12 +214,13 @@ def _sym_power_product(r: int, d: int, unit: int, trunc: int) -> SymmetricPoly:
     the top class for unit 0 and `trunc` the rank.
 
     The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d, in one S_r
-    orbit per partition of d into at most r parts; the orbit factors are
-    multiplied from the lexicographically largest partition down.
+    orbit per partition of d into at most r parts; the orbit factors, each
+    from `_orbit_factor` (in closed form at rank <= 2), are multiplied from
+    the lexicographically largest partition down.
     """
     total = SymmetricPoly.constant(r, 1)
-    for lam in reversed(partitions_of_weight(d, r, d)):
-        total = total.mul_truncated(_orbit_factor(lam.parts + (0,) * (r - len(lam)), unit, trunc), trunc)
+    for parts in reversed(list(parts_of_weight(d, r, d))):
+        total = total.mul_truncated(_orbit_factor(parts + (0,) * (r - len(parts)), unit, trunc), trunc)
     return total
 
 
@@ -221,8 +238,8 @@ def _sym_power_at_roots(r: int, d: int, trunc: int) -> list[int]:
     """c_0..c_trunc of Sym^d of a rank-r bundle at the roots x = (1, ..., r):
     the elementary symmetric functions of the values of the forms m.x, |m| = d."""
     out = [1] + [0] * trunc
-    for lam in partitions_of_weight(d, r, d):
-        for m in _distinct_permutations(lam.parts + (0,) * (r - len(lam))):
+    for parts in parts_of_weight(d, r, d):
+        for m in _distinct_permutations(parts + (0,) * (r - len(parts))):
             root = sum(i * a for i, a in enumerate(m, 1))
             for k in range(trunc, 0, -1):
                 out[k] += root * out[k - 1]
@@ -376,7 +393,7 @@ class ChernRing:
         """c_top(Sym^d) of the generic bundle alone, zero when the rank of Sym^d
         exceeds dim: the product of the roots m.x, one S_r orbit at a time.
         Each orbit's product is symmetric and homogeneous, so no lower degree
-        is built."""
+        is built; at rank 2 every orbit's product is its closed form."""
         rank = sym_power_rank(self.r, d)
         return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
 

@@ -1,8 +1,8 @@
 """Integer partitions and the box combinatorics behind Schubert indexing.
 
 `Partition` is the checked public value type.  Below the API, as in
-`horizontal_strips` and `vertical_strips`, a partition is its parts tuple
-without trailing zeros.
+`parts_of_weight`, `horizontal_strips` and `vertical_strips`, a partition
+is its parts tuple without trailing zeros.
 """
 
 from __future__ import annotations
@@ -90,23 +90,28 @@ def partitions_in_box(rows: int, cols: int) -> list[Partition]:
 
 
 def partitions_of_weight(weight: int, rows: int, cols: int) -> list[Partition]:
-    """Partitions of the given weight inside a rows x cols box, in lexicographic order.
+    """Partitions of the given weight inside a rows x cols box, in lexicographic order."""
+    return [Partition(parts) for parts in parts_of_weight(weight, rows, cols)]
+
+
+def parts_of_weight(weight: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:
+    """Parts of each partition of `weight` inside a rows x cols box, in lexicographic order.
 
     Only parts that leave a completable rest are tried: with k rows left and
     `remaining` boxes to place, the next part is at least ceil(remaining / k).
     """
-    out: list[Partition] = []
 
-    def rec(prefix: tuple[int, ...], remaining: int, cap: int) -> None:
+    def rec(prefix: tuple[int, ...], remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if not remaining:
-            out.append(Partition(prefix))
+            yield prefix
             return
         for v in range(-(-remaining // (rows - len(prefix))), min(cap, remaining) + 1):
-            rec(prefix + (v,), remaining - v, v)
+            if v == remaining:
+                yield prefix + (v,)
+            else:
+                yield from rec(prefix + (v,), remaining - v, v)
 
-    if 0 <= weight <= rows * cols:
-        rec((), weight, cols)
-    return out
+    return rec((), weight, cols) if 0 <= weight <= rows * cols else iter(())
 
 
 def horizontal_strips(base: tuple[int, ...], size: int, rows: int, cols: int) -> Iterator[tuple[int, ...]]:

@@ -19,7 +19,8 @@ equivalence, whose excess part is one `quotient_series`, integrate over
 Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts
 map the class they integrate, and the equivalences the classes they trace,
 to the Schubert basis, each once, through products with the one-column
-classes c_i(U*) = sigma_(1^i).
+classes c_i(U*) = sigma_(1^i).  A split report traces only counts, so it
+takes them from the equivalence core `_equivalence` and maps nothing.
 """
 
 from __future__ import annotations
@@ -282,6 +283,28 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     Z is assumed smooth of the expected dimension, as for general members.
     """
     D, e, n = operator.index(D), operator.index(e), operator.index(n)
+    k, count, excess, locus = _equivalence(D, e, n)
+    base = GrassmannianRing(2, n + 1)
+    schubert = ChernRing(2, base.dim).evaluator(dual_universal_vector(base))
+    trace = (
+        ("moduli_space", f"Gr(2,{n + 1})"),
+        ("family_dim", str(k)),
+        ("family_class", _serialize(schubert(locus))),
+        ("excess_part", _serialize(schubert(excess))),
+        ("count", str(count)),
+    )
+    return CountReport(
+        "equivalence-lines-factor",
+        {"total_degree": D, "factor_degree": e, "ambient": n},
+        count,
+        trace,
+    )
+
+
+def _equivalence(D: int, e: int, n: int) -> tuple[int, int, object, object]:
+    """The family dimension k, the count, the excess part and the family class
+    of `equivalence_lines_on_factor`, the classes in `ChernRing` and none of
+    them mapped to the Schubert basis."""
     if not 1 <= e <= D:
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:
@@ -298,28 +321,14 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     excess = quotient_series(ring.sym_power(D), small, k)[k]
     locus = small.top()
     count = _catalan_integral(excess.mul_truncated(locus, ring.dim), base)
-    schubert = ring.evaluator(dual_universal_vector(base))
-    excess, locus = schubert(excess), schubert(locus)
     _check_digits(count)
-    trace = (
-        ("moduli_space", f"Gr(2,{n + 1})"),
-        ("family_dim", str(k)),
-        ("family_class", _serialize(locus)),
-        ("excess_part", _serialize(excess)),
-        ("count", str(count)),
-    )
-    return CountReport(
-        "equivalence-lines-factor",
-        {"total_degree": D, "factor_degree": e, "ambient": n},
-        count,
-        trace,
-    )
+    return k, count, excess, locus
 
 
 def degeneration_split_report(D: int, n: int) -> CountReport:
     """Check that factor equivalences of every split add up to the smooth count."""
     total = count_lines_hypersurface(n, D)
-    pieces = {e: equivalence_lines_on_factor(D, e, n).count for e in range(1, D)}
+    pieces = {e: _equivalence(D, e, n)[1] for e in range(1, D)}
     trace = [("smooth_count", str(total.count))]
     for e in range(1, D):
         trace.append((f"equivalence_degree_{e}", str(pieces[e])))

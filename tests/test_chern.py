@@ -360,10 +360,11 @@ class TestChernRing:
         assert tops == [ring.sym_power(d).top() for d in range(1, 9)]
         assert [top.is_zero() for top in tops] == [comb(r + d - 1, d) > dim for d in range(1, 9)]
 
-    @pytest.mark.parametrize("r, d", [(2, 53), (3, 9), (4, 5), (5, 3)])
+    @pytest.mark.parametrize("r, d", [(1, 7), (2, 1), (2, 2), (2, 53), (2, 96), (3, 9), (4, 5), (5, 3)])
     def test_sym_power_top_is_the_product_of_the_roots(self, r, d):
         # At x = (2, 3, 5, ...) the e-polynomial, read with e_i at its value
-        # e_i(x), is the product of the roots m.x over all |m| = d.
+        # e_i(x), is the product of the roots m.x over all |m| = d.  An even d
+        # at rank 2 brings in the one-root orbit (d/2, d/2).
         x = (2, 3, 5, 7, 11)[:r]
         e = [sum(prod(c) for c in combinations(x, i)) for i in range(1, r + 1)]
         rank = comb(r + d - 1, d)

@@ -29,7 +29,7 @@ from curvecount import (
     sym_power,
     tally_checks,
 )
-from curvecount import grassmannian
+from curvecount import grassmannian, pipelines
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
 from curvecount.pipelines import _catalan_integral, _serialize
@@ -382,6 +382,20 @@ class TestSplitReport:
         report = degeneration_split_report(3, 3)
         assert report.count == 27
         assert report.all_consistent()
+
+    def test_counts_map_nothing_to_the_schubert_basis(self, monkeypatch):
+        # Only an equivalence's trace classes go to the Schubert basis; the
+        # split report traces counts alone, so it builds no evaluator.
+        expected = [equivalence_lines_on_factor(7, e, 5).count for e in range(1, 7)]
+
+        def refuse(ring):
+            raise AssertionError("dual_universal_vector called")
+
+        monkeypatch.setattr(pipelines, "dual_universal_vector", refuse)
+        report = degeneration_split_report(7, 5)
+        assert [int(report.trace_value(f"equivalence_degree_{e}")) for e in range(1, 7)] == expected
+        with pytest.raises(AssertionError, match="dual_universal_vector called"):
+            equivalence_lines_on_factor(7, 3, 5)
 
 
 class TestDimensionCount:

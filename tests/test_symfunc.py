@@ -5,7 +5,9 @@ from random import Random
 import pytest
 
 from curvecount import RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
-from curvecount.chern import _orbit_factor, _sym_power_product
+from curvecount import chern
+from curvecount.chern import ChernRing, _orbit_factor, _sym_power_product, clear_universal_cache, sym_power_elementary
+from curvecount.chern import universal_cache_dir
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly
 
 from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_elementary, tuple_sym_power_elementary
@@ -14,6 +16,16 @@ from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_e
 def total_class(r, d, trunc):
     """The per-degree e-polynomials of c(Sym^d) of a rank-r bundle, as the cache holds them."""
     return _sym_power_product(r, d, 1, trunc).graded(trunc)
+
+
+def x_space_orbit(roots, unit, trunc):
+    """The product of (unit + m.x) over the roots m, multiplied out in the
+    variables up to degree `trunc` and rewritten once in e_1..e_r."""
+    r = len(roots[0])
+    orbit = SymmetricPoly.constant(r, 1)
+    for m in roots:
+        orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
+    return elementary_ring_poly(r, reduce_to_elementary(orbit))
 
 
 def x_power(nvars, i, a=1):
@@ -156,21 +168,30 @@ class TestPackedKernel:
     def test_universal_polynomials_match_roots_oracle(self, key):
         assert total_class(*key) == packed(roots_sym_power_elementary(*key))
 
-    @pytest.mark.parametrize("a, b", [(5, 0), (4, 1), (3, 2), (7, 2), (3, 3)])
-    def test_rank_two_orbit_factor(self, a, b):
-        # (1 + a x1 + b x2)(1 + b x1 + a x2) = 1 + d e1 + ab e1^2 + (a-b)^2 e2
-        # for a != b; a single root a(x1 + x2) when a == b.  With unit 0 the
-        # orbit is the product of the roots alone, ab e1^2 + (a-b)^2 e2 or a e1.
-        d = a + b
-        if a != b:
-            expected = {(0, 0): 1, (1, 0): d, (2, 0): a * b, (0, 1): (a - b) ** 2}
-            top = {(2, 0): a * b, (0, 1): (a - b) ** 2}
-        else:
-            expected = {(0, 0): 1, (1, 0): a}
-            top = {(1, 0): a}
-        assert _orbit_factor((a, b), 1, 2) == elementary_ring_poly(2, expected)
-        assert _orbit_factor((a, b), 1, 1) == elementary_ring_poly(2, {(0, 0): 1, (1, 0): d if a != b else a})
-        assert _orbit_factor((a, b), 0, 2) == elementary_ring_poly(2, top)
+    def test_closed_form_orbit_factors_match_the_x_space_route(self):
+        # Every orbit of d <= 12 with at most two parts, and the one-root
+        # orbits (a, ..., a) at ranks 1, 3 and 4, against the orbit multiplied
+        # out in the roots and rewritten by reduce_to_elementary, with each
+        # truncation up to one past the orbit's degree.
+        orbits = [(d - b, b) for d in range(1, 13) for b in range(d // 2 + 1)]
+        orbits += [(a,) * r for r in (1, 3, 4) for a in range(1, 12 // r + 1)]
+        for lam in orbits:
+            roots = sorted(set(permutations(lam)))
+            for unit in (0, 1):
+                for trunc in range(len(roots) + 2):
+                    assert _orbit_factor(lam, unit, trunc) == x_space_orbit(roots, unit, trunc), (lam, unit, trunc)
+
+    def test_rank_two_classes_need_no_elementary_rewrite(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("reduce_to_elementary called")
+
+        monkeypatch.setattr(chern, "reduce_to_elementary", refuse)
+        assert ChernRing(2, 54).sym_power_top(53) == packed(roots_sym_power_elementary(2, 53, 54))[54]
+        with universal_cache_dir(None):
+            clear_universal_cache()
+            assert sym_power_elementary(2, 5, 6) == packed(roots_sym_power_elementary(2, 5, 6))
+            with pytest.raises(AssertionError, match="reduce_to_elementary called"):
+                sym_power_elementary(3, 2, 6)  # the orbit of (2, 0, 0) still takes the rewrite
 
     def test_elementary_ring_grades_by_weight(self):
         # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
