@@ -271,16 +271,19 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) 
 
     A write that fails with an OSError (the directory gone, the disk full)
     leaves no temporary file behind and is dropped: the value is still
-    served from memory, and a later process computes it again.
+    served from memory, and a later process computes it again.  So is a
+    value with a coefficient longer than `sys.get_int_max_str_digits()`
+    allows, which has no text: nothing is written for it.
     """
     path = _cache_file(r, d, trunc)
     try:
+        text = _cache_text(r, d, trunc, value)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    except OSError:
+    except (ValueError, OSError):
         return
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_cache_text(r, d, trunc, value))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):

@@ -9,9 +9,11 @@ it holds its own tables, filled as partitions are first met: parts tuples
 to indices and back, product expansions and horizontal strips.  Below the
 API a partition is its parts tuple; `Partition` objects are built only from
 outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
-`basis`, `dual_partition`).  Products use the Littlewood-Richardson rule,
-computed by enumerating chains of horizontal strips with the lattice-word
-condition; the expansion of each sorted pair of partitions in a box is
+`basis`, `dual_partition`).  Products use the Littlewood-Richardson rule.
+On a box of at most three rows an LR tableau is fixed by three integers,
+so the coefficients are counts of integer points (`_lr_three_rows`); a
+taller box enumerates chains of horizontal strips with the lattice-word
+condition.  The expansion of each sorted pair of partitions in a box is
 memoized as (index, coefficient) pairs, and each ring keeps a table of those
 expansions keyed by the ordered pair of basis indices, packed into one int;
 a pair and its mirror share one expansion, filled once.
@@ -379,16 +381,41 @@ def _is_lattice_step(before: tuple[int, ...], shape: tuple[int, ...], nu: tuple[
     return True
 
 
-@lru_cache(maxsize=None)
-def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int):
-    """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
+def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, ...], int]:
+    """LR coefficients c^nu_{lam, mu} in a box of at most three rows, by shape nu.
 
-    Returns a tuple of (nu index, coefficient) pairs in index order, with
-    indices into the basis table of `GrassmannianRing(rows, rows + cols)`.
-    The rule is symmetric in lam and mu, so callers normalize the key order
-    before the cache.
+    Row 1 of an LR tableau (Fulton, Young Tableaux, section 5) holds only
+    1s and row 2 only 1s and 2s, so with content mu a tableau is fixed by b,
+    the 1s in row 1, and x and y, the 1s and 2s in row 2: row 3 then holds
+    p = mu1 - b - x ones, q = mu2 - y twos and mu3 threes, and
+    nu = (lam1 + b, lam2 + x + y, lam3 + p + q + mu3).  The bounds on b, x
+    and y are the column-strict and lattice-word conditions: the 1s of rows
+    2 and 3 sit under lam, the 2s of row 2 under lam or 1s, the 2s of row 3
+    under lam or the 1s of row 2, and the reading word never has more 2s
+    than 1s or more 3s than 2s; nu3 <= nu2 bounds y too.  Each point within
+    them where nu has no more parts than `rows` is one tableau.
     """
-    ring = GrassmannianRing(rows, rows + cols)
+    l1, l2, l3 = lam + (0,) * (3 - len(lam))
+    m1, m2, m3 = mu + (0,) * (3 - len(mu))
+    weight = l1 + l2 + l3 + m1 + m2 + m3
+    counts: dict[tuple[int, ...], int] = {}
+    for b in range(min(m1, cols - l1) + 1):
+        n1 = l1 + b
+        half = (weight - n1 + 1) // 2  # the least nu2 with nu3 <= nu2
+        for x in range(max(0, m2 - b, m1 - b - l2 + l3), min(m1 - b, l1 - l2) + 1):
+            y_low = max(m3, m1 + m2 + l3 - l2 - b - 2 * x, half - l2 - x)
+            for n2 in range(l2 + x + y_low, l2 + x + min(b, m2, n1 - l2 - x) + 1):
+                n3 = weight - n1 - n2
+                nu = (n1, n2, n3) if n3 else (n1, n2) if n2 else (n1,) if n1 else ()
+                if len(nu) <= rows:
+                    counts[nu] = counts.get(nu, 0) + 1
+    return counts
+
+
+def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing) -> dict[tuple[int, ...], int]:
+    """LR coefficients c^nu_{lam, mu} in the ring's box, by shape nu, from
+    chains of horizontal strips of sizes mu1, mu2, ... out of the ring's
+    strip table, checking the lattice-word condition as each is added."""
     strips = ring.horizontal
     counts: dict[tuple[int, ...], int] = {}
 
@@ -401,6 +428,22 @@ def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: in
                 extend(shape, nu, stage + 1)
 
     extend(None, lam, 0)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int):
+    """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
+
+    Returns a tuple of (nu index, coefficient) pairs in index order, with
+    indices into the basis table of `GrassmannianRing(rows, rows + cols)`.
+    A box of at most three rows counts its LR tableaux by their content
+    (`_lr_three_rows`); a taller box enumerates strip chains (`_lr_chains`).
+    The rule is symmetric in lam and mu, so callers normalize the key order
+    before the cache.
+    """
+    ring = GrassmannianRing(rows, rows + cols)
+    counts = _lr_three_rows(lam, mu, rows, cols) if rows <= 3 else _lr_chains(lam, mu, ring)
     rank = ring.rank
     return tuple(sorted((rank(nu), k) for nu, k in counts.items()))
 

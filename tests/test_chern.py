@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import sys
 from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
@@ -654,5 +655,21 @@ class TestUniversalCache:
                 sym_power_elementary(2, 3, 4)
             assert list(tmp_path.iterdir()) == []
         finally:
+            set_universal_cache_dir(None)
+            clear_universal_cache()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
+    def test_value_past_the_digit_limit_is_not_written(self, tmp_path):
+        import curvecount.chern as chern
+
+        value = packed(((((0, 0), 1),), (((1, 0), 10 ** 640),)))  # a 641-digit coefficient of e_1
+        limit = sys.get_int_max_str_digits()
+        try:
+            set_universal_cache_dir(tmp_path)
+            sys.set_int_max_str_digits(640)
+            chern._store_cached(2, 1, 1, value)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            sys.set_int_max_str_digits(limit)
             set_universal_cache_dir(None)
             clear_universal_cache()

@@ -25,7 +25,7 @@ from curvecount import (
     universal_dual_chern,
     whitney_quotient,
 )
-from curvecount.grassmannian import _lr_expansion
+from curvecount.grassmannian import _lr_chains, _lr_expansion, _lr_three_rows
 from curvecount.partitions import partitions_in_box
 
 from helpers import brute_lr_coefficient, cap_products, clear_product_memos, oracle_multiply, point_class, random_class
@@ -316,9 +316,10 @@ class TestMultiply:
             assert ChowClass._trusted(ring, dict(expansion)) == oracle_multiply(ring, parts[i], parts[j])
 
     def test_cold_table_fill_enumerates_each_strip_set_once(self, monkeypatch):
+        # Boxes of four or more rows take the strip chains; three rows take none.
         import curvecount.grassmannian as grassmannian
 
-        ring = GrassmannianRing(3, 9)
+        ring = GrassmannianRing(4, 8)
         keys = self.table_keys(ring)
         asked = []
         original = grassmannian.horizontal_strips
@@ -332,6 +333,43 @@ class TestMultiply:
         assert asked
         assert len(set(asked)) == len(asked)
         assert {(base, size) for base, size, _, _ in asked} == set(ring.strips)
+
+    def test_three_row_fill_asks_for_no_strips(self):
+        ring = GrassmannianRing(3, 9)
+        products, strips = self.fill_table(ring, self.table_keys(ring))
+        assert len(products) == 3778  # 1912 unordered pairs
+        assert strips == {}
+
+    def test_three_row_count_matches_the_strip_chains(self):
+        # Every ordered pair in every box of 1 to 3 rows and up to 8 columns.
+        pairs = 0
+        for rows in (1, 2, 3):
+            for cols in range(9):
+                ring = GrassmannianRing(rows, rows + cols)
+                box = [p.parts for p in partitions_in_box(rows, cols)]
+                for lam in box:
+                    for mu in box:
+                        assert _lr_three_rows(lam, mu, rows, cols) == _lr_chains(lam, mu, ring)
+                        pairs += 1
+        assert pairs == 58761
+
+    def test_three_row_count_matches_brute_force_tableaux(self):
+        # A seeded sample of the pairs that fit the dimension of Gr(3, 9),
+        # each against every shape of its weight.
+        ring = GrassmannianRing(3, 9)
+        box = [p.parts for p in ring.basis()]
+        rng = Random(24)
+        pairs = 0
+        while pairs < 200:
+            lam, mu = rng.choice(box), rng.choice(box)
+            weight = sum(lam) + sum(mu)
+            if weight > ring.dim:
+                continue
+            counts = _lr_three_rows(lam, mu, ring.rows, ring.cols)
+            assert all(sum(nu) == weight for nu in counts)
+            for nu in ring.basis(weight):
+                assert counts.get(nu.parts, 0) == brute_lr_coefficient(lam, mu, nu.parts)
+            pairs += 1
 
 
 class TestSumOfProducts:
