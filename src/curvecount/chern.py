@@ -29,10 +29,10 @@ Z[c_1..c_r] truncated at a dimension, where they are elements as they
 stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
 maps them to a given bundle, each e-monomial once as a shorter one times
 one c_i.  `sym_power` of any bundle is `ChernRing.sym_power` under that
-map, and the conic counts and the `chern` calculators compute a whole class
-in `ChernRing` and map it to the Schubert basis once, at the end.
+map, and the `chern` calculators compute a whole class in `ChernRing` and
+map it to the Schubert basis once, at the end; a count maps nothing.
 With unit 0 the product is c_top(Sym^d) alone, `ChernRing.sym_power_top`,
-with no cache; the line counts need nothing else and integrate it in the ring.
+with no cache; the line counts need nothing else.
 """
 
 from __future__ import annotations

@@ -14,13 +14,12 @@ c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
 where the universal Sym^d polynomials are elements as they stand.  Lines
 and conics share one moduli shape, a `projbundle.ProjBundleRing` over that
 ring (P(O) for lines, P(Sym^2 U*) for conics), pushed down to it once.
-A line count needs only the top class of each Sym^d U*.  It and an
-equivalence, whose excess part is one `quotient_series`, integrate over
-Gr(2, N) by Catalan numbers, in the ring itself.  The conic counts
-map the class they integrate, and the equivalences the classes they trace,
-to the Schubert basis, each once, through products with the one-column
-classes c_i(U*) = sigma_(1^i).  A split report traces only counts, so it
-takes them from the equivalence core `_equivalence` and maps nothing.
+A line count needs only the top class of each Sym^d U*, and an
+equivalence's excess part is one `quotient_series`.  Every count, at any
+rank, is one `symfunc.grassmannian_integral` in the ring itself.  Only the
+classes an equivalence traces go to the Schubert basis, each once, through
+products with the one-column classes c_i(U*) = sigma_(1^i); a split report
+traces only counts, so it takes them from `_equivalence` and maps nothing.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from math import comb
 
 from .chern import ChernRing, dual_universal_vector, quotient_series, segre_from_chern, sym_power_rank, trivial_vector
 from .errors import InternalCheckError, PreconditionError
-from .grassmannian import GrassmannianRing, integrate
+from .grassmannian import GrassmannianRing
 from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
+from .symfunc import grassmannian_integral
 
 
 def _check_digits(*numbers: int) -> None:
@@ -166,8 +166,9 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
 
     The bundle is a `ProjBundleRing` over `ChernRing` truncated at the
     dimension of the Grassmannian.  The product is pushed down by
-    `pb_pushforward`; for lines it is integrated by `_catalan_integral`,
-    and for conics mapped to the Schubert basis once, at the end.
+    `pb_pushforward` and integrated over the Grassmannian by
+    `symfunc.grassmannian_integral`, in the Chern classes as they stand;
+    the trace records the pushed-down class as the count times the point.
     """
     n, degrees = operator.index(n), [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):
@@ -205,14 +206,10 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
                 trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
         top = top * _forms_top(moduli, d, divisible)
     trace.append(("forms_rank", str(rank)))
-    if kind == "lines":
-        count = _catalan_integral(pb_pushforward(top), base)
-        label, top = "top_chern_class", base.sigma((base.cols,) * base.rows) * count
-    else:
-        label, top = "top_class_pushforward", ring.evaluator(dual_universal_vector(base))(pb_pushforward(top))
-        count = integrate(top)
+    count = grassmannian_integral(pb_pushforward(top), base.N)
     _check_digits(count)
-    trace += [(label, _serialize(top)), ("count", str(count))]
+    label = "top_chern_class" if kind == "lines" else "top_class_pushforward"
+    trace += [(label, _serialize(base.sigma((base.cols,) * base.rows) * count)), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
@@ -240,16 +237,6 @@ def _forms_top(moduli: ProjBundleRing, d: int, divisible) -> ProjBundleElement:
         ring.sum_of_products((comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1))
         for p in range(low, m + 1)
     ])
-
-
-def _catalan_integral(x, base: GrassmannianRing) -> int:
-    """The integral over base = Gr(2, N) of a polynomial x in e_1 = c_1(U*) and
-    e_2 = c_2(U*).  e_2 = sigma_(1,1) is the class of Gr(2, N-1), and e_1^(2k)
-    integrates over Gr(2, k+2) to its Plücker degree, the Catalan number C_k,
-    so e_1^a e_2^b of top degree a + 2b = 2(N-2) integrates to C_(N-2-b).
-    Terms below the top degree integrate to zero."""
-    k = base.cols
-    return sum(c * (comb(2 * (k - b), k - b) // (k - b + 1)) for (a, b), c in x.terms.items() if a + 2 * b == 2 * k)
 
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:
@@ -309,9 +296,8 @@ def _equivalence(D: int, e: int, n: int) -> tuple[int, int, object, object]:
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:
         raise PreconditionError(f"need ambient dimension >= 2, got {n}")
-    base = GrassmannianRing(2, n + 1)
-    ring = ChernRing(2, base.dim)
-    k = 2 * (n - 1) - (e + 1)
+    ring = ChernRing(2, 2 * (n - 1))
+    k = ring.dim - (e + 1)
     if k < 0:
         raise PreconditionError(
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
@@ -320,7 +306,7 @@ def _equivalence(D: int, e: int, n: int) -> tuple[int, int, object, object]:
     small = ring.sym_power(e)
     excess = quotient_series(ring.sym_power(D), small, k)[k]
     locus = small.top()
-    count = _catalan_integral(excess.mul_truncated(locus, ring.dim), base)
+    count = grassmannian_integral(excess.mul_truncated(locus, ring.dim), n + 1)
     _check_digits(count)
     return k, count, excess, locus
 

@@ -340,15 +340,20 @@ class TestChernRing:
         assert set(chern._SYM_CACHE) == {(2, 5, 6)}
 
     def test_evaluation_reads_no_terms_view(self, monkeypatch):
-        # From the warm cache to a Schubert class, the universal polynomials
-        # are read through their packed keys only.
+        # From the warm cache to a count or a Schubert class, the universal
+        # polynomials are read through their packed keys only, and so is the
+        # class a count integrates.
         cu = dual_universal_vector(GrassmannianRing(3, 7))
         count_curves("conics", 6, [8])
+        count_curves("lines", 8, [13])
+        equivalence_lines_on_factor(5, 2, 4)
         warm = [sym_power(cu, d) for d in (2, 3, 4)]
         reads = []
         view = SymmetricPoly.terms
         monkeypatch.setattr(SymmetricPoly, "terms", property(lambda p: reads.append(p) or view.fget(p)))
         assert count_curves("conics", 6, [8]).count == 21553784182784
+        assert count_curves("lines", 8, [13]).count == 210776836330775
+        assert equivalence_lines_on_factor(5, 2, 4).count == 1300
         assert [sym_power(cu, d) for d in (2, 3, 4)] == warm
         assert reads == []
 

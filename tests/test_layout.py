@@ -80,6 +80,16 @@ def test_projective_bundles_know_no_grassmannian():
             assert names <= {"integrate", "ChowClass"}
 
 
+def test_pipelines_take_only_the_grassmannian_itself():
+    # Every count integrates in the Chern classes by one integral; the
+    # pipelines take from the Schubert layer only the ring of their traces.
+    for node in _sibling_imports(MODULES["pipelines"]):
+        names = {alias.name for alias in node.names}
+        assert "grassmannian" not in names
+        if (node.module or "").endswith("grassmannian"):
+            assert names <= {"GrassmannianRing"}
+
+
 def test_checker_sees_each_kind_of_reach():
     # A module written the way the layers were once wired into each other.
     MODULES["_probe"] = ast.parse(

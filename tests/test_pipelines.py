@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import sys
+from math import comb
 from random import Random
 
 import pytest
@@ -32,8 +33,9 @@ from curvecount import (
 from curvecount import grassmannian, pipelines
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
-from curvecount.pipelines import _catalan_integral, _serialize
-from curvecount.symfunc import elementary_ring_poly
+from curvecount.partitions import parts_of_weight
+from curvecount.pipelines import _serialize
+from curvecount.symfunc import elementary_ring_poly, grassmannian_integral
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
 
@@ -172,17 +174,43 @@ class TestCountCurves:
         with pytest.raises(TypeError):
             call()
 
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_grassmannian_integral_is_the_schubert_integral(self, r):
+        # Every e-monomial e_1^a_1 ... e_r^a_r of top degree sum(i a_i) = dim Gr(r, N),
+        # for N - r <= 6: a partition of dim into parts at most r, a_i of them equal to i.
+        for N in range(r, r + 7):
+            base = GrassmannianRing(r, N)
+            ring = ChernRing(r, base.dim)
+            schubert = ring.evaluator(dual_universal_vector(base))
+            for parts in parts_of_weight(base.dim, base.dim, r):
+                monomial = elementary_ring_poly(r, {tuple(parts.count(i) for i in range(1, r + 1)): 1})
+                assert grassmannian_integral(monomial, N) == integrate(schubert(monomial))
+            below = elementary_ring_poly(r, {(base.dim - 1,) + (0,) * (r - 1): 5}) if base.dim else ring.zero()
+            assert grassmannian_integral(below, N) == 0
+
+    @pytest.mark.parametrize(
+        "kind, n, degrees, count",
+        [("lines", 4, [5], 2875), ("lines", 5, [3, 3], 1053), ("conics", 4, [5], 609250)],
+        ids=["lines", "lines-ci", "conics"],
+    )
+    def test_counts_map_nothing_to_the_schubert_basis(self, monkeypatch, kind, n, degrees, count):
+        # The pushed-down class is integrated in the Chern classes as it
+        # stands; the trace writes it as the count times the point class.
+        def refuse(*args):
+            raise AssertionError("mapped to the Schubert basis")
+
+        monkeypatch.setattr(pipelines, "dual_universal_vector", refuse)
+        monkeypatch.setattr(ChernRing, "evaluator", refuse)
+        assert count_curves(kind, n, degrees).count == count
+
     @pytest.mark.parametrize("N", range(2, 13))
-    def test_catalan_integral_is_the_schubert_integral(self, N):
-        # Every e-monomial e_1^a e_2^b of top degree a + 2b = dim Gr(2, N).
-        base = GrassmannianRing(2, N)
-        ring = ChernRing(2, base.dim)
-        schubert = ring.evaluator(dual_universal_vector(base))
-        for b in range(base.dim // 2 + 1):
-            monomial = elementary_ring_poly(2, {(base.dim - 2 * b, b): 1})
-            assert _catalan_integral(monomial, base) == integrate(schubert(monomial))
-        below = elementary_ring_poly(2, {(base.dim - 1, 0): 5}) if base.dim else ring.zero()
-        assert _catalan_integral(below, base) == 0
+    def test_grassmannian_integral_at_rank_two_is_catalan(self, N):
+        # e_2 = sigma_(1,1) is the class of Gr(2, N-1), and e_1^(2k) integrates
+        # over Gr(2, k+2) to its Plücker degree, the Catalan number C_k.
+        for b in range(N - 1):
+            k = N - 2 - b
+            monomial = elementary_ring_poly(2, {(2 * k, b): 3})
+            assert grassmannian_integral(monomial, N) == 3 * comb(2 * k, k) // (k + 1)
 
 
 def bott_weights(n: int) -> list[int]:
@@ -255,9 +283,9 @@ class TestLocalizationOracle:
 
 
 class TestPresentationRoute:
-    """Counts and the `chern` calculators multiply in Z[c_1..c_r] and reach
-    the Schubert basis through products with one-column classes only, which
-    never ask the LR memo."""
+    """Counts multiply and integrate in Z[c_1..c_r].  The `chern` calculators
+    and the classes an equivalence traces reach the Schubert basis through
+    products with one-column classes only, which never ask the LR memo."""
 
     @staticmethod
     def record_lr(monkeypatch) -> list:
