@@ -13,10 +13,10 @@ outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 On a box of at most three rows an LR tableau is fixed by three integers,
 so the coefficients are counts of integer points (`_lr_three_rows`); a
 taller box enumerates chains of horizontal strips with the lattice-word
-condition.  The expansion of each sorted pair of partitions in a box is
-memoized as (index, coefficient) pairs, and each ring keeps a table of those
-expansions keyed by the ordered pair of basis indices, packed into one int;
-a pair and its mirror share one expansion, filled once.
+condition.  The LR coefficients of each sorted pair of partitions in a box
+are memoized by shape; `product` ranks them, and each ring keeps a table of
+(index, coefficient) expansions keyed by the ordered pair of basis indices,
+packed into one int; a pair and its mirror share one expansion, filled once.
 The ring's table of horizontal strips by (parts, size) serves the LR chains
 and Pieri alike, so each strip set is enumerated once.
 A product with a one-column class sigma_(1^k) skips the LR memo: the dual
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import permutations, zip_longest
+from itertools import combinations, permutations, repeat, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -125,17 +125,16 @@ class GrassmannianRing:
         alike, so a miss on one is a miss on both and each unordered pair is
         computed once.  A one-column factor sigma_(1^k), such as c_k(U*),
         takes the dual Pieri rule: one term of coefficient 1 per vertical
-        strip.  Any other pair goes to the LR memo.
+        strip.  Any other pair goes to the LR memo.  Either rule gives shapes,
+        ranked here into the (index, coefficient) expansion in index order.
         """
         i, j = sorted(divmod(key, self.size))
         lam, mu = self.parts[i], self.parts[j]
         if lam[:1] in ((), (1,)):  # the unit or a column goes second
             lam, mu = mu, lam
-        if mu[:1] in ((), (1,)):
-            strips = vertical_strips(lam, len(mu), self.rows, self.cols)
-            expansion = tuple(sorted((self.rank(nu), 1) for nu in strips))
-        else:
-            expansion = _lr_expansion(lam, mu, self.rows, self.cols)
+        shapes = (zip(vertical_strips(lam, len(mu), self.rows, self.cols), repeat(1)) if mu[:1] in ((), (1,))
+                  else _lr_expansion(lam, mu, self.rows, self.cols))
+        expansion = tuple(sorted((self.rank(nu), k) for nu, k in shapes))
         self.products[i * self.size + j] = self.products[j * self.size + i] = expansion
         return expansion
 
@@ -435,17 +434,16 @@ def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing
 def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int):
     """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
 
-    Returns a tuple of (nu index, coefficient) pairs in index order, with
-    indices into the basis table of `GrassmannianRing(rows, rows + cols)`.
-    A box of at most three rows counts its LR tableaux by their content
-    (`_lr_three_rows`); a taller box enumerates strip chains (`_lr_chains`).
-    The rule is symmetric in lam and mu, so callers normalize the key order
-    before the cache.
+    Returns a tuple of (nu parts, coefficient) pairs; `GrassmannianRing.product`
+    ranks them.  A box of at most three rows counts its LR tableaux by their
+    content (`_lr_three_rows`) and looks up no ring; a taller box enumerates
+    strip chains (`_lr_chains`) from the strip table of
+    `GrassmannianRing(rows, rows + cols)`.  The rule is symmetric in lam and
+    mu, so callers normalize the key order before the cache.
     """
-    ring = GrassmannianRing(rows, rows + cols)
-    counts = _lr_three_rows(lam, mu, rows, cols) if rows <= 3 else _lr_chains(lam, mu, ring)
-    rank = ring.rank
-    return tuple(sorted((rank(nu), k) for nu, k in counts.items()))
+    counts = (_lr_three_rows(lam, mu, rows, cols) if rows <= 3
+              else _lr_chains(lam, mu, GrassmannianRing(rows, rows + cols)))
+    return tuple(counts.items())
 
 
 def pieri(c: ChowClass, a: int) -> ChowClass:
@@ -472,13 +470,6 @@ def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
     return x.ring.sum_of_products([(1, x, y)])
 
 
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def giambelli(lam, ring: GrassmannianRing) -> ChowClass:
     """The basis class sigma_lam as a determinant in special classes.
 
@@ -499,7 +490,7 @@ def giambelli(lam, ring: GrassmannianRing) -> ChowClass:
         term = ring.one()
         for m in row_indices:
             term = pieri(term, m)
-        total = total + _permutation_sign(perm) * term
+        total = total + (-1) ** sum(s > t for s, t in combinations(perm, 2)) * term
     return total
 
 

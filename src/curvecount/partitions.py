@@ -75,18 +75,9 @@ class Partition:
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions inside a rows x cols box, in lexicographic order."""
-    out: list[Partition] = []
-
-    def rec(prefix: tuple[int, ...], cap: int) -> None:
-        out.append(Partition(prefix))
-        if len(prefix) == rows:
-            return
-        for v in range(1, cap + 1):
-            rec(prefix + (v,), v)
-
-    rec((), cols)
-    return out
+    """All partitions inside a rows x cols box, in lexicographic order: those
+    of each weight from `partitions_of_weight`, merged by sorting."""
+    return sorted(p for weight in range(rows * cols + 1) for p in partitions_of_weight(weight, rows, cols))
 
 
 def partitions_of_weight(weight: int, rows: int, cols: int) -> list[Partition]:

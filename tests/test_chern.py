@@ -46,6 +46,10 @@ class TestChernVector:
         with pytest.raises(PreconditionError):
             ChernVector(GR25, 2, [GR25.zero()])
 
+    def test_negative_rank_rejected(self):
+        with pytest.raises(PreconditionError, match="^rank must be >= 0, got -1$"):
+            ChernVector(GR25, -1, [GR25.one()])
+
     def test_component_list_bounded(self):
         with pytest.raises(PreconditionError):
             ChernVector(GR25, 1, [GR25.one(), GR25.sigma((1,)), GR25.sigma((1, 1))])

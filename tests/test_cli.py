@@ -297,6 +297,21 @@ class TestOutputContract:
         trace = dict(traced_payload["trace"])
         assert trace["count"] == "2875"
 
+    def test_plain_trace_prints_one_line_per_entry(self, capsys):
+        argv = ("--trace", "lines", "--ambient", "4", "--degree", "5")
+        _, structured, _ = invoke(capsys, "--format", "structured", *argv)
+        trace = json.loads(structured)["trace"]
+        assert len(trace) == 5
+        lines = ["2875"] + [f"trace {label}: {value}" for label, value in trace]
+        assert invoke(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+
+    def test_empty_calculator_result_prints_zero(self, capsys):
+        # No horizontal strip of 9 boxes fits the 2 x 2 box.
+        argv = ("schubert", "pieri", "--grassmannian", "2,4", "--a", "1", "--k", "9")
+        assert invoke(capsys, *argv) == (0, "0\n", "")
+        code, out, _ = invoke(capsys, "--format", "structured", *argv)
+        assert (code, json.loads(out)["result"]) == (0, [])
+
     def test_structured_consistency_entries(self, capsys):
         code, out, _ = invoke(capsys, "--format", "structured", "tally-checks")
         payload = json.loads(out)
@@ -369,6 +384,11 @@ class TestUsageErrors:
     def test_malformed_grassmannian(self, capsys):
         for text in ("nope", "2,x"):
             assert run(["schubert", "mult", "--grassmannian", text, "--a", "1", "--b", "1"]) == 2
+
+    def test_malformed_degrees(self, capsys):
+        code, out, err = invoke(capsys, "lines-ci", "--ambient", "5", "--degrees", "3,")
+        assert (code, out) == (2, "")
+        assert "argument --degrees: expected comma-separated integers, got '3,'" in err
 
 
 class TestParserReuse:

@@ -82,6 +82,16 @@ class TestRing:
         c = ChowClass(GR24, {Partition((1,)): 0, Partition((2,)): 3})
         assert c.terms == {Partition((2,)): 3}
 
+    def test_adding_a_class_of_another_ring_is_refused(self):
+        with pytest.raises(RingMismatchError, match=r"^classes live on Gr\(2,4\) and Gr\(2,5\)$"):
+            GR24.sigma((1,)) + GR25.sigma((1,))
+
+    def test_coefficient_outside_the_box_is_zero(self):
+        c = 2 * GR24.sigma((2, 1)) + GR24.sigma((1,))
+        assert c.coefficient((2, 1)) == 2
+        assert c.coefficient((3,)) == 0
+        assert c.coefficient(Partition((1, 1, 1))) == 0
+
     @pytest.mark.parametrize("coeff", [1.5, 0.0, "7"])
     def test_non_integral_coefficient_rejected(self, coeff):
         with pytest.raises(TypeError):
@@ -261,7 +271,8 @@ class TestMultiply:
                 for i in range(1, rows + 1):
                     first, second = sorted((ring.rank(lam.parts), ring.rank((1,) * i)))
                     expansion = ring.product(first * ring.size + second)
-                    assert expansion == _lr_expansion(lam.parts, (1,) * i, rows, cols)
+                    shapes = _lr_expansion(lam.parts, (1,) * i, rows, cols)
+                    assert expansion == tuple(sorted((ring.rank(nu), k) for nu, k in shapes))
                     pairs += 1
         assert pairs == 1183
         assert asked == []
@@ -339,6 +350,22 @@ class TestMultiply:
         products, strips = self.fill_table(ring, self.table_keys(ring))
         assert len(products) == 3778  # 1912 unordered pairs
         assert strips == {}
+
+    def test_three_row_fill_looks_up_no_ring(self, monkeypatch):
+        # The ring ranks the shapes itself, so a box of at most three rows
+        # never asks for its ring by (r, N).
+        import curvecount.grassmannian as grassmannian
+
+        def refused(*args):
+            raise AssertionError(f"GrassmannianRing{args} looked up")
+
+        ring = GrassmannianRing(3, 7)
+        keys = self.table_keys(ring)
+        clear_product_memos()
+        monkeypatch.setattr(grassmannian, "GrassmannianRing", refused)
+        for key in keys:
+            ring.product(key)
+        assert sorted(ring.products) == keys
 
     def test_three_row_count_matches_the_strip_chains(self):
         # Every ordered pair in every box of 1 to 3 rows and up to 8 columns.

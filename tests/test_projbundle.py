@@ -56,6 +56,10 @@ class TestRingBasics:
         assert lines.fiber_rank == 1
         assert lines.dim == lines.base.dim == 6
 
+    def test_adding_an_element_of_another_bundle_is_refused(self):
+        with pytest.raises(RingMismatchError, match="^elements live on different projective bundles$"):
+            proj_space(2).one() + proj_space(3).one()
+
     def test_rank_zero_rejected(self):
         with pytest.raises(PreconditionError):
             ProjBundleRing(trivial_vector(POINT, 0))

@@ -8,7 +8,7 @@ from curvecount import RingMismatchError, SymmetricPoly, elementary, reduce_to_e
 from curvecount import chern
 from curvecount.chern import ChernRing, _orbit_factor, _sym_power_product, clear_universal_cache, sym_power_elementary
 from curvecount.chern import universal_cache_dir
-from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly
+from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly, sum_of_products
 
 from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_elementary, tuple_sym_power_elementary
 
@@ -138,6 +138,11 @@ class TestSymmetricPoly:
         assert p == SymmetricPoly.constant(2, 1) + x + y
         with pytest.raises(RingMismatchError, match="a polynomial in 3 variables in a ring of 2"):
             x.mul_truncated(x_power(3, 0), 1)
+
+    def test_zero_scaled_terms_add_nothing(self):
+        x, y = x_power(2, 0), x_power(2, 1)
+        assert sum_of_products(2, [(0, x, y)], 4).is_zero()
+        assert sum_of_products(2, [(0, x, y), (3, x, x), (0, y, y)], 4) == 3 * (x * x)
 
     def test_evaluate(self):
         p = SymmetricPoly(2, {(2, 1): 3, (0, 0): -1})
