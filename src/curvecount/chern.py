@@ -14,14 +14,16 @@ constructor share it.  Each component of a twist, sum or quotient is one
 reduces them.  Every series c(E)/c(S), a Whitney quotient, a Segre class or
 the excess part of an equivalence, is one `quotient_series`.
 
-Symmetric powers go through universal polynomials: the product of
-(unit + root) over the formal roots of Sym^d of a rank-r bundle is one
-symmetric factor per S_r orbit of the roots, each in e_1..e_r, multiplied
-there.  A one-root orbit and a rank-2 orbit take a closed form; only an
-orbit of rank 3 or more with more than one root is multiplied out in the
-roots and rewritten once by `reduce_to_elementary`.  With unit 1 it is the
-total class, kept as packed e-polynomials per degree, cached per (rank,
-power, truncation degree) in memory and optionally on disk.  A disk file
+Symmetric powers go through universal polynomials in e_1..e_r.  The
+product of (unit + root) over the formal roots of Sym^d of a rank-r bundle
+is one symmetric factor per S_r orbit of the roots, multiplied there.  A
+one-root orbit and a rank-2 orbit take a closed form; only an orbit of
+rank 3 or more with more than one root is multiplied out in the roots and
+rewritten once by `reduce_to_elementary`.  With unit 0 it is the top class
+at every rank.  The total class takes that product or Newton's identity
+on the power sums of the roots, by rank, as `sym_power_elementary` says;
+it is kept as packed e-polynomials per degree, cached per (rank, power,
+truncation degree) in memory and optionally on disk.  A disk file
 is served only if it is byte for byte the text `_store_cached` writes for
 its key and its values at the roots (1, ..., r) are those of Sym^d; any
 other file, or one that cannot be read, is recomputed.  `ChernRing` is
@@ -50,7 +52,7 @@ from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
 from .partitions import parts_of_weight
 from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, elementary_substitution
-from .symfunc import reduce_to_elementary, sum_of_products
+from .symfunc import reduce_to_elementary, sum_of_products, sym_power_newton
 
 
 class ChernVector:
@@ -169,8 +171,10 @@ def universal_cache_dir(path: str | Path | None) -> Iterator[None]:
 
 def clear_universal_cache() -> None:
     """Drop the in-memory universal-polynomial cache, so that the next lookup
-    of each key reads the disk or computes (for tests and benchmarks)."""
+    of each key reads the disk or computes (for tests and benchmarks), and
+    the table that the rank-3 route keeps between the keys of one count."""
     _SYM_CACHE.clear()
+    sym_power_newton.cache_clear()
 
 
 def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -293,13 +297,21 @@ def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) 
 
 
 def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...]:
-    """Cached universal polynomials for Sym^d of a rank-r bundle up to degree trunc."""
+    """Cached universal polynomials for Sym^d of a rank-r bundle up to degree trunc.
+
+    A miss takes its route by rank alone.  Rank 3 takes Newton's identity on
+    the power sums of the roots, `symfunc.sym_power_newton`.  Every other
+    rank multiplies the orbit factors of `_sym_power_product` with unit 1:
+    rank 2 has closed-form orbits, which power sums do not beat, and ranks 1
+    and >= 4 have no power-sum route.  The top class, unit 0, is the orbit
+    product at every rank (`ChernRing.sym_power_top`).
+    """
     key = (r, d, trunc)
     if key in _SYM_CACHE:
         return _SYM_CACHE[key]
     value = _load_cached(r, d, trunc) if _CACHE_DIR is not None else None
     if value is None:
-        value = _sym_power_product(r, d, 1, trunc).graded(trunc)
+        value = sym_power_newton(d, trunc) if r == 3 else _sym_power_product(r, d, 1, trunc).graded(trunc)
         if _CACHE_DIR is not None:
             _store_cached(r, d, trunc, value)
     _SYM_CACHE[key] = value

@@ -14,6 +14,10 @@ e_i -> values[i], which reads the packed keys as they stand; the
 elementary-basis rewrite takes each e-monomial's expansion in the variables
 from it too, with e_i -> e_i.  `grassmannian_integral` integrates one over
 Gr(r, N), with e_i = c_i(U*), in the packed keys as they stand.
+`sym_power_newton` builds the elementary symmetric functions of the forms
+m.x, |m| = d, in three variables from their power sums, with no rewrite:
+each power sum is a sum of monomial symmetric functions, each of those a
+product of power sums of x times a shift by e_3.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import comb, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 
 Exponents = tuple[int, ...]
 
@@ -312,6 +316,80 @@ def _e_coefficient(gamma: Exponents, a: Exponents) -> int:
             lower = tuple(ai - ji + jn for ai, ji, jn in zip(a, j, j[1:] + a[-1:]))
             total += prod(map(comb, a, j)) * _e_coefficient(gamma[:-1], lower)
     return total
+
+
+def _divided(p: SymmetricPoly, n: int) -> SymmetricPoly:
+    """p / n, which must be exact: a remainder raises InternalCheckError."""
+    out = {}
+    for key, c in p._packed.items():
+        out[key], rest = divmod(c, n)
+        if rest:
+            raise InternalCheckError(f"coefficient {c} is not divisible by {n}")
+    return SymmetricPoly._trusted(p.nvars, out)
+
+
+_TWO_PART: dict[int, list[tuple[int, int, SymmetricPoly]]] = {}  # one `top` at a time
+
+
+def _two_part_monomials(top: int) -> list[tuple[int, int, SymmetricPoly]]:
+    """(a, b, m_(a,b)) for a >= b >= 0, a + b <= top, in e_1..e_3: with the power
+    sums p_k = e1 p_(k-1) - e2 p_(k-2) + e3 p_(k-3), m_(a) = p_a, m_(a,b) =
+    p_a p_b - p_(a+b) for a > b > 0 and (p_a^2 - p_2a) / 2 for a = b.  Only the
+    table of the last `top` is kept, which the two keys of a conic count share."""
+    if top not in _TWO_PART:
+        one, e1, e2, e3 = (elementary_ring_poly(3, {e: 1}) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        p = [one * 3, e1, e1 * e1 - e2 * 2]
+        for k in range(3, top + 1):
+            p.append(sum_of_products(3, [(1, p[k - 1], e1), (-1, p[k - 2], e2), (1, p[k - 3], e3)], k))
+        table = [(0, 0, one)]
+        for n in range(1, top + 1):
+            for b in range(n // 2 + 1):
+                m = p[n - b] * p[b] - p[n] if b else p[n]
+                table.append((n - b, b, _divided(m, 2) if 2 * b == n else m))
+        _TWO_PART.clear()
+        _TWO_PART[top] = table
+    return _TWO_PART[top]
+
+
+def _form_power_sums(d: int, top: int) -> list[SymmetricPoly]:
+    """P_0..P_top in e_1..e_3, P_k = sum over |m| = d of (m.x)^k in three variables:
+    the sum over lambda |- k of multinomial(k; lambda) S_lambda(d) m_lambda, with
+    S_lambda(d) = sum over |m| = d of prod m_i^lambda_i (0^0 = 1), one
+    convolution per (lambda_2, lambda_3), and m_(a+c,b+c,c) = e3^c m_(a,b)."""
+    powers = [[a**j for a in range(d + 1)] for j in range(top + 1)]
+    convolutions: dict[tuple[int, int], list[int]] = {}
+    sums: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    e3 = _pack((0, 0, 1), 3)
+    for a, b, m in _two_part_monomials(top):
+        for c in range((top - a - b) // 3 + 1):
+            if (b + c, c) not in convolutions:
+                u, v = powers[b + c], powers[c]
+                convolutions[b + c, c] = [sum(map(operator.mul, u[:s + 1], v[s::-1])) for s in range(d + 1)]
+            k, shift = a + b + 3 * c, c * e3
+            weight = sum(map(operator.mul, powers[a + c], reversed(convolutions[b + c, c])))
+            weight *= comb(k, a + c) * comb(b + 2 * c, c)
+            acc, get = sums[k], sums[k].get
+            for key, coeff in m._packed.items():
+                acc[key + shift] = get(key + shift, 0) + weight * coeff
+    return [SymmetricPoly._trusted(3, {key: c for key, c in acc.items() if c}) for acc in sums]
+
+
+def sym_power_newton(d: int, top: int) -> tuple[SymmetricPoly, ...]:
+    """e_0..e_top of the forms m.x, |m| = d, in three variables, as polynomials
+    in e_1..e_3: the total Chern class of Sym^d of a rank-3 bundle, by Newton's
+    identity n e_n = sum_(k <= n) (-1)^(k-1) P_k e_(n-k) on the power sums of
+    `_form_power_sums` (Macdonald, I.2).  Each e_n is one `sum_of_products`
+    and one exact division by n.  `sym_power_newton.cache_clear()` drops the
+    kept table of `_two_part_monomials`."""
+    sums = _form_power_sums(d, top)
+    out = [SymmetricPoly.constant(3, 1)]
+    for n in range(1, top + 1):
+        terms = [(-1 if k % 2 == 0 else 1, sums[k], out[n - k]) for k in range(1, n + 1)]
+        out.append(_divided(sum_of_products(3, terms, n), n))
+    return tuple(out)
+
+
+sym_power_newton.cache_clear = _TWO_PART.clear
 
 
 _EXPANSIONS: dict[int, Callable[[int], SymmetricPoly]] = {}  # e-monomials in x, by variable count

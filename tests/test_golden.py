@@ -57,6 +57,7 @@ CLI_CASES = {
 CACHE_CASES = {
     "sym_r2_d5_t6.json": ("equivalence", "--total", "5", "--factor", "1", "--ambient", "4"),
     "sym_r3_d4_t15.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "4"),
+    "sym_r3_d11_t18.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "11"),
 }
 
 # Conics beyond the quintic have no subcommand; their goldens use the CLI's JSON layout.

@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
-from curvecount import RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
-from curvecount import chern
+from curvecount import InternalCheckError, RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
+from curvecount import chern, symfunc
 from curvecount.chern import ChernRing, _orbit_factor, _sym_power_product, clear_universal_cache, sym_power_elementary
 from curvecount.chern import universal_cache_dir
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly, sum_of_products
@@ -158,6 +158,58 @@ class TestSymmetricPoly:
             SymmetricPoly(2, {(1, 2, 3): 1})
 
 
+def monomial_symmetric(lam):
+    """m_lambda in three variables: x^alpha once for each distinct rearrangement alpha of lambda."""
+    return SymmetricPoly(3, {alpha: 1 for alpha in set(permutations(lam))})
+
+
+class TestNewtonRoute:
+    def test_matches_the_orbit_product(self):
+        # d = 2..12 and every truncation up to min(rank, 30): 271 keys.  An
+        # orbit product cut at t is the uncut one's degrees 0..t, and the
+        # keys of one truncation share the kept table.
+        orbits = {d: total_class(3, d, min(comb(d + 2, 2), 30)) for d in range(2, 13)}
+        keys = [(d, trunc) for trunc in range(31) for d in orbits if trunc < len(orbits[d])]
+        assert len(keys) == 271
+        for d, trunc in keys:
+            assert symfunc.sym_power_newton(d, trunc) == orbits[d][:trunc + 1], (d, trunc)
+
+    @pytest.mark.parametrize("key", [(3, 11, 18), (3, 9, 18)])
+    def test_universal_polynomials_match_roots_oracle(self, key):
+        with universal_cache_dir(None):
+            clear_universal_cache()
+            assert sym_power_elementary(*key) == packed(roots_sym_power_elementary(*key))
+            clear_universal_cache()
+
+    def test_monomial_symmetric_functions_match_their_expansion(self):
+        # Each m_lambda of weight <= 10, three parts as e3^c times two.
+        for a, b, m in symfunc._two_part_monomials(10):
+            for c in range((10 - a - b) // 3 + 1):
+                lam = (a + c, b + c, c)
+                shifted = m * elementary_ring_poly(3, {(0, 0, c): 1})
+                assert elementary_to_monomials(3, shifted.terms) == monomial_symmetric(lam), lam
+
+    def test_inexact_division_raises(self, monkeypatch):
+        exact = symfunc._form_power_sums
+
+        def off_by_one(d, top):
+            sums = exact(d, top)
+            sums[2] = sums[2] + elementary_ring_poly(3, {(0, 1, 0): 1})
+            return sums
+
+        monkeypatch.setattr(symfunc, "_form_power_sums", off_by_one)
+        with pytest.raises(InternalCheckError, match="not divisible by 2"):
+            symfunc.sym_power_newton(3, 2)
+
+    def test_cache_clear_drops_the_kept_table(self):
+        symfunc.sym_power_newton(4, 6)
+        assert list(symfunc._TWO_PART) == [6]
+        symfunc.sym_power_newton(3, 5)
+        assert list(symfunc._TWO_PART) == [5]
+        clear_universal_cache()
+        assert not symfunc._TWO_PART
+
+
 class TestPackedKernel:
     @pytest.mark.parametrize("d, r", [(d, r) for r in (1, 2, 3, 4) for d in (1, 2, 3, 4) if (r, d) != (4, 4)])
     def test_universal_polynomials_match_tuple_oracle(self, r, d):
@@ -191,12 +243,15 @@ class TestPackedKernel:
             raise AssertionError("reduce_to_elementary called")
 
         monkeypatch.setattr(chern, "reduce_to_elementary", refuse)
+        monkeypatch.setattr(symfunc, "reduce_to_elementary", refuse)
         assert ChernRing(2, 54).sym_power_top(53) == packed(roots_sym_power_elementary(2, 53, 54))[54]
         with universal_cache_dir(None):
             clear_universal_cache()
             assert sym_power_elementary(2, 5, 6) == packed(roots_sym_power_elementary(2, 5, 6))
+            # A rank-3 total class takes the power sums, not the orbits.
+            assert sym_power_elementary(3, 2, 6) == packed(roots_sym_power_elementary(3, 2, 6))
             with pytest.raises(AssertionError, match="reduce_to_elementary called"):
-                sym_power_elementary(3, 2, 6)  # the orbit of (2, 0, 0) still takes the rewrite
+                sym_power_elementary(4, 2, 8)  # the orbit of (2, 0, 0, 0) still takes the rewrite
 
     def test_elementary_ring_grades_by_weight(self):
         # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
