@@ -30,11 +30,14 @@ other file, or one that cannot be read, is recomputed.  `ChernRing` is
 Z[c_1..c_r] truncated at a dimension, where they are elements as they
 stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
 maps them to a given bundle, each e-monomial once as a shorter one times
-one c_i.  `sym_power` of any bundle is `ChernRing.sym_power` under that
-map, and the `chern` calculators compute a whole class in `ChernRing` and
-map it to the Schubert basis once, at the end; a count maps nothing.
-With unit 0 the product is c_top(Sym^d) alone, `ChernRing.sym_power_top`,
-with no cache; the line counts need nothing else.
+one c_i; U* of a Grassmannian has one such map, kept with its images for
+every later class of U*.  `sym_power` of any bundle is `ChernRing.sym_power`
+under that map, and the `chern` calculators compute a whole class in
+`ChernRing` and map it to the Schubert basis once, at the end; a count maps
+nothing.  With unit 0 the product is c_top(Sym^d) alone,
+`ChernRing.sym_power_top`, with no cache; the line counts need nothing
+else.  `ChernRing.sym_power_segre` keeps the Segre series of Sym^d in
+memory per (rank, power, truncation degree), never on disk.
 """
 
 from __future__ import annotations
@@ -140,6 +143,8 @@ def dual_universal_vector(ring: GrassmannianRing) -> ChernVector:
 # --- universal symmetric-power polynomials ---------------------------------
 
 _SYM_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
+_SEGRE_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
+_DUAL_MAPS: dict[GrassmannianRing, tuple] = {}  # (c(U*), the Schubert map of U*), per Grassmannian
 _CACHE_DIR: Path | None = None
 _CACHE_FORMAT = 1  # bump when the layout of a cache file changes
 
@@ -170,10 +175,11 @@ def universal_cache_dir(path: str | Path | None) -> Iterator[None]:
 
 
 def clear_universal_cache() -> None:
-    """Drop the in-memory universal-polynomial cache, so that the next lookup
-    of each key reads the disk or computes (for tests and benchmarks), and
-    the table that the rank-3 route keeps between the keys of one count."""
+    """Drop the in-memory universal polynomials, so that the next lookup of each
+    key reads the disk or computes (for tests and benchmarks), their Segre
+    series and the table the rank-3 route keeps between the keys of one count."""
     _SYM_CACHE.clear()
+    _SEGRE_CACHE.clear()
     sym_power_newton.cache_clear()
 
 
@@ -412,11 +418,27 @@ class ChernRing:
         rank = sym_power_rank(self.r, d)
         return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
 
+    def sym_power_segre(self, d: int) -> tuple[SymmetricPoly, ...]:
+        """s_0..s_dim of Sym^d of the generic bundle (Sym^0 = O), kept in memory per (r, d, dim)."""
+        key = (self.r, d, self.dim)
+        if key not in _SEGRE_CACHE:
+            bundle = self.sym_power(d) if d else trivial_vector(self, 1)
+            _SEGRE_CACHE[key] = tuple(segre_from_chern(bundle, self.dim))
+        return _SEGRE_CACHE[key]
+
     def evaluator(self, c: ChernVector):
-        """The ring map c_i -> c.component(i), as a function with its own monomial memo."""
+        """The ring map c_i -> c.component(i), a function that memoizes the image
+        of each e-monomial.  For U* of a Grassmannian it is the ring's one shared
+        map, whatever the dim of this ring; any other vector gets a fresh one."""
         if c.rank != self.r:
             raise PreconditionError(f"cannot evaluate rank-{self.r} classes on a rank-{c.rank} bundle")
-        return elementary_substitution([c.component(i) for i in range(self.r + 1)], c.ring.zero())
+        cu, image = _DUAL_MAPS.get(c.ring, (None, None)) if isinstance(c.ring, GrassmannianRing) else ((), None)
+        if c.components == cu:
+            return image
+        image = elementary_substitution([c.component(i) for i in range(self.r + 1)], c.ring.zero())
+        if cu is None and c.components == dual_universal_vector(c.ring).components:
+            _DUAL_MAPS[c.ring] = c.components, image
+        return image
 
 
 # --- elementary bundle operations -------------------------------------------

@@ -29,7 +29,7 @@ import operator
 import sys
 from math import comb
 
-from .chern import ChernRing, dual_universal_vector, quotient_series, segre_from_chern, sym_power_rank, trivial_vector
+from .chern import ChernRing, dual_universal_vector, quotient_series, sym_power_rank, trivial_vector
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing
 from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
@@ -224,14 +224,15 @@ def _forms_top(moduli: ProjBundleRing, d: int, divisible) -> ProjBundleElement:
         c_m(Q) = sum over i, l of binom(f-1+m-i, m-i-l) c_i(E) s_l(F) zeta^(m-i-l),
 
     a polynomial in zeta that the element z-reduces.  A coefficient of
-    degree above the base dimension is zero and not built.
+    degree above the base dimension is zero and not built.  s(F) is the
+    kept series `ChernRing.sym_power_segre(d - 2)`, 1 for the trivial F at d = 2.
     """
     ring = moduli.base
     if divisible is None:
         return moduli.pullback(ring.sym_power_top(d))
     forms = ring.sym_power(d)
     m, f = forms.rank - divisible.rank, divisible.rank
-    segre = segre_from_chern(divisible, ring.dim)
+    segre = ring.sym_power_segre(d - 2)
     low = max(0, m - ring.dim)
     return ProjBundleElement(moduli, [ring.zero()] * low + [
         ring.sum_of_products((comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1))

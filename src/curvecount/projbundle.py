@@ -228,8 +228,10 @@ def pb_integrate(x: ProjBundleElement) -> int:
 
 
 def pullback_vector(ring: ProjBundleRing, c: ChernVector) -> ChernVector:
-    """Pull a Chern vector on the base up to the projective bundle."""
+    """Pull a Chern vector on the base up to the projective bundle; its
+    components are normal on the base, so each is a z^0 coefficient as it stands."""
     if c.ring != ring.base:
         raise RingMismatchError(f"vector on {c.ring} is not defined over the base {ring.base}")
-    comps = [ring.pullback(comp) for comp in c.components]
+    zeros = (ring.base.zero(),) * (ring.fiber_rank - 1)
+    comps = [ProjBundleElement._trusted(ring, (comp,) + zeros) for comp in c.components]
     return ChernVector(ring, c.rank, comps)

@@ -54,7 +54,7 @@ from curvecount import (
     tensor_line,
     whitney_quotient,
 )
-from curvecount import cli, grassmannian
+from curvecount import chern, cli, grassmannian
 from curvecount.chern import sym_power_elementary
 from curvecount.symfunc import elementary_ring_poly
 
@@ -81,8 +81,10 @@ def cap_products(monkeypatch, limit: int = 50) -> None:
 
 
 def clear_product_memos() -> None:
-    """Forget every LR expansion: the memo, and the product and strip tables of each ring."""
+    """Forget every LR expansion: the memo, and the product and strip tables of
+    each ring, and the shared Schubert map of U* that holds products of them."""
     grassmannian._lr_expansion.cache_clear()
+    chern._DUAL_MAPS.clear()
     for ring in grassmannian._RINGS.values():
         ring.products.clear()
         ring.strips.clear()

@@ -15,6 +15,7 @@ from curvecount import (
     PreconditionError,
     ProjBundleRing,
     RingMismatchError,
+    count_conics_quintic,
     count_curves,
     dual,
     dual_universal_vector,
@@ -28,10 +29,12 @@ from curvecount import (
     whitney_quotient,
     whitney_sum,
 )
+from curvecount import chern
 from curvecount.chern import ChernRing, clear_universal_cache, set_universal_cache_dir, sym_power_elementary
 from curvecount.symfunc import DEGREE_LIMIT, SymmetricPoly, reduce_to_elementary
 
-from helpers import packed, power_table_sym_power, random_bundle_vector, roots_sym_power_elementary
+from helpers import cap_products, clear_product_memos, packed, power_table_sym_power, random_bundle_vector
+from helpers import roots_sym_power_elementary
 
 GR25 = GrassmannianRing(2, 5)
 GR35 = GrassmannianRing(3, 5)
@@ -321,6 +324,41 @@ class TestSegre:
                 assert conv == (GR25.one() if k == 0 else GR25.zero())
 
 
+class TestSegreMemo:
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_memo_is_the_segre_series_of_sym_k(self, r, k):
+        ring = ChernRing(r, 9)
+        assert list(ring.sym_power_segre(k)) == segre_from_chern(ring.sym_power(k), ring.dim)
+
+    def test_sym_0_of_a_degree_2_conic_count_has_series_1(self):
+        ring = ChernRing(3, 6)
+        expected = [ring.one()] + [ring.zero()] * 6
+        assert list(ring.sym_power_segre(0)) == segre_from_chern(trivial_vector(ring, 1), 6) == expected
+
+    def test_second_lookup_and_warm_conic_count_divide_nothing(self, monkeypatch):
+        clear_universal_cache()
+        count_conics_quintic()
+        calls = []
+        series = chern.quotient_series
+        monkeypatch.setattr(chern, "quotient_series", lambda *args: calls.append(args) or series(*args))
+        ring = ChernRing(3, 12)
+        first = ring.sym_power_segre(4)
+        assert len(calls) == 1
+        assert ring.sym_power_segre(4) is first and len(calls) == 1
+        assert count_conics_quintic().count == 609250 and len(calls) == 1
+        clear_universal_cache()
+        assert ring.sym_power_segre(4) == first and len(calls) == 2
+
+    def test_stored_series_cannot_be_mutated(self):
+        ring = ChernRing(2, 6)
+        series = ring.sym_power_segre(3)
+        assert isinstance(series, tuple)
+        with pytest.raises(TypeError):
+            series[1] = ring.zero()
+        assert ring.sym_power_segre(3) is series and list(series) == segre_from_chern(ring.sym_power(3), 6)
+
+
 class TestChernRing:
     def test_evaluation_of_universal_polynomials_is_sym_power(self):
         for base in (GR25, GR35, GrassmannianRing(3, 7)):
@@ -415,6 +453,27 @@ class TestChernRing:
         generic = ChernRing(3, 2).generators()
         assert [c.terms for c in generic.components] == [{(0, 0, 0): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
         assert generic.top().is_zero()
+
+    def test_u_star_maps_through_one_shared_map_per_grassmannian(self, monkeypatch):
+        base, other = GrassmannianRing(3, 9), GrassmannianRing(3, 7)
+        cu = dual_universal_vector(base)
+        clear_product_memos()
+        first = [sym_power(cu, d) for d in (2, 5, 11)]
+        assert first == [power_table_sym_power(cu, d) for d in (2, 5, 11)]
+        shared = ChernRing(3, base.dim).evaluator(cu)
+        assert ChernRing(3, 4).evaluator(dual_universal_vector(base)) is shared
+        assert ChernRing(3, 4).evaluator(dual(cu)) is not shared
+        assert ChernRing(3, other.dim).evaluator(dual_universal_vector(other)) is not shared
+        with pytest.raises(PreconditionError):
+            ChernRing(2, 4).evaluator(cu)
+        expected = [power_table_sym_power(v, 3) for v in (dual(cu), dual_universal_vector(other))]
+        cap_products(monkeypatch, 0)
+        assert [sym_power(cu, d) for d in (2, 5, 11)] == first
+        monkeypatch.undo()
+        assert [sym_power(v, 3) for v in (dual(cu), dual_universal_vector(other))] == expected
+        clear_product_memos()
+        fresh = ChernRing(3, 4).evaluator(dual(cu))
+        assert ChernRing(3, base.dim).evaluator(cu) not in (shared, fresh)
 
     def test_one_read_only_ring_per_key(self):
         ring = ChernRing(3, 18)
