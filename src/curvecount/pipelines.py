@@ -198,40 +198,37 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     trace.append(("moduli_dim", str(moduli.dim)))
     top = moduli.one()
     for d in degrees:
-        divisible = None
+        f = comb(d, 2) if kind == "conics" else 0  # the rank of Sym^(d-2) U*, the forms divisible by the conic
         if kind == "conics":
             trace.append((f"sym_rank_degree_{d}", str(sym_power_rank(span, d))))
-            if d > 1:
-                divisible = ring.sym_power(d - 2) if d > 2 else trivial_vector(ring, 1)
-                trace.append((f"divisible_rank_degree_{d}", str(divisible.rank)))
-        top = top * _forms_top(moduli, d, divisible)
+        if f:
+            trace.append((f"divisible_rank_degree_{d}", str(f)))
+        top = top * _forms_top(moduli, d, f)
     trace.append(("forms_rank", str(rank)))
     count = grassmannian_integral(pb_pushforward(top), base.N)
-    _check_digits(count)
     label = "top_chern_class" if kind == "lines" else "top_class_pushforward"
     trace += [(label, _serialize(base.sigma((base.cols,) * base.rows) * count)), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
-def _forms_top(moduli: ProjBundleRing, d: int, divisible) -> ProjBundleElement:
+def _forms_top(moduli: ProjBundleRing, d: int, f: int) -> ProjBundleElement:
     """c_top on `moduli` of the degree-d forms on the curve, Q = E / (F (x) O(-zeta))
-    for E = Sym^d U* and the Chern vector F = `divisible`; with no divisible
-    form (None) it is `ChernRing.sym_power_top(d)`, pulled back from the base,
-    and no other class of Sym^d is built.  Otherwise, with
-    f = rank F and m = rank Q, the Segre class of a twist (Fulton,
-    Intersection Theory, 3.1-3.2) gives
+    for E = Sym^d U* and F = Sym^(d-2) U* of rank f; with no divisible form
+    (f = 0) it is `ChernRing.sym_power_top(d)`, pulled back from the base,
+    and no other class of Sym^d is built.  Otherwise, with m = rank Q, the
+    Segre class of a twist (Fulton, Intersection Theory, 3.1-3.2) gives
 
         c_m(Q) = sum over i, l of binom(f-1+m-i, m-i-l) c_i(E) s_l(F) zeta^(m-i-l),
 
     a polynomial in zeta that the element z-reduces.  A coefficient of
-    degree above the base dimension is zero and not built.  s(F) is the
-    kept series `ChernRing.sym_power_segre(d - 2)`, 1 for the trivial F at d = 2.
+    degree above the base dimension is zero and not built.  F enters only
+    through f and its kept series s(F), `ChernRing.sym_power_segre(d - 2)`.
     """
     ring = moduli.base
-    if divisible is None:
+    if not f:
         return moduli.pullback(ring.sym_power_top(d))
     forms = ring.sym_power(d)
-    m, f = forms.rank - divisible.rank, divisible.rank
+    m = forms.rank - f
     segre = ring.sym_power_segre(d - 2)
     low = max(0, m - ring.dim)
     return ProjBundleElement(moduli, [ring.zero()] * low + [

@@ -8,6 +8,7 @@ import pytest
 
 from curvecount import cli
 from curvecount.cli import CACHE_DIR_ENV, build_parser, run
+from curvecount.errors import InternalCheckError
 
 from helpers import cap_products, eager_parser, src_env
 
@@ -63,6 +64,14 @@ class TestCountingCommands:
             assert invoke(capsys, "lines", "--ambient", "700", "--degree", "1397") == (3, "", error)
         finally:
             sys.set_int_max_str_digits(previous)
+
+    def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
+        # The command table looks the pipeline up in `cli` when it runs, so the patch reaches it.
+        def broken(n, d):
+            raise InternalCheckError("boom")
+
+        monkeypatch.setattr(cli, "count_lines_hypersurface", broken)
+        assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5") == (4, "", "internal error: boom\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["equivalence", "--total", "5", "--factor", "1", "--ambient", "1"], "need ambient dimension >= 2, got 1"),
@@ -596,6 +605,23 @@ class TestCache:
             assert chern._load_cached(3, 4, 15) == chern._sym_power_product(3, 4, 1, 15).graded(15)
         finally:
             chern.set_universal_cache_dir(None)
+
+    def test_conic_count_writes_its_three_keys(self, capsys, tmp_path):
+        # c(Sym^2 U*) for the moduli space, c(Sym^5 U*) for the forms, and c(Sym^3 U*)
+        # behind the Segre series of the forms divisible by the conic, all at dim Gr(3,5) = 6.
+        import curvecount.chern as chern
+
+        names = ["sym_r3_d2_t6.json", "sym_r3_d3_t6.json", "sym_r3_d5_t6.json"]
+        chern.clear_universal_cache()
+        try:
+            assert invoke(capsys, "--cache-dir", str(tmp_path), "conics-quintic")[:2] == (0, "609250\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == names
+            written = {name: (tmp_path / name).read_bytes() for name in names}
+            chern.clear_universal_cache()
+            assert invoke(capsys, "--cache-dir", str(tmp_path), "conics-quintic")[:2] == (0, "609250\n")
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+        finally:
+            chern.clear_universal_cache()
 
     def test_cache_dir_is_the_calls_own(self, capsys, tmp_path, monkeypatch):
         import curvecount.chern as chern

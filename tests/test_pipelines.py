@@ -30,12 +30,12 @@ from curvecount import (
     sym_power,
     tally_checks,
 )
-from curvecount import grassmannian, pipelines
+from curvecount import chern, grassmannian, pipelines
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
 from curvecount.partitions import parts_of_weight
 from curvecount.pipelines import _serialize
-from curvecount.symfunc import elementary_ring_poly, grassmannian_integral
+from curvecount.symfunc import elementary_ring_poly, grassmannian_integral, reduce_to_elementary
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
 
@@ -202,6 +202,49 @@ class TestCountCurves:
         monkeypatch.setattr(pipelines, "dual_universal_vector", refuse)
         monkeypatch.setattr(ChernRing, "evaluator", refuse)
         assert count_curves(kind, n, degrees).count == count
+
+    @pytest.mark.parametrize("call, count", [
+        (lambda: count_curves("lines", 4, [5]), 2875),
+        (lambda: count_curves("lines", 5, [3, 3]), 1053),
+        (lambda: count_curves("conics", 4, [5]), 609250),
+        (lambda: count_curves("conics", 5, [2, 4]), 92288),
+        (lambda: count_curves("conics", 6, [8]), 21553784182784),
+        (lambda: equivalence_lines_on_factor(5, 1, 4), 1275),
+        (lambda: degeneration_split_report(5, 4), 2875),
+    ], ids=["lines", "lines-ci", "conics", "conics-2,4", "conics-8", "equivalence", "split-report"])
+    def test_counts_reduce_nothing_to_elementary(self, monkeypatch, call, count):
+        # Rank-2 orbit factors have a closed form and rank-3 total classes take
+        # Newton's identity, so these cold counts reach no elimination; only a
+        # rank-3 top class does, as below.
+        def refuse(p):
+            raise AssertionError("reduce_to_elementary called")
+
+        monkeypatch.setattr(chern, "reduce_to_elementary", refuse)
+        chern.clear_universal_cache()
+        try:
+            with chern.universal_cache_dir(None):
+                assert call().count == count
+        finally:
+            chern.clear_universal_cache()
+
+    def test_a_degree_one_conic_form_is_the_one_elimination(self, monkeypatch):
+        # c_3(U*) = e_3, the top class of the degree-1 form, is the orbit product
+        # x1 x2 x3 rewritten by `reduce_to_elementary`: the one call a cold count makes.
+        calls = []
+
+        def spy(p):
+            reduced = reduce_to_elementary(p)
+            calls.append((p.nvars, reduced))
+            return reduced
+
+        monkeypatch.setattr(chern, "reduce_to_elementary", spy)
+        chern.clear_universal_cache()
+        try:
+            with chern.universal_cache_dir(None):
+                assert count_curves("conics", 5, [1, 5]).count == 609250
+        finally:
+            chern.clear_universal_cache()
+        assert calls == [(3, {(0, 0, 1): 1})]
 
     @pytest.mark.parametrize("N", range(2, 13))
     def test_grassmannian_integral_at_rank_two_is_catalan(self, N):
