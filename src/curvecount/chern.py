@@ -23,10 +23,10 @@ rewritten once by `reduce_to_elementary`.  With unit 0 it is the top class
 at every rank.  The total class takes that product or Newton's identity
 on the power sums of the roots, by rank, as `sym_power_elementary` says;
 it is kept as packed e-polynomials per degree, cached per (rank, power,
-truncation degree) in memory and optionally on disk.  A disk file
-is served only if it is byte for byte the text `_store_cached` writes for
-its key and its values at the roots (1, ..., r) are those of Sym^d; any
-other file, or one that cannot be read, is recomputed.  `ChernRing` is
+truncation degree) in memory and optionally on disk.  A disk file is
+served only if it is byte for byte the text `_store_cached` writes for its
+key and its values at the roots (1, ..., r) are those of Sym^d, summed over
+the multisets of d roots with no orbit walk; any other file is recomputed.  `ChernRing` is
 Z[c_1..c_r] truncated at a dimension, where they are elements as they
 stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
 maps them to a given bundle, each e-monomial once as a shorter one times
@@ -37,16 +37,18 @@ under that map, and the `chern` calculators compute a whole class in
 nothing.  With unit 0 the product is c_top(Sym^d) alone,
 `ChernRing.sym_power_top`, with no cache; the line counts need nothing
 else.  `ChernRing.sym_power_segre` keeps the Segre series of Sym^d in
-memory per (rank, power, truncation degree), never on disk.
+a `functools` cache per (ring, power), never on disk.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import operator
 import os
 import tempfile
+from itertools import combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -143,7 +145,6 @@ def dual_universal_vector(ring: GrassmannianRing) -> ChernVector:
 # --- universal symmetric-power polynomials ---------------------------------
 
 _SYM_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
-_SEGRE_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
 _DUAL_MAPS: dict[GrassmannianRing, tuple] = {}  # (c(U*), the Schubert map of U*), per Grassmannian
 _CACHE_DIR: Path | None = None
 _CACHE_FORMAT = 1  # bump when the layout of a cache file changes
@@ -179,19 +180,8 @@ def clear_universal_cache() -> None:
     key reads the disk or computes (for tests and benchmarks), their Segre
     series and the table the rank-3 route keeps between the keys of one count."""
     _SYM_CACHE.clear()
-    _SEGRE_CACHE.clear()
+    ChernRing.sym_power_segre.cache_clear()
     sym_power_newton.cache_clear()
-
-
-def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each distinct rearrangement of `values` once; equal values must be adjacent."""
-    if not values:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        if i == 0 or v != values[i - 1]:
-            for rest in _distinct_permutations(values[:i] + values[i + 1:]):
-                yield (v,) + rest
 
 
 def _orbit_factor(lam: tuple[int, ...], unit: int, trunc: int) -> SymmetricPoly:
@@ -210,9 +200,8 @@ def _orbit_factor(lam: tuple[int, ...], unit: int, trunc: int) -> SymmetricPoly:
     elif r == 2:
         by_degree = [{(0, 0): unit * unit}, {(1, 0): unit * (a + b)}, {(2, 0): a * b, (0, 1): (a - b) ** 2}]
     else:
-        roots = _distinct_permutations(lam)
-        orbit = SymmetricPoly.linear_form(next(roots), unit)
-        for m in roots:
+        orbit = SymmetricPoly.constant(r, 1)
+        for m in set(permutations(lam)):
             orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
         return elementary_ring_poly(r, reduce_to_elementary(orbit))
     return elementary_ring_poly(r, {e: c for terms in by_degree[:trunc + 1] for e, c in terms.items()})
@@ -245,14 +234,13 @@ def _cache_text(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) ->
 
 
 def _sym_power_at_roots(r: int, d: int, trunc: int) -> list[int]:
-    """c_0..c_trunc of Sym^d of a rank-r bundle at the roots x = (1, ..., r):
-    the elementary symmetric functions of the values of the forms m.x, |m| = d."""
+    """c_0..c_trunc of Sym^d of a rank-r bundle at the roots x = (1, ..., r): the e_k
+    of the sums of the multisets of d roots, sharing no walk with the orbit products."""
     out = [1] + [0] * trunc
-    for parts in parts_of_weight(d, r, d):
-        for m in _distinct_permutations(parts + (0,) * (r - len(parts))):
-            root = sum(i * a for i, a in enumerate(m, 1))
-            for k in range(trunc, 0, -1):
-                out[k] += root * out[k - 1]
+    for multiset in combinations_with_replacement(range(1, r + 1), d):
+        root = sum(multiset)
+        for k in range(trunc, 0, -1):
+            out[k] += root * out[k - 1]
     return out
 
 
@@ -418,13 +406,11 @@ class ChernRing:
         rank = sym_power_rank(self.r, d)
         return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
 
+    @functools.cache
     def sym_power_segre(self, d: int) -> tuple[SymmetricPoly, ...]:
-        """s_0..s_dim of Sym^d of the generic bundle (Sym^0 = O), kept in memory per (r, d, dim)."""
-        key = (self.r, d, self.dim)
-        if key not in _SEGRE_CACHE:
-            bundle = self.sym_power(d) if d else trivial_vector(self, 1)
-            _SEGRE_CACHE[key] = tuple(segre_from_chern(bundle, self.dim))
-        return _SEGRE_CACHE[key]
+        """s_0..s_dim of Sym^d of the generic bundle (Sym^0 = O), kept in memory per (ring, d)."""
+        bundle = self.sym_power(d) if d else trivial_vector(self, 1)
+        return tuple(segre_from_chern(bundle, self.dim))
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), a function that memoizes the image

@@ -327,6 +327,7 @@ class ChowClass:
     def __pow__(self, exponent: int):
         """(c + n)^p for c the degree-0 coefficient: the sum of binom(p, j) c^(p-j) n^j
         over j <= dim, since n^(dim+1) = 0, so at most dim products for any p."""
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise PreconditionError(f"negative powers are not defined, got {exponent}")
         c = self._coeffs.get(0, 0)

@@ -27,6 +27,7 @@ and integrate the class below in the Chern classes as it stands.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .chern import ChernVector, check_element
@@ -181,6 +182,7 @@ class ProjBundleElement:
     def __pow__(self, exponent: int):
         """Square and multiply, about 2 log2(p) products for any base; once a
         square vanishes, every later factor does too, so the power is zero."""
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise PreconditionError(f"negative powers are not defined, got {exponent}")
         out, square = self.ring.one(), self

@@ -14,14 +14,15 @@ e_i -> values[i], which reads the packed keys as they stand; the
 elementary-basis rewrite takes each e-monomial's expansion in the variables
 from it too, with e_i -> e_i.  `grassmannian_integral` integrates one over
 Gr(r, N), with e_i = c_i(U*), in the packed keys as they stand.
-`sym_power_newton` builds the elementary symmetric functions of the forms
-m.x, |m| = d, in three variables from their power sums, with no rewrite:
-each power sum is a sum of monomial symmetric functions, each of those a
-product of power sums of x times a shift by e_3.
+`sym_power_newton` builds the e_k of the forms m.x, |m| = d, in three
+variables from their power sums, with no rewrite: each is a sum of monomial
+symmetric functions, each a product of power sums of x times a shift by
+e_3.  Tables kept between calls are `functools` caches.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import combinations, permutations, product
 from math import comb, prod
@@ -328,27 +329,22 @@ def _divided(p: SymmetricPoly, n: int) -> SymmetricPoly:
     return SymmetricPoly._trusted(p.nvars, out)
 
 
-_TWO_PART: dict[int, list[tuple[int, int, SymmetricPoly]]] = {}  # one `top` at a time
-
-
+@functools.lru_cache(maxsize=1)
 def _two_part_monomials(top: int) -> list[tuple[int, int, SymmetricPoly]]:
     """(a, b, m_(a,b)) for a >= b >= 0, a + b <= top, in e_1..e_3: with the power
     sums p_k = e1 p_(k-1) - e2 p_(k-2) + e3 p_(k-3), m_(a) = p_a, m_(a,b) =
     p_a p_b - p_(a+b) for a > b > 0 and (p_a^2 - p_2a) / 2 for a = b.  Only the
     table of the last `top` is kept, which the two keys of a conic count share."""
-    if top not in _TWO_PART:
-        one, e1, e2, e3 = (elementary_ring_poly(3, {e: 1}) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        p = [one * 3, e1, e1 * e1 - e2 * 2]
-        for k in range(3, top + 1):
-            p.append(sum_of_products(3, [(1, p[k - 1], e1), (-1, p[k - 2], e2), (1, p[k - 3], e3)], k))
-        table = [(0, 0, one)]
-        for n in range(1, top + 1):
-            for b in range(n // 2 + 1):
-                m = p[n - b] * p[b] - p[n] if b else p[n]
-                table.append((n - b, b, _divided(m, 2) if 2 * b == n else m))
-        _TWO_PART.clear()
-        _TWO_PART[top] = table
-    return _TWO_PART[top]
+    one, e1, e2, e3 = (elementary_ring_poly(3, {e: 1}) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    p = [one * 3, e1, e1 * e1 - e2 * 2]
+    for k in range(3, top + 1):
+        p.append(sum_of_products(3, [(1, p[k - 1], e1), (-1, p[k - 2], e2), (1, p[k - 3], e3)], k))
+    table = [(0, 0, one)]
+    for n in range(1, top + 1):
+        for b in range(n // 2 + 1):
+            m = p[n - b] * p[b] - p[n] if b else p[n]
+            table.append((n - b, b, _divided(m, 2) if 2 * b == n else m))
+    return table
 
 
 def _form_power_sums(d: int, top: int) -> list[SymmetricPoly]:
@@ -389,10 +385,13 @@ def sym_power_newton(d: int, top: int) -> tuple[SymmetricPoly, ...]:
     return tuple(out)
 
 
-sym_power_newton.cache_clear = _TWO_PART.clear
+sym_power_newton.cache_clear = _two_part_monomials.cache_clear
 
 
-_EXPANSIONS: dict[int, Callable[[int], SymmetricPoly]] = {}  # e-monomials in x, by variable count
+@functools.cache
+def _expansions(r: int) -> Callable[[int], SymmetricPoly]:
+    """Each e-monomial in e_1..e_r by packed key, expanded in the r variables."""
+    return elementary_substitution([elementary(r, i) for i in range(r + 1)], SymmetricPoly(r)).monomial
 
 
 def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
@@ -407,9 +406,7 @@ def reduce_to_elementary(p: SymmetricPoly) -> dict[Exponents, int]:
     ValueError.
     """
     r = p.nvars
-    expand = _EXPANSIONS.get(r) or _EXPANSIONS.setdefault(
-        r, elementary_substitution([elementary(r, i) for i in range(r + 1)], SymmetricPoly(r)).monomial
-    )
+    expand = _expansions(r)
     low = (1 << FIELD_BITS * r) - 1  # the exponent fields
     work = dict(p._packed)
     out: dict[Exponents, int] = {}

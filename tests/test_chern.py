@@ -508,7 +508,30 @@ class TestChernRing:
                 ChernRing(3, 6).sum_of_products(terms)
 
 
+def _elementary_of(values: list[int], top: int) -> list[int]:
+    """e_0..e_top of `values`, from their power sums by Newton's identity."""
+    p = [sum(v**k for v in values) for k in range(top + 1)]
+    e = [1]
+    for n in range(1, top + 1):
+        total = sum((-1) ** (k - 1) * p[k] * e[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        e.append(total // n)
+    return e
+
+
 class TestUniversalCache:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_cache_check_takes_sym_power_at_the_roots(self, r, d):
+        # The values of the forms m.x at x = (1, ..., r), over every m with |m| = d.
+        # At d = 1 and trunc = rank = r this is the call that `_load_cached`
+        # maps e_i -> e_i(1, ..., r) by.
+        values = [sum(i * a for i, a in enumerate(m, 1)) for m in product(range(d + 1), repeat=r) if sum(m) == d]
+        rank = comb(r + d - 1, d)
+        assert len(values) == rank
+        for trunc in (0, rank, rank + 3):
+            assert chern._sym_power_at_roots(r, d, trunc) == _elementary_of(values, trunc), trunc
+
     def test_memory_cache_transparent(self):
         clear_universal_cache()
         cold = sym_power_elementary(2, 4, 5)

@@ -178,6 +178,16 @@ class TestMultiply:
         with pytest.raises(PreconditionError):
             GR25.sigma((1,)) ** -1
 
+    @pytest.mark.parametrize("exponent, kind", [(2.0, "float"), ("2", "str")])
+    def test_non_integer_power_rejected(self, exponent, kind):
+        with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as an integer$"):
+            GR25.sigma((1,)) ** exponent
+
+    def test_bool_and_huge_powers(self):
+        sigma1 = GR25.sigma((1,))
+        assert sigma1 ** True == sigma1 ** 1 == sigma1
+        assert (sigma1 ** 10**30).is_zero()
+
     def test_power_of_a_class_with_a_degree_zero_part_takes_at_most_dim_products(self, monkeypatch):
         sigma1 = GR24.sigma((1,))
         p = 10**6

@@ -115,6 +115,16 @@ class TestMultiplication:
         with pytest.raises(PreconditionError):
             proj_space(3).zeta() ** -1
 
+    @pytest.mark.parametrize("exponent, kind", [(2.0, "float"), ("2", "str")])
+    def test_non_integer_power_rejected(self, exponent, kind):
+        with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as an integer$"):
+            proj_space(3).zeta() ** exponent
+
+    def test_bool_and_huge_powers(self):
+        zeta = proj_space(3).zeta()
+        assert zeta ** True == zeta ** 1 == zeta
+        assert (zeta ** 10**30).is_zero()
+
     def test_power_with_a_degree_zero_part_squares(self, monkeypatch):
         import curvecount.projbundle as projbundle
 

@@ -202,12 +202,16 @@ class TestNewtonRoute:
             symfunc.sym_power_newton(3, 2)
 
     def test_cache_clear_drops_the_kept_table(self):
-        symfunc.sym_power_newton(4, 6)
-        assert list(symfunc._TWO_PART) == [6]
-        symfunc.sym_power_newton(3, 5)
-        assert list(symfunc._TWO_PART) == [5]
+        table = symfunc._two_part_monomials  # cache_info(): (hits, misses, maxsize, currsize)
         clear_universal_cache()
-        assert not symfunc._TWO_PART
+        symfunc.sym_power_newton(4, 6)
+        assert table.cache_info() == (0, 1, 1, 1)
+        symfunc.sym_power_newton(2, 6)  # the same top reuses the table
+        assert table.cache_info() == (1, 1, 1, 1)
+        symfunc.sym_power_newton(3, 5)  # another top replaces it
+        assert table.cache_info() == (1, 2, 1, 1)
+        clear_universal_cache()
+        assert table.cache_info().currsize == 0
 
 
 class TestPackedKernel:
