@@ -44,9 +44,10 @@ print()
 
 # Complete intersections work the same way with one forms bundle per
 # equation; the ranks must add up to the moduli dimension.  `count_curves`
-# runs the same construction for conics, over the bundle of conics in the
-# moving plane (see demos/conics_on_quintic.py); the conic counts on the
-# Calabi-Yau complete intersections are those of Libgober and Teitelbaum.
+# counts conics too, by Bott's formula over the torus-fixed conics
+# (demos/conics_on_quintic.py builds the bundle of conics in the moving
+# plane instead); the conic counts on the Calabi-Yau complete intersections
+# are those of Libgober and Teitelbaum.
 for n, degrees in ((4, [5]), (5, [2, 4]), (5, [3, 3]), (6, [2, 2, 3]), (7, [2, 2, 2, 2])):
     for kind in ("lines", "conics"):
         count = count_curves(kind, n, degrees).count

@@ -1,8 +1,8 @@
 """Exact curve counts on Calabi-Yau threefolds via Schubert calculus.
 
 The package computes intersection numbers in the Chow rings of
-Grassmannians and of projective bundles over them, entirely over the
-integers, and packages the classical counting computations (lines and
+Grassmannians and of projective bundles over them, and by torus
+localization, entirely over the integers, and packages the classical counting computations (lines and
 conics on hypersurfaces, equivalences of degenerate families) as pipelines
 with reproducible traces.
 """

@@ -36,14 +36,12 @@ under that map, and the `chern` calculators compute a whole class in
 `ChernRing` and map it to the Schubert basis once, at the end; a count maps
 nothing.  With unit 0 the product is c_top(Sym^d) alone,
 `ChernRing.sym_power_top`, with no cache; the line counts need nothing
-else.  `ChernRing.sym_power_segre` keeps the Segre series of Sym^d in
-a `functools` cache per (ring, power), never on disk.
+else.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import operator
 import os
@@ -177,10 +175,9 @@ def universal_cache_dir(path: str | Path | None) -> Iterator[None]:
 
 def clear_universal_cache() -> None:
     """Drop the in-memory universal polynomials, so that the next lookup of each
-    key reads the disk or computes (for tests and benchmarks), their Segre
-    series and the table the rank-3 route keeps between the keys of one count."""
+    key reads the disk or computes (for tests and benchmarks), and the table
+    the rank-3 route keeps between the keys of one total class."""
     _SYM_CACHE.clear()
-    ChernRing.sym_power_segre.cache_clear()
     sym_power_newton.cache_clear()
 
 
@@ -405,12 +402,6 @@ class ChernRing:
         is built; at rank 2 every orbit's product is its closed form."""
         rank = sym_power_rank(self.r, d)
         return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
-
-    @functools.cache
-    def sym_power_segre(self, d: int) -> tuple[SymmetricPoly, ...]:
-        """s_0..s_dim of Sym^d of the generic bundle (Sym^0 = O), kept in memory per (ring, d)."""
-        bundle = self.sym_power(d) if d else trivial_vector(self, 1)
-        return tuple(segre_from_chern(bundle, self.dim))
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), a function that memoizes the image

@@ -1,25 +1,24 @@
 """End-to-end curve-counting computations.
 
-Each pipeline builds a compact moduli space (a Grassmannian, or a projective
-bundle over one), a vector bundle of forms on it whose rank matches the
-moduli dimension, and evaluates the top Chern class as an exact integer.
-Degenerations of positive-dimensional families are handled by capping the
-total Chern class of the forms bundle with the Segre class of the family's
-locus.  Every pipeline returns a `CountReport` carrying the integer, a
-provenance trace of intermediate classes, and any consistency checks.
+Each count integrates, over a compact moduli space (a Grassmannian, or the
+bundle of conics over one), the top Chern class of a bundle of forms whose
+rank matches the moduli dimension, as an exact integer.  Degenerations of
+positive-dimensional families are handled by capping the total Chern class
+of the forms bundle with the Segre class of the family's locus.  Every
+pipeline returns a `CountReport` carrying the integer, a provenance trace
+of intermediate classes, and any consistency checks.
 
-Every class a pipeline builds is a polynomial in the Chern classes
-c_1..c_r of U* on the Grassmannian of spans, so the pipelines multiply in
-`chern.ChernRing`, Z[c_1..c_r] truncated at the Grassmannian's dimension,
-where the universal Sym^d polynomials are elements as they stand.  Lines
-and conics share one moduli shape, a `projbundle.ProjBundleRing` over that
-ring (P(O) for lines, P(Sym^2 U*) for conics), pushed down to it once.
-A line count needs only the top class of each Sym^d U*, and an
-equivalence's excess part is one `quotient_series`.  Every count, at any
-rank, is one `symfunc.grassmannian_integral` in the ring itself.  Only the
-classes an equivalence traces go to the Schubert basis, each once, through
-products with the one-column classes c_i(U*) = sigma_(1^i); a split report
-traces only counts, so it takes them from `_equivalence` and maps nothing.
+Lines and equivalences multiply in `chern.ChernRing`, Z[c_1..c_r]
+truncated at the Grassmannian's dimension, where the universal Sym^d
+polynomials are elements as they stand.  A line count needs only the top
+class of each Sym^d U*, and an equivalence's excess part is one
+`quotient_series`; each is one `symfunc.grassmannian_integral` in the ring
+itself.  A conic count builds no class: it sums Bott's formula over the
+torus-fixed conics, with integer weights and one common denominator.  Only
+the classes an equivalence traces go to the Schubert basis, each once,
+through products with the one-column classes c_i(U*) = sigma_(1^i); a split
+report traces only counts, so it takes them from `_equivalence` and maps
+nothing.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm, prod
 
-from .chern import ChernRing, dual_universal_vector, quotient_series, sym_power_rank, trivial_vector
+from .chern import ChernRing, dual_universal_vector, quotient_series, sym_power_rank
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing
-from .projbundle import ProjBundleElement, ProjBundleRing, pb_pushforward
 from .symfunc import grassmannian_integral
 
 
@@ -154,21 +153,18 @@ class DimensionCount(_Record):
 def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     """Count lines or conics on a general complete intersection in P^n.
 
-    A line or conic spans a linear subspace, so its moduli space is a
-    projective bundle over the Grassmannian of spans: for lines P(O), the
-    trivial line bundle, which is Gr(2, n+1) itself, and for conics the
-    bundle of conics in the moving plane, P(Sym^2 U*) over Gr(3, n+1).  An
-    equation of degree d restricts to a section of the forms of degree d on
-    the curve: Sym^d U* for lines, and for conics Sym^d U* modulo the forms
-    divisible by the conic, Sym^(d-2) U* twisted by O(-zeta).  The count is
-    the integral of the product of the top Chern classes of these summands;
-    it is defined when their total rank equals the moduli dimension.
+    A line or conic spans a linear subspace, so its moduli space is the
+    Grassmannian Gr(2, n+1) of lines, or for conics the bundle of conics in
+    the moving plane, P(Sym^2 U*) over Gr(3, n+1).  An equation of degree d
+    restricts to a section of the forms of degree d on the curve: Sym^d U*
+    for lines, and for conics Sym^d U* modulo the forms divisible by the
+    conic, Sym^(d-2) U* twisted by O(-zeta).  The count is the integral of
+    the product of the top Chern classes of these summands; it is defined
+    when their total rank equals the moduli dimension.
 
-    The bundle is a `ProjBundleRing` over `ChernRing` truncated at the
-    dimension of the Grassmannian.  The product is pushed down by
-    `pb_pushforward` and integrated over the Grassmannian by
-    `symfunc.grassmannian_integral`, in the Chern classes as they stand;
-    the trace records the pushed-down class as the count times the point.
+    Lines integrate the product of the `ChernRing.sym_power_top(d)` by
+    `symfunc.grassmannian_integral`, and conics are `_conics_by_localization`;
+    the trace records the integrated class as the count times the point.
     """
     n, degrees = operator.index(n), [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):
@@ -177,64 +173,75 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
         raise PreconditionError(f"need ambient dimension >= 2 and degrees >= 1, got ({n}, {degrees})")
     span = 2 if kind == "lines" else 3
     base = GrassmannianRing(span, n + 1)
-    ring = ChernRing(span, base.dim)
-    moduli = ProjBundleRing(trivial_vector(ring, 1) if kind == "lines" else ring.sym_power(2))
     if kind == "lines":
-        trace = [("moduli_space", f"Gr(2,{n + 1})")]
-    else:
-        trace = [
-            ("base_space", f"Gr(3,{n + 1})"),
-            ("base_dim", str(base.dim)),
-            ("conic_bundle_rank", str(moduli.fiber_rank)),
-        ]
-    # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1;
-    # checking before any symmetric power is built keeps a mismatch cheap.
+        dim, trace = base.dim, [("moduli_space", f"Gr(2,{n + 1})")]
+    else:  # the fibres of P(Sym^2 U*) are the P^5 of conics in a plane
+        dim = base.dim + 5
+        trace = [("base_space", f"Gr(3,{n + 1})"), ("base_dim", str(base.dim)), ("conic_bundle_rank", "6")]
+    # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1.
     rank = sum((span - 1) * d + 1 for d in degrees)
-    if rank != moduli.dim:
+    if rank != dim:
         raise PreconditionError(
-            f"rank {rank} != dim {moduli.dim}: the degrees {degrees} do not cut out "
+            f"rank {rank} != dim {dim}: the degrees {degrees} do not cut out "
             f"a finite family of {kind} in P^{n}"
         )
-    trace.append(("moduli_dim", str(moduli.dim)))
-    top = moduli.one()
-    for d in degrees:
-        f = comb(d, 2) if kind == "conics" else 0  # the rank of Sym^(d-2) U*, the forms divisible by the conic
-        if kind == "conics":
+    trace.append(("moduli_dim", str(dim)))
+    if kind == "conics":
+        for d in degrees:
             trace.append((f"sym_rank_degree_{d}", str(sym_power_rank(span, d))))
-        if f:
-            trace.append((f"divisible_rank_degree_{d}", str(f)))
-        top = top * _forms_top(moduli, d, f)
+            if d > 1:  # Sym^(d-2) U*, the forms divisible by the conic
+                trace.append((f"divisible_rank_degree_{d}", str(comb(d, 2))))
     trace.append(("forms_rank", str(rank)))
-    count = grassmannian_integral(pb_pushforward(top), base.N)
+    if kind == "lines":  # c_top(Sym^d U*) has degree d + 1, so the product has degree dim
+        count = grassmannian_integral(prod(ChernRing(2, dim).sym_power_top(d) for d in degrees), n + 1)
+    else:
+        count = _conics_by_localization(n, degrees)
     label = "top_chern_class" if kind == "lines" else "top_class_pushforward"
     trace += [(label, _serialize(base.sigma((base.cols,) * base.rows) * count)), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
-def _forms_top(moduli: ProjBundleRing, d: int, f: int) -> ProjBundleElement:
-    """c_top on `moduli` of the degree-d forms on the curve, Q = E / (F (x) O(-zeta))
-    for E = Sym^d U* and F = Sym^(d-2) U* of rank f; with no divisible form
-    (f = 0) it is `ChernRing.sym_power_top(d)`, pulled back from the base,
-    and no other class of Sym^d is built.  Otherwise, with m = rank Q, the
-    Segre class of a twist (Fulton, Intersection Theory, 3.1-3.2) gives
+def _torus_weights(count: int) -> list[int]:
+    """The first `count` of 1, 2, 4, 5, 10, 11, ...: 1 plus the numbers whose base-3
+    digits are all 0 or 1.  They hold no three-term arithmetic progression, so
+    no two monomial conics in a coordinate plane share a weight."""
+    return [1 + int(bin(k)[2:], 3) for k in range(count)]
 
-        c_m(Q) = sum over i, l of binom(f-1+m-i, m-i-l) c_i(E) s_l(F) zeta^(m-i-l),
 
-    a polynomial in zeta that the element z-reduces.  A coefficient of
-    degree above the base dimension is zero and not built.  F enters only
-    through f and its kept series s(F), `ChernRing.sym_power_segre(d - 2)`.
+def _conics_by_localization(n: int, degrees: list[int]) -> int:
+    """The conics on a general complete intersection of `degrees` in P^n, by
+    Bott's formula (Ellingsrud-Stromme, alg-geom/9411005).
+
+    The torus acts on x_0..x_n with the weights w of `_torus_weights`.  Its
+    fixed conics are the monomial conics q = x_u x_v in a coordinate plane
+    S = {a, b, c}.  At (S, q) the forms of degree d are the 2d + 1 monomials
+    in S that q does not divide, each of weight the sum of its variables'
+    weights; the tangent weights are w_i - w_j for i in S and j not in S, and
+    w(q') - w(q) for the five other monomial conics q' in S.  The count is
+    the sum over the fixed conics of the product of the forms weights over
+    the product of the tangent weights, taken over one common denominator.
     """
-    ring = moduli.base
-    if not f:
-        return moduli.pullback(ring.sym_power_top(d))
-    forms = ring.sym_power(d)
-    m = forms.rank - f
-    segre = ring.sym_power_segre(d - 2)
-    low = max(0, m - ring.dim)
-    return ProjBundleElement(moduli, [ring.zero()] * low + [
-        ring.sum_of_products((comb(f - 1 + m - i, p), forms.component(i), segre[m - p - i]) for i in range(m - p + 1))
-        for p in range(low, m + 1)
-    ])
+    w = _torus_weights(n + 1)
+    terms = []
+    for plane in combinations(range(n + 1), 3):
+        grassmann = prod(w[i] - w[j] for i in plane for j in range(n + 1) if j not in plane)
+        conics = {q: w[q[0]] + w[q[1]] for q in combinations_with_replacement(plane, 2)}
+        for (u, v), wq in conics.items():
+            forms = []
+            for d in degrees:
+                if u == v:  # x_u^2: the monomials with x_u to the power 0 or 1
+                    s, t = (w[i] for i in plane if i != u)
+                    forms += [e * w[u] + j * s + (d - e - j) * t for e in (0, 1) for j in range(d - e + 1)]
+                else:  # x_u x_v: the monomials that miss x_v, then those that miss x_u but not x_v
+                    (t,) = (w[i] for i in plane if i not in (u, v))
+                    forms += [i * w[u] + (d - i) * t for i in range(d + 1)]
+                    forms += [j * w[v] + (d - j) * t for j in range(1, d + 1)]
+            terms.append((prod(forms), grassmann * prod(wp - wq for wp in conics.values() if wp != wq)))
+    common = lcm(*(den for _, den in terms))
+    count, remainder = divmod(sum(num * (common // den) for num, den in terms), common)
+    if remainder:
+        raise InternalCheckError("the localization sum is not an integer")
+    return count
 
 
 def count_lines_hypersurface(n: int, d: int) -> CountReport:

@@ -20,9 +20,9 @@ down by appending the relation's products as terms; each degree is then
 summed by one `sum_of_products` call of the base, so this layer never
 touches the base's storage.  Over a `ChernRing` base no product is a
 Schubert product: `pb_pushforward` returns a polynomial in the Chern
-classes.  The curve counts of `pipelines.count_curves` take this route, on
-P(O) over Gr(2, n+1) for lines and P(Sym^2 U*) over Gr(3, n+1) for conics,
-and integrate the class below in the Chern classes as it stands.
+classes.  The conic demo and the benchmark's conic chain take this route,
+on P(Sym^2 U*) over Gr(3, n+1); `pipelines.count_curves` does not, since
+a line count needs no bundle and a conic count is a localization sum.
 """
 
 from __future__ import annotations

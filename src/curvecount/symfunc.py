@@ -334,7 +334,7 @@ def _two_part_monomials(top: int) -> list[tuple[int, int, SymmetricPoly]]:
     """(a, b, m_(a,b)) for a >= b >= 0, a + b <= top, in e_1..e_3: with the power
     sums p_k = e1 p_(k-1) - e2 p_(k-2) + e3 p_(k-3), m_(a) = p_a, m_(a,b) =
     p_a p_b - p_(a+b) for a > b > 0 and (p_a^2 - p_2a) / 2 for a = b.  Only the
-    table of the last `top` is kept, which the two keys of a conic count share."""
+    table of the last `top` is kept, which the keys of one truncation degree share."""
     one, e1, e2, e3 = (elementary_ring_poly(3, {e: 1}) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     p = [one * 3, e1, e1 * e1 - e2 * 2]
     for k in range(3, top + 1):

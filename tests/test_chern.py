@@ -15,7 +15,6 @@ from curvecount import (
     PreconditionError,
     ProjBundleRing,
     RingMismatchError,
-    count_conics_quintic,
     count_curves,
     dual,
     dual_universal_vector,
@@ -322,41 +321,6 @@ class TestSegre:
                 for j in range(k + 1):
                     conv = conv + v.component(j) * s[k - j]
                 assert conv == (GR25.one() if k == 0 else GR25.zero())
-
-
-class TestSegreMemo:
-    @pytest.mark.parametrize("r", [2, 3])
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_memo_is_the_segre_series_of_sym_k(self, r, k):
-        ring = ChernRing(r, 9)
-        assert list(ring.sym_power_segre(k)) == segre_from_chern(ring.sym_power(k), ring.dim)
-
-    def test_sym_0_of_a_degree_2_conic_count_has_series_1(self):
-        ring = ChernRing(3, 6)
-        expected = [ring.one()] + [ring.zero()] * 6
-        assert list(ring.sym_power_segre(0)) == segre_from_chern(trivial_vector(ring, 1), 6) == expected
-
-    def test_second_lookup_and_warm_conic_count_divide_nothing(self, monkeypatch):
-        clear_universal_cache()
-        count_conics_quintic()
-        calls = []
-        series = chern.quotient_series
-        monkeypatch.setattr(chern, "quotient_series", lambda *args: calls.append(args) or series(*args))
-        ring = ChernRing(3, 12)
-        first = ring.sym_power_segre(4)
-        assert len(calls) == 1
-        assert ring.sym_power_segre(4) is first and len(calls) == 1
-        assert count_conics_quintic().count == 609250 and len(calls) == 1
-        clear_universal_cache()
-        assert ring.sym_power_segre(4) == first and len(calls) == 2
-
-    def test_stored_series_cannot_be_mutated(self):
-        ring = ChernRing(2, 6)
-        series = ring.sym_power_segre(3)
-        assert isinstance(series, tuple)
-        with pytest.raises(TypeError):
-            series[1] = ring.zero()
-        assert ring.sym_power_segre(3) is series and list(series) == segre_from_chern(ring.sym_power(3), 6)
 
 
 class TestChernRing:

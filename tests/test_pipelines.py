@@ -30,12 +30,12 @@ from curvecount import (
     sym_power,
     tally_checks,
 )
-from curvecount import chern, grassmannian, pipelines
+from curvecount import chern, grassmannian, pipelines, projbundle
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
 from curvecount.partitions import parts_of_weight
 from curvecount.pipelines import _serialize
-from curvecount.symfunc import elementary_ring_poly, grassmannian_integral, reduce_to_elementary
+from curvecount.symfunc import elementary_ring_poly, grassmannian_integral
 
 from helpers import bott_count, clear_product_memos, oracle_multiply
 
@@ -207,15 +207,15 @@ class TestCountCurves:
         (lambda: count_curves("lines", 4, [5]), 2875),
         (lambda: count_curves("lines", 5, [3, 3]), 1053),
         (lambda: count_curves("conics", 4, [5]), 609250),
+        (lambda: count_curves("conics", 5, [1, 5]), 609250),
         (lambda: count_curves("conics", 5, [2, 4]), 92288),
         (lambda: count_curves("conics", 6, [8]), 21553784182784),
         (lambda: equivalence_lines_on_factor(5, 1, 4), 1275),
         (lambda: degeneration_split_report(5, 4), 2875),
-    ], ids=["lines", "lines-ci", "conics", "conics-2,4", "conics-8", "equivalence", "split-report"])
+    ], ids=["lines", "lines-ci", "conics", "conics-1,5", "conics-2,4", "conics-8", "equivalence", "split-report"])
     def test_counts_reduce_nothing_to_elementary(self, monkeypatch, call, count):
-        # Rank-2 orbit factors have a closed form and rank-3 total classes take
-        # Newton's identity, so these cold counts reach no elimination; only a
-        # rank-3 top class does, as below.
+        # Rank-2 orbit factors have a closed form and conic counts build no
+        # class, so these cold counts reach no elimination.
         def refuse(p):
             raise AssertionError("reduce_to_elementary called")
 
@@ -227,24 +227,42 @@ class TestCountCurves:
         finally:
             chern.clear_universal_cache()
 
-    def test_a_degree_one_conic_form_is_the_one_elimination(self, monkeypatch):
-        # c_3(U*) = e_3, the top class of the degree-1 form, is the orbit product
-        # x1 x2 x3 rewritten by `reduce_to_elementary`: the one call a cold count makes.
-        calls = []
+    @pytest.mark.parametrize("n, degrees, count", [
+        (4, [5], 609250),
+        (5, [1, 5], 609250),
+        (5, [2, 4], 92288),
+        (6, [8], 21553784182784),
+        (9, [3, 3, 3, 2], 2422165923),
+    ])
+    def test_conic_counts_build_no_class(self, monkeypatch, n, degrees, count):
+        # A conic count sums Bott's formula in integers: no universal polynomial,
+        # top class, Segre series or projective bundle is built, cold or warm.
+        def refuse(*args):
+            raise AssertionError("a class was built")
 
-        def spy(p):
-            reduced = reduce_to_elementary(p)
-            calls.append((p.nvars, reduced))
-            return reduced
-
-        monkeypatch.setattr(chern, "reduce_to_elementary", spy)
         chern.clear_universal_cache()
-        try:
-            with chern.universal_cache_dir(None):
-                assert count_curves("conics", 5, [1, 5]).count == 609250
-        finally:
-            chern.clear_universal_cache()
-        assert calls == [(3, {(0, 0, 1): 1})]
+        for owner, name in ((chern, "sym_power_elementary"), (ChernRing, "sym_power_top"),
+                            (chern, "quotient_series"), (projbundle, "ProjBundleRing")):
+            monkeypatch.setattr(owner, name, refuse)
+        with chern.universal_cache_dir(None):
+            assert count_curves("conics", n, degrees).count == count
+
+    def test_localization_sum_missing_a_fixed_point_is_refused(self, monkeypatch):
+        # Leaving out the fixed conics of one coordinate plane leaves a sum that
+        # is not an integer; the count refuses it rather than round it.
+        planes = pipelines.combinations
+        monkeypatch.setattr(pipelines, "combinations", lambda items, k: list(planes(items, k))[1:])
+        with pytest.raises(InternalCheckError, match="not an integer"):
+            count_curves("conics", 4, [5])
+
+    def test_torus_weights_hold_no_three_term_progression(self):
+        # Distinct positive weights with no a + c == 2b give every monomial
+        # conic of a plane its own weight, so no denominator of the sum is zero.
+        weights = pipelines._torus_weights(128)
+        assert weights[:8] == [1, 2, 4, 5, 10, 11, 13, 14]
+        assert min(weights) > 0 and len(set(weights)) == len(weights)
+        present = set(weights)
+        assert not [(a, b) for a in weights for b in weights if a < b and 2 * b - a in present]
 
     @pytest.mark.parametrize("N", range(2, 13))
     def test_grassmannian_integral_at_rank_two_is_catalan(self, N):

@@ -359,14 +359,18 @@ class TestPullbackVector:
 
 CONIC_CASES = [
     (4, [5], 609250),
+    (5, [1, 5], 609250),
     (5, [2, 4], 92288),
     (6, [8], 21553784182784),
     (8, [11], 6879170927773883986896),
+    (9, [3, 3, 3, 2], 2422165923),
 ]
 
 
 class TestConicChain:
-    """The public P(E) route of demos/conics_on_quintic.py against `count_curves`.
+    """The public P(E) route of demos/conics_on_quintic.py against `count_curves`,
+    which sums Bott's formula instead: the layered route is the conic counts'
+    check by a route that shares no code with them.
 
     The moduli space is P(Sym^2 U*) over Gr(3, n+1); each degree-d equation
     gives the forms bundle Sym^d U* / (Sym^(d-2) U* (x) O(-z)), Sym^1 U* for
@@ -399,6 +403,11 @@ class TestConicChain:
         expected = count_curves("conics", n, degrees).count
         for presentation in (False, True):
             assert self.chain(n, degrees, presentation) == count == expected
+
+    def test_chern_ring_chain_matches_count_curves_in_p10(self):
+        # A ladder rung past CONIC_CASES, on the ChernRing base alone (about 0.5 s cold).
+        count = 10747520834813687952698384377664
+        assert self.chain(10, [14], presentation=True) == count == count_curves("conics", 10, [14]).count
 
     @pytest.mark.parametrize("n, degrees, count", CONIC_CASES)
     def test_chern_ring_base_never_calls_lr(self, monkeypatch, n, degrees, count):
