@@ -318,9 +318,12 @@ def sym_power_rank(r: int, d: int) -> int:
 
 def sym_power(c: ChernVector, d: int) -> ChernVector:
     """Chern vector of the d-th symmetric power: `ChernRing.sym_power` up to
-    degree min(new rank, dim), which checks d >= 1 and rank >= 1, mapped to
-    c's ambient by `ChernRing.evaluator`."""
-    generic = ChernRing(c.rank, min(c.ring.dim, sym_power_rank(c.rank, d)))
+    degree min(new rank, dim), mapped to c's ambient by `ChernRing.evaluator`.
+    d >= 1 and a bundle of rank >= 1 are checked first."""
+    rank = sym_power_rank(c.rank, d)
+    if c.rank < 1:
+        raise PreconditionError(f"symmetric power needs a bundle of rank >= 1, got rank {c.rank}")
+    generic = ChernRing(c.rank, min(c.ring.dim, rank))
     universal = generic.sym_power(d)
     return ChernVector(c.ring, universal.rank, map(generic.evaluator(c), universal.components))
 

@@ -12,13 +12,13 @@ Lines and equivalences multiply in `chern.ChernRing`, Z[c_1..c_r]
 truncated at the Grassmannian's dimension, where the universal Sym^d
 polynomials are elements as they stand.  A line count needs only the top
 class of each Sym^d U*, and an equivalence's excess part is one
-`quotient_series`; each is one `symfunc.grassmannian_integral` in the ring
-itself.  A conic count builds no class: it sums Bott's formula over the
-torus-fixed conics, with integer weights and one common denominator.  Only
-the classes an equivalence traces go to the Schubert basis, each once,
-through products with the one-column classes c_i(U*) = sigma_(1^i); a split
-report traces only counts, so it takes them from `_equivalence` and maps
-nothing.
+`quotient_series`; each is one `symfunc.grassmannian_integral` over
+Gr(2, n+1) in the ring itself.  A conic count builds no class: it sums
+Bott's formula over the torus-fixed conics, with integer weights and one
+common denominator.  Only the classes an equivalence traces go to the
+Schubert basis, each once, through products with the one-column classes
+c_i(U*) = sigma_(1^i); a split report traces only counts, so it takes them
+from `_equivalence` and maps nothing.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     the product of the top Chern classes of these summands; it is defined
     when their total rank equals the moduli dimension.
 
-    Lines integrate the product of the `ChernRing.sym_power_top(d)` by
-    `symfunc.grassmannian_integral`, and conics are `_conics_by_localization`;
-    the trace records the integrated class as the count times the point.
+    Lines integrate the product of the `ChernRing.sym_power_top(d)` over
+    Gr(2, n+1) by `symfunc.grassmannian_integral`, and conics are
+    `_conics_by_localization`; the trace records the integrated class as the
+    count times the point.
     """
     n, degrees = operator.index(n), [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):

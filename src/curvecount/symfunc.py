@@ -12,8 +12,8 @@ polynomial in e_1..e_r (the layout of `elementary_ring_poly`) goes to any
 other ring through one kernel, `elementary_substitution`, the ring map
 e_i -> values[i], which reads the packed keys as they stand; the
 elementary-basis rewrite takes each e-monomial's expansion in the variables
-from it too, with e_i -> e_i.  `grassmannian_integral` integrates one over
-Gr(r, N), with e_i = c_i(U*), in the packed keys as they stand.
+from it too, with e_i -> e_i.  `grassmannian_integral` integrates one in
+e_i = c_i(U*) over Gr(2, N), a Catalan number per top-degree key.
 `sym_power_newton` builds the e_k of the forms m.x, |m| = d, in three
 variables from their power sums, with no rewrite: each is a sum of monomial
 symmetric functions, each a product of power sums of x times a shift by
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import combinations, permutations, product
-from math import comb, prod
+from itertools import combinations
+from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -282,40 +282,20 @@ def elementary_substitution(values: Sequence, zero) -> Callable[[SymmetricPoly],
 
 
 def grassmannian_integral(p: SymmetricPoly, N: int) -> int:
-    """The integral over Gr(r, N), r = p.nvars, of p in e_i = c_i(U*) in the
-    layout of `elementary_ring_poly`: its coefficient of the point, the Schur
-    function of the r x (N-r) box (Macdonald, I.3; S. Martin, math/0001002).
-    With x the Chern roots, it is [x^(N-1, ..., N-r)] p(x) prod_(i<j) (x_i - x_j):
-    one signed shift of (N-r, ..., N-r) per permutation, sorted to strip the least
-    exponent first, read off each e-monomial of degree r(N-r); others give 0."""
-    r, k = p.nvars, N - p.nvars
-    shifts: dict[Exponents, int] = {}  # the sign sum of each sorted shift
-    for perm in permutations(range(r)):
-        gamma = tuple(sorted((k + s - i for i, s in enumerate(perm)), reverse=True))
-        shifts[gamma] = shifts.get(gamma, 0) + (-1) ** sum(s > t for s, t in combinations(perm, 2))
-    total = 0
+    """The integral over Gr(2, N) of p in e_1, e_2 = c_1(U*), c_2(U*), in the
+    layout of `elementary_ring_poly`.  e_2 = sigma_(1,1) is the class of
+    Gr(2, N-1), so e_1^a e_2^b of top degree a + 2b = 2(N-2) integrates to the
+    Plücker degree of Gr(2, N-b), the Catalan number C_(N-2-b): one `comb` and
+    one exact division per term, b read from the low field of the key.  Terms
+    below the top degree give 0.  A polynomial in other than two variables
+    raises RingMismatchError."""
+    if p.nvars != 2:
+        raise RingMismatchError(f"cannot integrate a polynomial in {p.nvars} variables over Gr(2, {N})")
+    top, total = 2 * (N - 2), 0
     for key, c in p._packed.items():
-        if key >> FIELD_BITS * r == r * k:
-            a = _unpack(key, r)
-            total += c * sum([sign * _e_coefficient(gamma, a) for gamma, sign in shifts.items()])
-    return total
-
-
-def _e_coefficient(gamma: Exponents, a: Exponents) -> int:
-    """[x^gamma] e_1^a_1 ... e_r^a_r in r = len(a) variables, gamma of degree
-    sum(i a_i).  Over x_1..x_(r-1), e_i = e_i' + x_r e_(i-1)' and e_r' = 0: each
-    e_r holds x_r, and j_i of the a_i copies of e_i (i < r) hold it and leave
-    e_(i-1)', in binom(a_i, j_i) ways, with a_r + j_1 + ... + j_(r-1) = gamma_r.
-    At two variables [x1^p x2^q] e_1^A e_2^B = binom(A, p - B), and at one B = 0."""
-    if len(a) <= 2:
-        p = gamma[0] - sum(a[1:])
-        return comb(a[0], p) if p >= 0 else 0
-    n, total = gamma[-1] - a[-1], 0
-    for head in product(*(range(min(b, n) + 1) for b in a[:-2])):
-        j = head + (n - sum(head),)
-        if 0 <= j[-1] <= a[-2]:
-            lower = tuple(ai - ji + jn for ai, ji, jn in zip(a, j, j[1:] + a[-1:]))
-            total += prod(map(comb, a, j)) * _e_coefficient(gamma[:-1], lower)
+        if key >> 2 * FIELD_BITS == top:
+            k = N - 2 - (key & _FIELD_MASK)
+            total += c * (comb(2 * k, k) // (k + 1))
     return total
 
 

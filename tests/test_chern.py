@@ -115,7 +115,7 @@ class TestSymPower:
         for call in (lambda: sym_power(cu, d), lambda: ChernRing(2, 6).sym_power(d)):
             with pytest.raises(PreconditionError, match=rf"^symmetric power needs d >= 1, got {d}$"):
                 call()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^symmetric power needs a bundle of rank >= 1, got rank 0$"):
             sym_power(trivial_vector(GR25, 0), 2)
 
     @pytest.mark.parametrize("r, degrees", [(2, range(1, 7)), (3, range(2, 5))], ids=["Gr(2,7)", "Gr(3,7)"])

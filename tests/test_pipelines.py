@@ -2,7 +2,6 @@ import copy
 import json
 import pickle
 import sys
-from math import comb
 from random import Random
 
 import pytest
@@ -15,6 +14,7 @@ from curvecount import (
     InternalCheckError,
     NormalBundleType,
     PreconditionError,
+    RingMismatchError,
     count_conics_quintic,
     count_curves,
     count_lines_complete_intersection,
@@ -174,19 +174,27 @@ class TestCountCurves:
         with pytest.raises(TypeError):
             call()
 
-    @pytest.mark.parametrize("r", range(1, 5))
-    def test_grassmannian_integral_is_the_schubert_integral(self, r):
-        # Every e-monomial e_1^a_1 ... e_r^a_r of top degree sum(i a_i) = dim Gr(r, N),
-        # for N - r <= 6: a partition of dim into parts at most r, a_i of them equal to i.
-        for N in range(r, r + 7):
-            base = GrassmannianRing(r, N)
-            ring = ChernRing(r, base.dim)
+    def test_grassmannian_integral_is_the_schubert_integral(self):
+        # Every e-monomial e_1^a e_2^b of top degree a + 2b = dim Gr(2, N), against
+        # the independent route: the Schubert map of U* and the Schubert integral.
+        for N in range(2, 15):
+            base = GrassmannianRing(2, N)
+            ring = ChernRing(2, base.dim)
             schubert = ring.evaluator(dual_universal_vector(base))
-            for parts in parts_of_weight(base.dim, base.dim, r):
-                monomial = elementary_ring_poly(r, {tuple(parts.count(i) for i in range(1, r + 1)): 1})
+            for parts in parts_of_weight(base.dim, base.dim, 2):
+                monomial = elementary_ring_poly(2, {(parts.count(1), parts.count(2)): 1})
                 assert grassmannian_integral(monomial, N) == integrate(schubert(monomial))
-            below = elementary_ring_poly(r, {(base.dim - 1,) + (0,) * (r - 1): 5}) if base.dim else ring.zero()
+            below = elementary_ring_poly(2, {(base.dim - 1, 0): 5}) if base.dim else ring.zero()
             assert grassmannian_integral(below, N) == 0
+
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_grassmannian_integral_refuses_other_ranks(self, r):
+        # The integral is over Gr(2, N) only: a class in r != 2 Chern classes is
+        # refused, even one of degree dim Gr(2, 5) = 6.
+        ring = ChernRing(r, 6)
+        for c in (ring.one(), elementary_ring_poly(r, {(6,) + (0,) * (r - 1): 1})):
+            with pytest.raises(RingMismatchError, match=rf"^cannot integrate a polynomial in {r} variables over Gr\(2, 5\)$"):
+                grassmannian_integral(c, 5)
 
     @pytest.mark.parametrize(
         "kind, n, degrees, count",
@@ -267,11 +275,12 @@ class TestCountCurves:
     @pytest.mark.parametrize("N", range(2, 13))
     def test_grassmannian_integral_at_rank_two_is_catalan(self, N):
         # e_2 = sigma_(1,1) is the class of Gr(2, N-1), and e_1^(2k) integrates
-        # over Gr(2, k+2) to its Plücker degree, the Catalan number C_k.
+        # over Gr(2, k+2) to its Plücker degree, the Catalan number C_k (OEIS A000108).
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
         for b in range(N - 1):
             k = N - 2 - b
             monomial = elementary_ring_poly(2, {(2 * k, b): 3})
-            assert grassmannian_integral(monomial, N) == 3 * comb(2 * k, k) // (k + 1)
+            assert grassmannian_integral(monomial, N) == 3 * catalan[k]
 
 
 def bott_weights(n: int) -> list[int]:
