@@ -331,4 +331,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console command: `run` with the process's arguments.  A reader
+    that closes stdout early ends it with exit code 1 and no traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at the null device, so that the interpreter's final
+        # flush stays quiet too (the `signal` module's note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

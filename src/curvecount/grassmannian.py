@@ -24,11 +24,12 @@ Pieri rule fills its table entry from the vertical strips.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
 `multiply` is its one-term call.  It works in two phases: the first sums
 the scaled coefficient products of all terms per product-table key,
-checking weights against the ring dimension per term by the weight spans
-of its classes and per pair only where a term straddles the dimension; the
-second walks each key's expansion once into one {index: int} dict and
-drops zeros once.  Only this module knows the index storage.  Everything
-is exact: coefficients are plain Python integers.
+dropping a term whole when the lowest weights of its classes sum past the
+ring dimension and checking no pair, since every rule expands a pair past
+the dimension to nothing; the second walks each key's expansion once into
+one {index: int} dict and drops zeros once.  Only this module knows the
+index storage.  Everything is exact: coefficients are plain Python
+integers.
 """
 
 from __future__ import annotations
@@ -168,46 +169,29 @@ class GrassmannianRing:
 
         Two phases.  The first sums coeff * a * b over every term and pair of
         basis classes by the ordered-pair key i * size + j.  A product of
-        weight past the ring dimension is zero, so the weight spans of x and
-        y sort each term before its pairs: a term whose lowest weights sum
-        past the dimension is dropped whole, one whose highest weights fit
-        runs every pair unchecked with the shorter class outside, and only a
-        term that straddles the dimension checks the weights of each pair.
-        The second fetches or fills the expansion of each key with a nonzero
-        sum once and adds it scaled, so pairs that share a key walk its
-        expansion once.
+        weight past the ring dimension is zero, so a term whose lowest
+        weights sum past the dimension is dropped whole.  Every other term
+        runs all its pairs unchecked, the shorter class outside: a pair past
+        the dimension gets the empty expansion its rule returns, kept in the
+        table like any other.  The second fetches or fills the expansion of
+        each key with a nonzero sum once and adds it scaled, so pairs that
+        share a key walk its expansion once.
         """
-        weights, products, size = self.weights, self.products, self.size
-        room = self.dim
+        products, size, room = self.products, self.size, self.dim
         pairs: dict[int, int] = {}
         get = pairs.get
         for coeff, x, y in terms:
             if x.ring is not self or y.ring is not self:
                 raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
-            if not coeff:
-                continue
-            x_low, x_high = x._weight_span()
-            y_low, y_high = y._weight_span()
-            if x_low + y_low > room:
+            if not coeff or x._lowest_weight() + y._lowest_weight() > room:
                 continue
             xs, ys = x._coeffs.items(), y._coeffs.items()
-            if x_high + y_high <= room:
-                if len(xs) > len(ys):
-                    xs, ys = ys, xs
-                for i, a in xs:
-                    a *= coeff
-                    row = i * size
-                    for j, b in ys:
-                        key = row + j
-                        pairs[key] = get(key, 0) + a * b
-                continue
+            if len(xs) > len(ys):
+                xs, ys = ys, xs
             for i, a in xs:
-                left = room - weights[i]
                 a *= coeff
                 row = i * size
                 for j, b in ys:
-                    if weights[j] > left:
-                        continue
                     key = row + j
                     pairs[key] = get(key, 0) + a * b
         acc: dict[int, int] = {}
@@ -232,11 +216,11 @@ class ChowClass:
     Coefficients are stored by basis index of the ring; the zero class
     has none.  `terms` is a read-only view keyed by `Partition`.  Instances
     are treated as immutable: all arithmetic returns new objects, so sharing
-    across threads is safe.  `_span`, the (lowest, highest) weight of the
-    terms, is set by `_weight_span` on first use and kept.
+    across threads is safe.  `_low`, the lowest weight of the terms, is set
+    by `_lowest_weight` on first use and kept.
     """
 
-    __slots__ = ("ring", "_coeffs", "_span")
+    __slots__ = ("ring", "_coeffs", "_low")
 
     def __init__(self, ring: GrassmannianRing, terms: Mapping[Partition, int]):
         clean: dict[int, int] = {}
@@ -256,15 +240,14 @@ class ChowClass:
         out._coeffs = coeffs
         return out
 
-    def _weight_span(self) -> tuple[int, int]:
-        """(lowest, highest) weight of the terms; (dim + 1, -1) for the zero
-        class, so no product with it passes the dimension check."""
+    def _lowest_weight(self) -> int:
+        """Lowest weight of the terms; dim + 1 for the zero class, so no
+        product with it passes the dimension check."""
         try:
-            return self._span
+            return self._low
         except AttributeError:
-            ws = self.degrees()
-            self._span = (min(ws), max(ws)) if ws else (self.ring.dim + 1, -1)
-            return self._span
+            self._low = min(self.degrees(), default=self.ring.dim + 1)
+            return self._low
 
     @property
     def terms(self) -> Mapping[Partition, int]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -678,3 +679,26 @@ def test_module_entry_point_subprocess(capsys, monkeypatch):
             [sys.executable, "-m", "curvecount", *argv], capture_output=True, text=True, env=src_env()
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lines", "--ambient", "4", "--degree", "5"],
+    ["--format", "structured", "chern", "segre", "--grassmannian", "4,12", "--degree", "3"],
+])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
+    # The pipe's read end is closed before the command starts, so its first
+    # write to stdout fails whatever the timing.  Buffered, the write fails
+    # at the flush; unbuffered, at the print.
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "curvecount", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

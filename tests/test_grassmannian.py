@@ -26,7 +26,7 @@ from curvecount import (
     whitney_quotient,
 )
 from curvecount.grassmannian import _lr_chains, _lr_expansion, _lr_three_rows
-from curvecount.partitions import partitions_in_box
+from curvecount.partitions import partitions_in_box, vertical_strips
 
 from helpers import brute_lr_coefficient, cap_products, clear_product_memos, oracle_multiply, point_class, random_class
 
@@ -231,25 +231,35 @@ class TestMultiply:
             multiply(GR24.sigma((1,)), GR25.sigma((1,)))
 
     def test_weight_skip_is_exact(self, monkeypatch):
-        import curvecount.grassmannian as grassmannian
-
+        # The kernel checks no pair's weight: in boxes of 1 to 5 rows, the LR
+        # memo and the dual-Pieri strips give no shape for a pair whose
+        # weights sum past the dimension.
+        for rows, cols in [(1, 5), (2, 4), (3, 3), (4, 4), (5, 4)]:
+            dim = rows * cols
+            box = [p.parts for p in partitions_in_box(rows, cols)]
+            past = 0
+            for lam in box:
+                for k in range(1, rows + 1):
+                    if sum(lam) + k > dim:
+                        assert list(vertical_strips(lam, k, rows, cols)) == []
+                for mu in box:
+                    if sum(lam) + sum(mu) > dim:
+                        assert _lr_expansion(lam, mu, rows, cols) == ()
+                        past += 1
+            assert past
         basis = GR36.basis()
-        for lam in basis:
-            for mu in basis:
-                if lam.weight + mu.weight > GR36.dim:
-                    assert _lr_expansion(lam.parts, mu.parts, GR36.rows, GR36.cols) == ()
-        asked = []
-        original = grassmannian._lr_expansion
-
-        def recorded(lam, mu, *box):
-            asked.append(sum(lam) + sum(mu))
-            return original(lam, mu, *box)
-
-        monkeypatch.setattr(grassmannian, "_lr_expansion", recorded)
         monkeypatch.setattr(GR36, "products", {})
         full = ChowClass(GR36, {p: 1 for p in basis})
-        assert not multiply(full, full).is_zero()
-        assert asked and max(asked) <= GR36.dim
+        expected = GR36.zero()
+        for lam in basis:
+            for mu in basis:
+                expected = expected + oracle_multiply(GR36, lam, mu)
+        assert multiply(full, full) == expected and not expected.is_zero()
+        # Every pair was asked; those past the dimension hold the empty expansion.
+        weights, size = GR36.weights, GR36.size
+        past = [key for key in GR36.products if sum(weights[i] for i in divmod(key, size)) > GR36.dim]
+        assert len(GR36.products) == size * size and past
+        assert all(GR36.products[key] == () for key in past)
 
     def test_ring_axioms_on_random_classes(self):
         rng = Random(202408)
@@ -474,8 +484,8 @@ class _CountingWeights(dict):
 
 
 class TestWeightSpans:
-    """The per-term weight check of `sum_of_products` and its table of
-    ordered-pair keys, against the LR-free oracle."""
+    """The per-term lowest-weight check of `sum_of_products` and its table
+    of ordered-pair keys, against the LR-free oracle."""
 
     @staticmethod
     def oracle(x, y):
@@ -488,11 +498,12 @@ class TestWeightSpans:
     @staticmethod
     def counted(ring, monkeypatch, *classes):
         """Count weight lookups and table fills on `ring` from here on, with
-        the spans of `classes` already known.  Every partition of the box is
-        ranked first, so the counting copy of the weight table gains no entry
-        that the ring's own table would lack once the patch is undone."""
+        the lowest weights of `classes` already known.  Every partition of
+        the box is ranked first, so the counting copy of the weight table
+        gains no entry that the ring's own table would lack once the patch
+        is undone."""
         for c in classes:
-            c._weight_span()
+            c._lowest_weight()
         for p in ring.basis():
             ring.rank(p.parts)
         weights = _CountingWeights(ring.weights)
@@ -502,27 +513,27 @@ class TestWeightSpans:
         monkeypatch.setattr(GrassmannianRing, "product", lambda self, key: filled.append(key) or original(self, key))
         return weights, filled
 
-    def test_span_is_the_lowest_and_highest_weight_and_survives_a_pickle(self):
+    def test_lowest_weight_is_kept_and_survives_a_pickle(self):
         x = 2 * GR36.sigma((1,)) - GR36.sigma((3, 2)) + GR36.sigma((2, 2, 2))
         with pytest.raises(AttributeError):
-            x._span  # computed on first use
-        assert x._weight_span() == (min(x.degrees()), max(x.degrees())) == (1, 6)
-        assert x._span == (1, 6)
+            x._low  # computed on first use
+        assert x._lowest_weight() == min(x.degrees()) == 1
+        assert x._low == 1
         copied = pickle.loads(pickle.dumps(x))
-        assert copied._span == (1, 6)
+        assert copied._low == 1
         assert copied == x and multiply(copied, x) == self.oracle(x, x)
-        assert GR36.zero()._weight_span() == (GR36.dim + 1, -1)
+        assert GR36.zero()._lowest_weight() == GR36.dim + 1
 
     def test_terms_within_and_across_the_dimension_in_one_sum(self, monkeypatch):
         ring = GrassmannianRing(3, 7)  # dimension 12
-        # Weights 1, 5 and 10 times 0, 4 and 10: the spans straddle the dimension.
+        # Weights 1, 5 and 10 times 0, 4 and 10: the term straddles the dimension.
         x = ring.sigma((1,)) + 2 * ring.sigma((2, 2, 1)) - ring.sigma((4, 4, 2))
         y = 3 * ring.one() - ring.sigma((3, 1)) + ring.sigma((4, 3, 3))
         # Weights 2, 3 and 3 times 9: every pair fits, and the longer class comes first.
         u = ring.sigma((2,)) - ring.sigma((2, 1)) + 4 * ring.sigma((1, 1, 1))
         v = 5 * ring.sigma((3, 3, 3))
-        assert x._weight_span()[1] + y._weight_span()[1] > ring.dim >= x._weight_span()[0] + y._weight_span()[0]
-        assert u._weight_span()[1] + v._weight_span()[1] <= ring.dim
+        assert max(x.degrees()) + max(y.degrees()) > ring.dim >= min(x.degrees()) + min(y.degrees())
+        assert max(u.degrees()) + max(v.degrees()) <= ring.dim
         expected = self.oracle(x, y) - 2 * self.oracle(u, v)
         assert not expected.is_zero()
         clear_product_memos()
@@ -530,7 +541,30 @@ class TestWeightSpans:
         assert ring.sum_of_products([(-2, u, v)]) == -2 * self.oracle(u, v)
         assert weights.lookups == 0  # no pair of a term that fits is checked
         assert ring.sum_of_products([(1, x, y), (-2, u, v)]) == expected
-        assert weights.lookups == 3 + 9  # one per row and one per pair of the straddling term
+        assert weights.lookups == 0  # nor of one that straddles the dimension
+
+    @pytest.mark.parametrize("r, n", [(2, 6), (3, 7), (4, 8)])
+    def test_mixed_degree_products_match_the_oracle(self, r, n):
+        # Random classes of several degrees on cold tables, some of their
+        # terms straddling the dimension; the four-row box takes the strip chains.
+        ring = GrassmannianRing(r, n)
+        rng = Random(33 * r + n)
+        clear_product_memos()
+        straddling = 0
+        for _ in range(12):
+            x, y = random_class(ring, rng), random_class(ring, rng)
+            xs, ys = x.degrees() or {0}, y.degrees() or {0}
+            straddling += max(xs) + max(ys) > ring.dim >= min(xs) + min(ys)
+            assert multiply(x, y) == self.oracle(x, y)
+        assert straddling
+        # (sigma_1 + sigma_2) ** p against p steps of Pieri by sigma_1 and
+        # sigma_2, up to the first power that vanishes.
+        s = ring.sigma((1,)) + ring.sigma((2,))
+        by_pieri = ring.one()
+        for p in range(ring.dim + 2):
+            assert s ** p == by_pieri
+            by_pieri = pieri(by_pieri, 1) + pieri(by_pieri, 2)
+        assert (s ** ring.dim).degrees() == {ring.dim} and (s ** (ring.dim + 1)).is_zero()
 
     def test_a_term_past_the_dimension_is_dropped_whole(self, monkeypatch):
         # Weights 5 and 7 times 5 and 6 on Gr(3, 6), of dimension 9: no pair fits.
