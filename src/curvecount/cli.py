@@ -14,6 +14,8 @@ Nothing is built at import.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -313,10 +315,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Run one command line; the cache directory is the one that its own
-    --cache-dir or CURVECOUNT_CACHE_DIR names, if any, for this call only."""
+    --cache-dir or CURVECOUNT_CACHE_DIR names, if any, for this call only.
+    Help is held while argparse parses and then written like a command's
+    output, since argparse drops a failed write to stdout itself."""
+    printed = io.StringIO()
     try:
-        args = _parser().parse_args(argv)
+        with contextlib.redirect_stdout(printed):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
+        if printed.getvalue():
+            sys.stdout.write(printed.getvalue())
         return int(exc.code or 0)
     try:
         with chern.universal_cache_dir(args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None):

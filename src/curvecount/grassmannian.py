@@ -13,13 +13,13 @@ outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 On a box of at most three rows an LR tableau is fixed by three integers,
 so the coefficients are counts of integer points (`_lr_three_rows`); a
 taller box enumerates chains of horizontal strips with the lattice-word
-condition.  The LR coefficients of each sorted pair of partitions in a box
-are memoized by shape; `product` ranks them, and each ring keeps a table of
-(index, coefficient) expansions keyed by the ordered pair of basis indices,
-packed into one int; a pair and its mirror share one expansion, filled once.
-The ring's table of horizontal strips by (parts, size) serves the LR chains
-and Pieri alike, so each strip set is enumerated once.
-A product with a one-column class sigma_(1^k) skips the LR memo: the dual
+condition.  Each ring keeps one memo of products: a table of (index,
+coefficient) expansions keyed by the ordered pair of basis indices, packed
+into one int; a pair and its mirror share one expansion, filled once by the
+LR rule (`_lr_expansion`, which keeps nothing itself) and ranked by
+`product`.  The ring's table of horizontal strips by (parts, size) serves
+the LR chains and Pieri alike, so each strip set is enumerated once.
+A product with a one-column class sigma_(1^k) skips the LR rule: the dual
 Pieri rule fills its table entry from the vertical strips.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
 `multiply` is its one-term call.  It works in two phases: the first sums
@@ -126,7 +126,7 @@ class GrassmannianRing:
         alike, so a miss on one is a miss on both and each unordered pair is
         computed once.  A one-column factor sigma_(1^k), such as c_k(U*),
         takes the dual Pieri rule: one term of coefficient 1 per vertical
-        strip.  Any other pair goes to the LR memo.  Either rule gives shapes,
+        strip.  Any other pair takes the LR rule.  Either rule gives shapes,
         ranked here into the (index, coefficient) expansion in index order.
         """
         i, j = sorted(divmod(key, self.size))
@@ -134,7 +134,7 @@ class GrassmannianRing:
         if lam[:1] in ((), (1,)):  # the unit or a column goes second
             lam, mu = mu, lam
         shapes = (zip(vertical_strips(lam, len(mu), self.rows, self.cols), repeat(1)) if mu[:1] in ((), (1,))
-                  else _lr_expansion(lam, mu, self.rows, self.cols))
+                  else _lr_expansion(lam, mu, self))
         expansion = tuple(sorted((self.rank(nu), k) for nu, k in shapes))
         self.products[i * self.size + j] = self.products[j * self.size + i] = expansion
         return expansion
@@ -183,7 +183,7 @@ class GrassmannianRing:
         for coeff, x, y in terms:
             if x.ring is not self or y.ring is not self:
                 raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
-            if not coeff or x._lowest_weight() + y._lowest_weight() > room:
+            if x._lowest_weight() + y._lowest_weight() > room:
                 continue
             xs, ys = x._coeffs.items(), y._coeffs.items()
             if len(xs) > len(ys):
@@ -414,19 +414,18 @@ def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing
     return counts
 
 
-@lru_cache(maxsize=None)
-def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int):
-    """Expansion of sigma_lam * sigma_mu inside the rows x cols box.
+@lru_cache(maxsize=0)
+def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing):
+    """Expansion of sigma_lam * sigma_mu inside the box of `ring`.
 
     Returns a tuple of (nu parts, coefficient) pairs; `GrassmannianRing.product`
-    ranks them.  A box of at most three rows counts its LR tableaux by their
-    content (`_lr_three_rows`) and looks up no ring; a taller box enumerates
-    strip chains (`_lr_chains`) from the strip table of
-    `GrassmannianRing(rows, rows + cols)`.  The rule is symmetric in lam and
-    mu, so callers normalize the key order before the cache.
+    ranks them and keeps the expansion in the ring's table, so this rule
+    stores nothing: its cache of size 0 only counts the fills, one miss
+    each.  A box of at most three rows counts its LR tableaux by their
+    content (`_lr_three_rows`); a taller box enumerates strip chains
+    (`_lr_chains`) from the ring's strip table.
     """
-    counts = (_lr_three_rows(lam, mu, rows, cols) if rows <= 3
-              else _lr_chains(lam, mu, GrassmannianRing(rows, rows + cols)))
+    counts = _lr_three_rows(lam, mu, ring.rows, ring.cols) if ring.rows <= 3 else _lr_chains(lam, mu, ring)
     return tuple(counts.items())
 
 

@@ -75,14 +75,12 @@ class ProjBundleRing:
         """The sum of coeff * x * y over (coeff, x, y) triples, z-reduced once.
 
         Each product of two nonzero coefficients becomes a base term in the
-        list of its z-degree; zero coefficients add no term.
+        list of its z-degree, which the base sums.
         """
         raw: list[list] = [[] for _ in range(2 * self.fiber_rank - 1)]
         for coeff, x, y in terms:
             if x.ring != self or y.ring != self:
                 raise RingMismatchError("elements live on different projective bundles")
-            if not coeff:
-                continue
             for i, a in enumerate(x.coeffs):
                 if not a.is_zero():
                     for j, b in enumerate(y.coeffs):

@@ -207,8 +207,6 @@ def sum_of_products(nvars: int, terms: Iterable[tuple[int, SymmetricPoly, Symmet
         if x.nvars != nvars or y.nvars != nvars:
             bad = x.nvars if x.nvars != nvars else y.nvars
             raise RingMismatchError(f"cannot multiply a polynomial in {bad} variables in a ring of {nvars}")
-        if not coeff:
-            continue
         right = sorted(y._packed.items())
         for k1, c1 in x._packed.items():
             c1 *= coeff

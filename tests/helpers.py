@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import argparse
 import os
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, prod
+from math import comb, lcm, prod
 from pathlib import Path
 from random import Random
 
@@ -81,9 +80,8 @@ def cap_products(monkeypatch, limit: int = 50) -> None:
 
 
 def clear_product_memos() -> None:
-    """Forget every LR expansion: the memo, and the product and strip tables of
-    each ring, and the shared Schubert map of U* that holds products of them."""
-    grassmannian._lr_expansion.cache_clear()
+    """Forget every Schubert expansion: the product and strip tables of each
+    ring, and the shared Schubert map of U* that holds products of them."""
     chern._DUAL_MAPS.clear()
     for ring in grassmannian._RINGS.values():
         ring.products.clear()
@@ -368,7 +366,7 @@ def schubert_calculator(command: str, base: GrassmannianRing, options: dict[str,
     integer `options` (keyed by option name), computed in the Schubert
     basis: Sym^d from `power_table_sym_power` and every other step a generic
     `chern` function over the Grassmannian, so it multiplies Schubert classes
-    through the LR memo.  The twist class is by * c_1(U*), zero on a point."""
+    through the LR rule.  The twist class is by * c_1(U*), zero on a point."""
     cu = dual_universal_vector(base)
     if command == "quotient":
         num, den = (power_table_sym_power(cu, options[name]) for name in ("num", "den"))
@@ -416,6 +414,25 @@ def _excess_coefficient(w: list[int], v: list[int], k: int) -> int:
     return series[k]
 
 
+def _monomial_weights(d: int, a: int, b: int, base: int = 0) -> list[int]:
+    """Weights of the d + 1 monomials of degree d in two variables of weights
+    a and b, each times a fixed monomial of weight `base`."""
+    return [base + s * a + (d - s) * b for s in range(d + 1)]
+
+
+def _conic_forms(d: int, q: tuple[int, int], S: tuple[int, int, int], lam: list[int]) -> list[int]:
+    """Weights of the 2d + 1 monomials of degree d in the plane S that the
+    monomial conic q does not divide, listed directly: for q = x_i^2 those of
+    x_i-exponent at most 1, for q = x_i x_j those that miss x_i, then those
+    that hold x_i and miss x_j."""
+    i, j = q
+    if i == j:
+        k, l = (lam[t] for t in S if t != i)
+        return _monomial_weights(d, k, l) + _monomial_weights(d - 1, k, l, lam[i])
+    k = next(lam[t] for t in S if t not in q)
+    return _monomial_weights(d, lam[j], k) + _monomial_weights(d, lam[i], k)[1:]
+
+
 def bott_count(kind: str, n: int, degrees, weights) -> int:
     """Lines, conics or a factor's equivalence on a general hypersurface or
     complete intersection in P^n by Bott's formula.
@@ -425,50 +442,50 @@ def bott_count(kind: str, n: int, degrees, weights) -> int:
     coordinate 2-planes S, conics over the coordinate 3-planes S and the
     six monomial conics q in each.  At a fixed point the forms bundle of
     degree d has the weights of the degree-d monomials in S (for conics,
-    those q does not divide), and the tangent space those of Hom(U, Q)
-    plus, for conics, q'/q for the other monomial conics q'.  The count is
-    the sum of the product of the forms weights over the product of the
-    tangent weights (Ellingsrud-Stromme, alg-geom/9411005).
+    the 2d + 1 that q does not divide, `_conic_forms`), and the tangent
+    space those of Hom(U, Q) plus, for conics, q'/q for the other monomial
+    conics q'.  The count is the sum of the product of the forms weights
+    over the product of the tangent weights (Ellingsrud-Stromme,
+    alg-geom/9411005), taken over one integer denominator, the lcm of the
+    tangent products, with one exact division at the end.
 
     For kind "equivalence", `degrees` is (D, e): the lines absorbed by a
     degree-e factor of a degree-D hypersurface.  The numerator at S is then
     the t^k coefficient of prod(1 + w t) / prod(1 + v t), k = 2(n-1) - (e+1),
     with w the weights of Sym^D U* and v those of Sym^e U*, times the
     product of the v.  A weight vector that makes a tangent weight zero is
-    rejected.
+    rejected, and so is a sum that is not an integer.
     """
     lam = list(weights)
     if len(lam) != n + 1:
         raise ValueError(f"need {n + 1} weights, got {len(lam)}")
     span = 3 if kind == "conics" else 2
-    total = Fraction(0)
+    terms = []
     for S in combinations(range(n + 1), span):
-        grassmann = [lam[i] - lam[j] for i in S for j in range(n + 1) if j not in S]
-        # A line is its plane S; a conic is one of the six monomial conics q in S,
-        # whose forms drop the monomials q * r with r of degree d - 2.
-        conics = list(combinations_with_replacement(S, 2)) if kind == "conics" else [()]
-        for q in conics:
-            if kind == "equivalence":
-                D, e = degrees
-                w, v = ([sum(lam[i] for i in m) for m in combinations_with_replacement(S, d)] for d in (D, e))
-                numerator = _excess_coefficient(w, v, 2 * (n - 1) - (e + 1)) * prod(v)
-            else:
-                forms = []
-                for d in degrees:
-                    lower = combinations_with_replacement(S, d - 2) if q and d > 1 else ()
-                    divisible = {tuple(sorted(q + r)) for r in lower}
-                    monomials = [m for m in combinations_with_replacement(S, d) if m not in divisible]
-                    forms += [sum(lam[i] for i in m) for m in monomials]
-                numerator = prod(forms)
-            wq = sum(lam[i] for i in q)
-            tangent = grassmann + [sum(lam[i] for i in other) - wq for other in conics if other != q]
-            denominator = prod(tangent)
-            if not denominator:
-                raise ValueError(f"the weights {lam} make a tangent weight zero")
-            total += Fraction(numerator, denominator)
-    if total.denominator != 1:
-        raise ValueError(f"localization gave the non-integer {total}")
-    return total.numerator
+        grassmann = prod(lam[i] - lam[j] for i in S for j in range(n + 1) if j not in S)
+        if kind == "conics":
+            conics = list(combinations_with_replacement(S, 2))
+            for q in conics:
+                numerator = prod(w for d in degrees for w in _conic_forms(d, q, S, lam))
+                wq = lam[q[0]] + lam[q[1]]
+                others = prod(lam[i] + lam[j] - wq for i, j in conics if (i, j) != q)
+                terms.append((numerator, grassmann * others))
+            continue
+        a, b = (lam[i] for i in S)
+        if kind == "equivalence":
+            D, e = degrees
+            v = _monomial_weights(e, a, b)
+            numerator = _excess_coefficient(_monomial_weights(D, a, b), v, 2 * (n - 1) - (e + 1)) * prod(v)
+        else:
+            numerator = prod(w for d in degrees for w in _monomial_weights(d, a, b))
+        terms.append((numerator, grassmann))
+    if not all(den for _, den in terms):
+        raise ValueError(f"the weights {lam} make a tangent weight zero")
+    common = lcm(*(den for _, den in terms))
+    count, rest = divmod(sum(num * (common // den) for num, den in terms), common)
+    if rest:
+        raise ValueError(f"localization gave the non-integer {count} + {rest}/{common}")
+    return count
 
 
 # --- command line -------------------------------------------------------------

@@ -684,12 +684,15 @@ def test_module_entry_point_subprocess(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["lines", "--ambient", "4", "--degree", "5"],
     ["--format", "structured", "chern", "segre", "--grassmannian", "4,12", "--degree", "3"],
+    ["--help"],
+    ["lines", "--help"],
 ])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
     # The pipe's read end is closed before the command starts, so its first
     # write to stdout fails whatever the timing.  Buffered, the write fails
-    # at the flush; unbuffered, at the print.
+    # at the flush; unbuffered, at the print.  Help takes the same write,
+    # not argparse's own, which drops a failed one and exits 0.
     env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:

@@ -232,9 +232,10 @@ class TestMultiply:
 
     def test_weight_skip_is_exact(self, monkeypatch):
         # The kernel checks no pair's weight: in boxes of 1 to 5 rows, the LR
-        # memo and the dual-Pieri strips give no shape for a pair whose
+        # rule and the dual-Pieri strips give no shape for a pair whose
         # weights sum past the dimension.
         for rows, cols in [(1, 5), (2, 4), (3, 3), (4, 4), (5, 4)]:
+            ring = GrassmannianRing(rows, rows + cols)
             dim = rows * cols
             box = [p.parts for p in partitions_in_box(rows, cols)]
             past = 0
@@ -244,7 +245,7 @@ class TestMultiply:
                         assert list(vertical_strips(lam, k, rows, cols)) == []
                 for mu in box:
                     if sum(lam) + sum(mu) > dim:
-                        assert _lr_expansion(lam, mu, rows, cols) == ()
+                        assert _lr_expansion(lam, mu, ring) == ()
                         past += 1
             assert past
         basis = GR36.basis()
@@ -278,7 +279,7 @@ class TestMultiply:
 
     def test_one_column_products_take_the_dual_pieri_rule(self, monkeypatch):
         # Every (lam, 1^i) pair of five boxes: the table entry that the
-        # vertical strips fill equals the LR expansion, and the LR memo is
+        # vertical strips fill equals the LR expansion, and the LR rule is
         # never asked for it.
         import curvecount.grassmannian as grassmannian
 
@@ -291,7 +292,7 @@ class TestMultiply:
                 for i in range(1, rows + 1):
                     first, second = sorted((ring.rank(lam.parts), ring.rank((1,) * i)))
                     expansion = ring.product(first * ring.size + second)
-                    shapes = _lr_expansion(lam.parts, (1,) * i, rows, cols)
+                    shapes = _lr_expansion(lam.parts, (1,) * i, ring)
                     assert expansion == tuple(sorted((ring.rank(nu), k) for nu, k in shapes))
                     pairs += 1
         assert pairs == 1183
@@ -309,13 +310,26 @@ class TestMultiply:
                 for mu in ring.basis():
                     assert multiply(ring.sigma(lam), ring.sigma(mu)) == oracle_multiply(ring, lam, mu)
 
-    def test_memo_cache_is_transparent(self):
-        lam, mu = (2, 1), (1, 1)
-        cached = _lr_expansion(lam, mu, 3, 3)
-        uncached = _lr_expansion.__wrapped__(lam, mu, 3, 3)
-        assert cached == uncached
-        _lr_expansion.cache_clear()
-        assert _lr_expansion(lam, mu, 3, 3) == cached
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
+    def test_the_product_table_is_the_one_memo(self, r, n):
+        # A cold full * full fills every unordered pair once.  The LR rule
+        # keeps no entry of its own and counts one miss per pair it fills:
+        # those with no unit or one-column factor.
+        ring = GrassmannianRing(r, n)
+        basis = ring.basis()
+        full = ChowClass(ring, {p: 1 for p in basis})
+        clear_product_memos()
+        before = _lr_expansion.cache_info()
+        assert not multiply(full, full).is_zero()
+        after = _lr_expansion.cache_info()
+        wide = sum(p.parts[:1] not in ((), (1,)) for p in basis)
+        assert after.currsize == 0
+        assert after.misses - before.misses == wide * (wide + 1) // 2
+        assert len(ring.products) == ring.size ** 2
+        for i, lam in enumerate(basis):
+            for mu in basis[i:]:
+                expansion = ring.products[ring.rank(lam.parts) * ring.size + ring.rank(mu.parts)]
+                assert ChowClass._trusted(ring, dict(expansion)) == oracle_multiply(ring, lam, mu)
 
     @staticmethod
     def fill_table(ring, keys):
@@ -371,15 +385,17 @@ class TestMultiply:
         assert len(products) == 3778  # 1912 unordered pairs
         assert strips == {}
 
-    def test_three_row_fill_looks_up_no_ring(self, monkeypatch):
-        # The ring ranks the shapes itself, so a box of at most three rows
-        # never asks for its ring by (r, N).
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
+    def test_cold_fill_looks_up_no_ring(self, monkeypatch, r, n):
+        # The ring ranks the shapes itself and hands itself to the LR rule,
+        # so no fill asks for its ring by (r, N): the three-row count needs
+        # none, and the four-row strip chains read the ring's strip table.
         import curvecount.grassmannian as grassmannian
 
         def refused(*args):
             raise AssertionError(f"GrassmannianRing{args} looked up")
 
-        ring = GrassmannianRing(3, 7)
+        ring = GrassmannianRing(r, n)
         keys = self.table_keys(ring)
         clear_product_memos()
         monkeypatch.setattr(grassmannian, "GrassmannianRing", refused)
@@ -598,15 +614,22 @@ class TestWeightSpans:
         base = GrassmannianRing(3, 9)
         clear_product_memos()
         _, filled = self.counted(base, monkeypatch)
+        before = _lr_expansion.cache_info()
         cu = dual_universal_vector(base)
         total = ProjBundleRing(sym_power(cu, 2))
         forms = pullback_vector(total, sym_power(cu, 11))
         divisible = tensor_line(pullback_vector(total, sym_power(cu, 9)), -total.zeta())
         quotient = whitney_quotient(forms, divisible, total.dim)
         assert integrate(pb_pushforward(quotient.top())) == 6879170927773883986896
+        after = _lr_expansion.cache_info()
         pairs = [divmod(key, base.size) for key in filled]
         unordered = {(min(i, j), max(i, j)) for i, j in pairs}
         assert len(unordered) == len(pairs)
+        # The table is the one memo: the LR rule keeps nothing and missed
+        # once for each pair it filled, those with no unit or column factor.
+        wide = [(i, j) for i, j in unordered if all(base.parts[k][:1] not in ((), (1,)) for k in (i, j))]
+        assert after.currsize == 0
+        assert after.misses - before.misses == len(wide) > 0
         assert {key for i, j in unordered for key in (i * base.size + j, j * base.size + i)} == set(base.products)
         for i, j in unordered:
             expansion = base.products[i * base.size + j]

@@ -284,7 +284,10 @@ class TestCountCurves:
 
 
 def bott_weights(n: int) -> list[int]:
-    return [3**i + 7 * i * i for i in range(n + 1)]
+    """1 plus each of the first n + 1 numbers whose base-3 digits are all 0 or 1.
+    They hold no three-term progression, so the six monomial conics of a
+    coordinate plane have distinct weights, and no monomial weight is 0."""
+    return [1 + int(format(i, "b"), 3) for i in range(n + 1)]
 
 
 def _degree_sets(total: int, rank, low: int = 1):
@@ -308,7 +311,9 @@ class TestLocalizationOracle:
         # The lines rungs of the benchmark, up to its top rung P^28.
         + [("lines", n, [2 * n - 3]) for n in (16, 20, 24, 28)]
         + [("lines", 5, [3, 3]), ("lines", 5, [2, 4]), ("lines", 6, [2, 2, 3]), ("lines", 7, [2, 2, 2, 2])]
-        + [("conics", 4, [5]), ("conics", 6, [8]), ("conics", 8, [11]), ("conics", 5, [2, 4])],
+        + [("conics", 4, [5]), ("conics", 6, [8]), ("conics", 8, [11]), ("conics", 5, [2, 4])]
+        # Past the benchmark's top rungs.
+        + [("conics", 12, [17]), ("conics", 16, [23]), ("lines", 60, [117])],
     )
     def test_count_curves_matches_localization(self, kind, n, degrees):
         assert count_curves(kind, n, degrees).count == bott_count(kind, n, degrees, bott_weights(n))
@@ -355,7 +360,7 @@ class TestLocalizationOracle:
 class TestPresentationRoute:
     """Counts multiply and integrate in Z[c_1..c_r].  The `chern` calculators
     and the classes an equivalence traces reach the Schubert basis through
-    products with one-column classes only, which never ask the LR memo."""
+    products with one-column classes only, which never ask the LR rule."""
 
     @staticmethod
     def record_lr(monkeypatch) -> list:
@@ -396,7 +401,7 @@ class TestPresentationRoute:
         asked = self.record_lr(monkeypatch)
         ring = GrassmannianRing(3, 6)
         assert not multiply(ring.sigma((2, 1)), ring.sigma((2, 1))).is_zero()
-        assert asked == [((2, 1), (2, 1), 3, 3)]
+        assert asked == [((2, 1), (2, 1), ring)]
 
 
 class TestEquivalences:
