@@ -17,10 +17,9 @@ condition.  Each ring keeps one memo of products: a table of (index,
 coefficient) expansions keyed by the ordered pair of basis indices, packed
 into one int; a pair and its mirror share one expansion, filled once by the
 LR rule (`_lr_expansion`, which keeps nothing itself) and ranked by
-`product`.  The ring's table of horizontal strips by (parts, size) serves
-the LR chains and Pieri alike, so each strip set is enumerated once.
-A product with a one-column class sigma_(1^k) skips the LR rule: the dual
-Pieri rule fills its table entry from the vertical strips.
+`product`; one-column classes sigma_(1^k) take the same rule.  The ring's
+table of horizontal strips by (parts, size) serves the LR chains and Pieri
+alike, so each strip set is enumerated once.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
 `multiply` is its one-term call.  It works in two phases: the first sums
 the scaled coefficient products of all terms per product-table key,
@@ -36,13 +35,13 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import combinations, permutations, repeat, zip_longest
+from itertools import combinations, permutations, zip_longest
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, RingMismatchError
-from .partitions import Partition, horizontal_strips, partitions_in_box, partitions_of_weight, vertical_strips
+from .partitions import Partition, horizontal_strips, partitions_in_box, partitions_of_weight
 
 
 _RINGS: dict[tuple[int, int], "GrassmannianRing"] = {}  # by (r, N); cold-cache tests clear the product tables here
@@ -124,18 +123,16 @@ class GrassmannianRing:
 
         The expansion is stored under the key and its mirror j * size + i
         alike, so a miss on one is a miss on both and each unordered pair is
-        computed once.  A one-column factor sigma_(1^k), such as c_k(U*),
-        takes the dual Pieri rule: one term of coefficient 1 per vertical
-        strip.  Any other pair takes the LR rule.  Either rule gives shapes,
+        computed once.  Every pair takes the LR rule, whose shapes are
         ranked here into the (index, coefficient) expansion in index order.
+        A unit or one-column factor sigma_(1^k), such as c_k(U*), goes
+        second, so in a taller box the column is the strip word of the chains.
         """
         i, j = sorted(divmod(key, self.size))
         lam, mu = self.parts[i], self.parts[j]
         if lam[:1] in ((), (1,)):  # the unit or a column goes second
             lam, mu = mu, lam
-        shapes = (zip(vertical_strips(lam, len(mu), self.rows, self.cols), repeat(1)) if mu[:1] in ((), (1,))
-                  else _lr_expansion(lam, mu, self))
-        expansion = tuple(sorted((self.rank(nu), k) for nu, k in shapes))
+        expansion = tuple(sorted((self.rank(nu), k) for nu, k in _lr_expansion(lam, mu, self)))
         self.products[i * self.size + j] = self.products[j * self.size + i] = expansion
         return expansion
 

@@ -17,6 +17,12 @@ exit with 3; then the Segre classes of Sym^3 on Gr(4, 12) and two commands
 on Gr(2, 40000), whose dimension is past the packing limit.  One change is
 intended: on a point c_1(U*) = 0, so a twist by a nonzero multiple of it
 prints the untwisted answer where it once failed.
+
+`schubert-calculators.json` has the same layout for the `schubert`
+calculators in structured mode, as recorded while one-column products still
+took the dual Pieri rule: every basis class times every column sigma_(1^k)
+on Gr(2, 6), Gr(3, 7) and Gr(4, 8), and sigma_1 to the ring dimension on
+each, whose integral is the degree of the Grassmannian.
 """
 
 import hashlib
@@ -29,11 +35,12 @@ from curvecount import GrassmannianRing, count_curves
 from curvecount.chern import clear_universal_cache, set_universal_cache_dir
 from curvecount.cli import CACHE_DIR_ENV, run
 
-from helpers import schubert_calculator
+from helpers import clear_product_memos, schubert_calculator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CALCULATORS = json.loads((GOLDEN / "chern-calculators.json").read_text())
 SWEPT = sorted({command.split()[5] for command in CALCULATORS})  # the --grassmannian values
+SCHUBERT_CALCULATORS = json.loads((GOLDEN / "schubert-calculators.json").read_text())
 
 CLI_CASES = {
     "lines-3-3": ("lines", "--ambient", "3", "--degree", "3"),
@@ -143,3 +150,12 @@ def test_chern_calculators_match_the_schubert_route(grassmannian, capsys, monkey
             base = GrassmannianRing(*map(int, grassmannian.split(",")))
             options = {flag[2:]: int(value) for flag, value in zip(words[6::2], words[7::2])}
             assert json.loads(out)["result"] == schubert_calculator(words[3], base, options), words
+
+
+@pytest.mark.parametrize("grassmannian", ["2,6", "3,7", "4,8"])
+def test_schubert_calculators_match_golden(grassmannian, capsys):
+    clear_product_memos()  # cold tables: every product below is filled, not served
+    commands = [command for command in SCHUBERT_CALCULATORS if command.split()[5] == grassmannian]
+    assert commands
+    for command in commands:
+        assert fingerprint(*run_captured(capsys, command)) == SCHUBERT_CALCULATORS[command], command

@@ -358,31 +358,51 @@ class TestLocalizationOracle:
 
 
 class TestPresentationRoute:
-    """Counts multiply and integrate in Z[c_1..c_r].  The `chern` calculators
-    and the classes an equivalence traces reach the Schubert basis through
-    products with one-column classes only, which never ask the LR rule."""
+    """Counts multiply and integrate in Z[c_1..c_r]: lines, conics and split
+    reports take no Schubert product at all.  The `chern` calculators and
+    the classes an equivalence traces reach the Schubert basis through one
+    map, whose products all have a unit or one-column second factor."""
 
     @staticmethod
-    def record_lr(monkeypatch) -> list:
+    def record_products(monkeypatch) -> list:
+        """Every product-table fill from cold tables, as (ring, key)."""
+        clear_product_memos()
+        asked = []
+        original = GrassmannianRing.product
+        monkeypatch.setattr(GrassmannianRing, "product",
+                            lambda ring, key: asked.append((ring, key)) or original(ring, key))
+        return asked
+
+    @staticmethod
+    def record_fills(monkeypatch) -> list:
+        """The factors (lam, mu) of every fill from cold tables, as the LR rule takes them."""
         clear_product_memos()
         asked = []
         original = grassmannian._lr_expansion
-        monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key) or original(*key))
+        monkeypatch.setattr(grassmannian, "_lr_expansion", lambda *key: asked.append(key[:2]) or original(*key))
         return asked
+
+    @staticmethod
+    def columns_only(fills: list) -> bool:
+        return bool(fills) and all(mu[:1] in ((), (1,)) for _, mu in fills)
 
     @pytest.mark.parametrize(
         "pipeline, args",
         [(count_curves, ("lines", n, [2 * n - 3])) for n in (3, 4, 8, 12)]
         + [(count_curves, ("lines", n, ds)) for n, ds in ((5, [3, 3]), (5, [2, 4]), (6, [2, 2, 3]), (7, [2] * 4))]
         + [(count_curves, ("conics", n, ds)) for n, ds in ((4, [5]), (6, [8]), (5, [2, 4]))]
-        + [(equivalence_lines_on_factor, (5, e, 4)) for e in range(1, 6)]
-        + [(equivalence_lines_on_factor, (3, 1, 4))]
         + [(degeneration_split_report, (5, 4)), (degeneration_split_report, (7, 5))],
     )
-    def test_count_paths_never_call_lr(self, monkeypatch, pipeline, args):
-        asked = self.record_lr(monkeypatch)
+    def test_count_paths_take_no_schubert_product(self, monkeypatch, pipeline, args):
+        asked = self.record_products(monkeypatch)
         pipeline(*args)
         assert asked == []
+
+    @pytest.mark.parametrize("args", [(5, e, 4) for e in range(1, 6)] + [(3, 1, 4)])
+    def test_equivalence_traces_fill_only_column_products(self, monkeypatch, args):
+        fills = self.record_fills(monkeypatch)
+        equivalence_lines_on_factor(*args)
+        assert self.columns_only(fills)
 
     @pytest.mark.parametrize("argv", [
         ("sym", "--degree", "4"),
@@ -391,17 +411,19 @@ class TestPresentationRoute:
         ("quotient", "--num", "4", "--den", "2"),
         ("segre", "--degree", "3"),
     ], ids=lambda argv: argv[0])
-    def test_chern_calculators_never_call_lr(self, monkeypatch, capsys, argv):
+    def test_chern_calculators_fill_only_column_products(self, monkeypatch, capsys, argv):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        asked = self.record_lr(monkeypatch)
+        fills = self.record_fills(monkeypatch)
         assert run(["chern", argv[0], "--grassmannian", "4,9", *argv[1:]]) == 0
-        assert asked == []
+        assert self.columns_only(fills)
 
-    def test_recorder_sees_an_lr_product(self, monkeypatch):
-        asked = self.record_lr(monkeypatch)
+    def test_recorders_see_a_product(self, monkeypatch):
         ring = GrassmannianRing(3, 6)
+        asked = self.record_products(monkeypatch)
+        fills = self.record_fills(monkeypatch)
         assert not multiply(ring.sigma((2, 1)), ring.sigma((2, 1))).is_zero()
-        assert asked == [((2, 1), (2, 1), ring)]
+        assert asked == [(ring, ring.rank((2, 1)) * (ring.size + 1))]
+        assert fills == [((2, 1), (2, 1))] and not self.columns_only(fills)
 
 
 class TestEquivalences:
