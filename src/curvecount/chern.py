@@ -11,32 +11,29 @@ ambient: by the ring it names, or for a packed polynomial, which names no
 ring, by its variable count; `tensor_line` and the projective-bundle
 constructor share it.  Each component of a twist, sum or quotient is one
 `sum_of_products` call, so the ambient can collect the products before it
-reduces them.  Every series c(E)/c(S), a Whitney quotient, a Segre class or
-the excess part of an equivalence, is one `quotient_series`.
+reduces them.  Every series c(E)/c(S), a Whitney quotient or a Segre class,
+is one `quotient_series`.
 
-Symmetric powers go through universal polynomials in e_1..e_r.  The
-product of (unit + root) over the formal roots of Sym^d of a rank-r bundle
-is one symmetric factor per S_r orbit of the roots, multiplied there.  A
-one-root orbit and a rank-2 orbit take a closed form; only an orbit of
-rank 3 or more with more than one root is multiplied out in the roots and
-rewritten once by `reduce_to_elementary`.  With unit 0 it is the top class
-at every rank.  The total class takes that product or Newton's identity
-on the power sums of the roots, by rank, as `sym_power_elementary` says;
-it is kept as packed e-polynomials per degree, cached per (rank, power,
-truncation degree) in memory and optionally on disk.  A disk file is
+Symmetric powers go through universal polynomials in e_1..e_r.  The product
+of (1 + root) over the formal roots of Sym^d of a rank-r bundle is one
+symmetric factor per S_r orbit of the roots, multiplied there.  A one-root
+orbit and a rank-2 orbit take a closed form; only an orbit of rank 3 or more
+with more than one root is multiplied out in the roots and rewritten once by
+`reduce_to_elementary`.  The total class takes that product or Newton's
+identity on the power sums of the roots, by rank, as `sym_power_elementary`
+says; it is kept as packed e-polynomials per degree, cached per (rank,
+power, truncation degree) in memory and optionally on disk.  A disk file is
 served only if it is byte for byte the text `_store_cached` writes for its
 key and its values at the roots (1, ..., r) are those of Sym^d, summed over
-the multisets of d roots with no orbit walk; any other file is recomputed.  `ChernRing` is
-Z[c_1..c_r] truncated at a dimension, where they are elements as they
-stand; its `evaluator`, `symfunc.elementary_substitution` with e_i -> c_i,
-maps them to a given bundle, each e-monomial once as a shorter one times
-one c_i; U* of a Grassmannian has one such map, kept with its images for
-every later class of U*.  `sym_power` of any bundle is `ChernRing.sym_power`
-under that map, and the `chern` calculators compute a whole class in
-`ChernRing` and map it to the Schubert basis once, at the end; a count maps
-nothing.  With unit 0 the product is c_top(Sym^d) alone,
-`ChernRing.sym_power_top`, with no cache; the line counts need nothing
-else.
+the multisets of d roots with no orbit walk; any other file is recomputed.
+`ChernRing` is Z[c_1..c_r] truncated at a dimension, where they are elements
+as they stand; its `evaluator`, `symfunc.elementary_substitution` with
+e_i -> c_i, maps them to a given bundle, each e-monomial once as a shorter
+one times one c_i; U* of a Grassmannian has one such map, kept with its
+images for every later class of U*.  `sym_power` of any bundle is
+`ChernRing.sym_power` under that map, and the `chern` calculators compute a
+whole class in `ChernRing` and map it to the Schubert basis once, at the
+end.  No count takes a class of this module.
 """
 
 from __future__ import annotations
@@ -181,33 +178,32 @@ def clear_universal_cache() -> None:
     sym_power_newton.cache_clear()
 
 
-def _orbit_factor(lam: tuple[int, ...], unit: int, trunc: int) -> SymmetricPoly:
-    """The product of (unit + m.x) over the distinct rearrangements m of `lam`,
+def _orbit_factor(lam: tuple[int, ...], trunc: int) -> SymmetricPoly:
+    """The product of (1 + m.x) over the distinct rearrangements m of `lam`,
     in the packed e-monomial ring up to degree `trunc`.
 
     Two shapes have a closed form: a one-root orbit (a, ..., a) is
-    unit + a e1 at any rank, and a rank-2 orbit (a, b) with a != b is
-    (unit + a x1 + b x2)(unit + b x1 + a x2)
-    = unit^2 + unit (a + b) e1 + ab e1^2 + (a - b)^2 e2.  Any other orbit
-    is multiplied out in the roots and rewritten once by `reduce_to_elementary`.
+    1 + a e1 at any rank, and a rank-2 orbit (a, b) with a != b is
+    (1 + a x1 + b x2)(1 + b x1 + a x2) = 1 + (a + b) e1 + ab e1^2 + (a - b)^2 e2.
+    Any other orbit is multiplied out in the roots and rewritten once by
+    `reduce_to_elementary`.
     """
     r, a, b = len(lam), lam[0], lam[-1]
     if a == b:
-        by_degree = [{(0,) * r: unit}, {(1,) + (0,) * (r - 1): a}]
+        by_degree = [{(0,) * r: 1}, {(1,) + (0,) * (r - 1): a}]
     elif r == 2:
-        by_degree = [{(0, 0): unit * unit}, {(1, 0): unit * (a + b)}, {(2, 0): a * b, (0, 1): (a - b) ** 2}]
+        by_degree = [{(0, 0): 1}, {(1, 0): a + b}, {(2, 0): a * b, (0, 1): (a - b) ** 2}]
     else:
         orbit = SymmetricPoly.constant(r, 1)
         for m in set(permutations(lam)):
-            orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, unit), trunc)
+            orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, 1), trunc)
         return elementary_ring_poly(r, reduce_to_elementary(orbit))
     return elementary_ring_poly(r, {e: c for terms in by_degree[:trunc + 1] for e, c in terms.items()})
 
 
-def _sym_power_product(r: int, d: int, unit: int, trunc: int) -> SymmetricPoly:
-    """The product of (unit + root) over the roots of Sym^d(rank-r bundle), in
-    e_1..e_r up to weighted degree `trunc`: the total class for unit 1, and
-    the top class for unit 0 and `trunc` the rank.
+def _sym_power_product(r: int, d: int, trunc: int) -> SymmetricPoly:
+    """The product of (1 + root) over the roots of Sym^d(rank-r bundle), the
+    total class, in e_1..e_r up to weighted degree `trunc`.
 
     The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d, in one S_r
     orbit per partition of d into at most r parts; the orbit factors, each
@@ -216,7 +212,7 @@ def _sym_power_product(r: int, d: int, unit: int, trunc: int) -> SymmetricPoly:
     """
     total = SymmetricPoly.constant(r, 1)
     for parts in reversed(list(parts_of_weight(d, r, d))):
-        total = total.mul_truncated(_orbit_factor(parts + (0,) * (r - len(parts)), unit, trunc), trunc)
+        total = total.mul_truncated(_orbit_factor(parts + (0,) * (r - len(parts)), trunc), trunc)
     return total
 
 
@@ -292,17 +288,16 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...
 
     A miss takes its route by rank alone.  Rank 3 takes Newton's identity on
     the power sums of the roots, `symfunc.sym_power_newton`.  Every other
-    rank multiplies the orbit factors of `_sym_power_product` with unit 1:
-    rank 2 has closed-form orbits, which power sums do not beat, and ranks 1
-    and >= 4 have no power-sum route.  The top class, unit 0, is the orbit
-    product at every rank (`ChernRing.sym_power_top`).
+    rank multiplies the orbit factors of `_sym_power_product`: rank 2 has
+    closed-form orbits, which power sums do not beat, and ranks 1 and >= 4
+    have no power-sum route.
     """
     key = (r, d, trunc)
     if key in _SYM_CACHE:
         return _SYM_CACHE[key]
     value = _load_cached(r, d, trunc) if _CACHE_DIR is not None else None
     if value is None:
-        value = sym_power_newton(d, trunc) if r == 3 else _sym_power_product(r, d, 1, trunc).graded(trunc)
+        value = sym_power_newton(d, trunc) if r == 3 else _sym_power_product(r, d, trunc).graded(trunc)
         if _CACHE_DIR is not None:
             _store_cached(r, d, trunc, value)
     _SYM_CACHE[key] = value
@@ -397,14 +392,6 @@ class ChernRing:
         if d == 1:
             return self.generators()
         return ChernVector(self, rank, sym_power_elementary(self.r, d, min(rank, self.dim)))
-
-    def sym_power_top(self, d: int) -> SymmetricPoly:
-        """c_top(Sym^d) of the generic bundle alone, zero when the rank of Sym^d
-        exceeds dim: the product of the roots m.x, one S_r orbit at a time.
-        Each orbit's product is symmetric and homogeneous, so no lower degree
-        is built; at rank 2 every orbit's product is its closed form."""
-        rank = sym_power_rank(self.r, d)
-        return self.zero() if rank > self.dim else _sym_power_product(self.r, d, 0, rank)
 
     def evaluator(self, c: ChernVector):
         """The ring map c_i -> c.component(i), a function that memoizes the image

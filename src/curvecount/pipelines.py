@@ -8,17 +8,10 @@ of the forms bundle with the Segre class of the family's locus.  Every
 pipeline returns a `CountReport` carrying the integer, a provenance trace
 of intermediate classes, and any consistency checks.
 
-Lines and equivalences multiply in `chern.ChernRing`, Z[c_1..c_r]
-truncated at the Grassmannian's dimension, where the universal Sym^d
-polynomials are elements as they stand.  A line count needs only the top
-class of each Sym^d U*, and an equivalence's excess part is one
-`quotient_series`; each is one `symfunc.grassmannian_integral` over
-Gr(2, n+1) in the ring itself.  A conic count builds no class: it sums
-Bott's formula over the torus-fixed conics, with integer weights and one
-common denominator.  Only the classes an equivalence traces go to the
-Schubert basis, each once, through products with the one-column classes
-c_i(U*) = sigma_(1^i); a split report traces only counts, so it takes them
-from `_equivalence` and maps nothing.
+Lines, equivalences and split reports work on Gr(2, n+1) in the rank-2
+kernel after `degeneration_split_report`, a class of degree j being the list
+of its coefficients of x^i y^(j-i) in the roots x, y of U*.  A conic count sums
+Bott's formula over the torus-fixed conics, in integers, and builds no class.
 """
 
 from __future__ import annotations
@@ -29,10 +22,9 @@ import sys
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm, prod
 
-from .chern import ChernRing, dual_universal_vector, quotient_series, sym_power_rank
 from .errors import InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing
-from .symfunc import grassmannian_integral
+from .symfunc import DEGREE_LIMIT
 
 
 def _check_digits(*numbers: int) -> None:
@@ -162,8 +154,7 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     the product of the top Chern classes of these summands; it is defined
     when their total rank equals the moduli dimension.
 
-    Lines integrate the product of the `ChernRing.sym_power_top(d)` over
-    Gr(2, n+1) by `symfunc.grassmannian_integral`, and conics are
+    Lines integrate `_top(*degrees)` over Gr(2, n+1), and conics are
     `_conics_by_localization`; the trace records the integrated class as the
     count times the point.
     """
@@ -189,12 +180,14 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     trace.append(("moduli_dim", str(dim)))
     if kind == "conics":
         for d in degrees:
-            trace.append((f"sym_rank_degree_{d}", str(sym_power_rank(span, d))))
+            trace.append((f"sym_rank_degree_{d}", str(comb(span + d - 1, d))))
             if d > 1:  # Sym^(d-2) U*, the forms divisible by the conic
                 trace.append((f"divisible_rank_degree_{d}", str(comb(d, 2))))
     trace.append(("forms_rank", str(rank)))
     if kind == "lines":  # c_top(Sym^d U*) has degree d + 1, so the product has degree dim
-        count = grassmannian_integral(prod(ChernRing(2, dim).sym_power_top(d) for d in degrees), n + 1)
+        if dim >= DEGREE_LIMIT:  # refused before any list is built
+            raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DEGREE_LIMIT}")
+        count = _sigma(_top(*degrees), n - 1)
     else:
         count = _conics_by_localization(n, degrees)
     label = "top_chern_class" if kind == "lines" else "top_class_pushforward"
@@ -278,12 +271,11 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     D, e, n = operator.index(D), operator.index(e), operator.index(n)
     k, count, excess, locus = _equivalence(D, e, n)
     base = GrassmannianRing(2, n + 1)
-    schubert = ChernRing(2, base.dim).evaluator(dual_universal_vector(base))
     trace = (
         ("moduli_space", f"Gr(2,{n + 1})"),
         ("family_dim", str(k)),
-        ("family_class", _serialize(schubert(locus))),
-        ("excess_part", _serialize(schubert(excess))),
+        ("family_class", _serialize(_schubert(locus, base))),
+        ("excess_part", _serialize(_schubert(excess, base))),
         ("count", str(count)),
     )
     return CountReport(
@@ -294,25 +286,25 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     )
 
 
-def _equivalence(D: int, e: int, n: int) -> tuple[int, int, object, object]:
-    """The family dimension k, the count, the excess part and the family class
-    of `equivalence_lines_on_factor`, the classes in `ChernRing` and none of
-    them mapped to the Schubert basis."""
+def _equivalence(D: int, e: int, n: int, total: list | None = None) -> tuple[int, int, list, list]:
+    """k, the count, and the excess part and family class as lists, of
+    `equivalence_lines_on_factor`; `total` is c(Sym^D U*) to degree >= k, or None."""
     if not 1 <= e <= D:
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:
         raise PreconditionError(f"need ambient dimension >= 2, got {n}")
-    ring = ChernRing(2, 2 * (n - 1))
-    k = ring.dim - (e + 1)
+    dim = 2 * (n - 1)
+    if dim >= DEGREE_LIMIT:  # refused before any list is built
+        raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DEGREE_LIMIT}")
+    k = dim - (e + 1)
     if k < 0:
         raise PreconditionError(
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
             f"excess family of lines in P^{n}"
         )
-    small = ring.sym_power(e)
-    excess = quotient_series(ring.sym_power(D), small, k)[k]
-    locus = small.top()
-    count = grassmannian_integral(excess.mul_truncated(locus, ring.dim), n + 1)
+    excess = _times_sym_power(_series(D, k) if total is None else total[:k + 1], e, -1)[k]
+    locus = _top(e)
+    count = _sigma(_product(excess, locus), n - 1)
     _check_digits(count)
     return k, count, excess, locus
 
@@ -320,7 +312,8 @@ def _equivalence(D: int, e: int, n: int) -> tuple[int, int, object, object]:
 def degeneration_split_report(D: int, n: int) -> CountReport:
     """Check that factor equivalences of every split add up to the smooth count."""
     total = count_lines_hypersurface(n, D)
-    pieces = {e: _equivalence(D, e, n)[1] for e in range(1, D)}
+    series = _series(D, 2 * n - 4)  # k = 2(n - 1) - (e + 1) is at most 2n - 4
+    pieces = {e: _equivalence(D, e, n, series)[1] for e in range(1, D)}
     trace = [("smooth_count", str(total.count))]
     for e in range(1, D):
         trace.append((f"equivalence_degree_{e}", str(pieces[e])))
@@ -336,6 +329,55 @@ def degeneration_split_report(D: int, n: int) -> CountReport:
         tuple(trace),
         tuple(consistency),
     )
+
+
+def _product(f: list, g: list) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        out[i:i + len(g)] = [u + a * b for u, b in zip(out[i:], g)]
+    return out
+
+
+def _top(*degrees: int) -> list:
+    """c_top of the sum of the Sym^d U*, its roots j x + (d - j) y paired j with d - j."""
+    f = [1]
+    for d in degrees:
+        if d % 2 == 0:  # the middle root (d/2)(x + y)
+            f = [d // 2 * (p + q) for p, q in zip([0] + f, f + [0])]
+        for j in range((d + 1) // 2):
+            A, B = j * (d - j), j * j + (d - j) * (d - j)
+            f = [A * (p + r) + B * q for p, q, r in zip([0, 0] + f, [0] + f + [0], f + [0, 0])]
+    return f
+
+
+def _times_sym_power(series: list, d: int, sign: int = 1) -> list:
+    """A series (its classes of degree 0, 1, ...) times c(Sym^d U*), or over it for
+    sign -1: g_k = f_k + sign (j x + (d - j) y) h_(k-1) per root, h = f or g."""
+    for j in range(d + 1):
+        a, b = sign * j, sign * (d - j)
+        out = series[:1]
+        for k in range(1, len(series)):
+            low = out[k - 1] if sign < 0 else series[k - 1]
+            out.append([u + a * p + b * q for u, p, q in zip(series[k], [0] + low, low + [0])])
+        series = out
+    return series
+
+
+def _series(d: int, top: int) -> list:
+    """c(Sym^d U*) up to degree `top`."""
+    return _times_sym_power([[1]] + [[0] * (j + 1) for j in range(1, top + 1)], d)
+
+
+def _sigma(f: list, a: int) -> int:
+    """sigma_(a, j-a) in the class f of degree j: [x^(a+1) y^(j-a)] (x - y) f, the
+    bialternant (Macdonald, I.3).  At the point, a = N - 2 = j/2, the integral."""
+    return f[a] - f[a + 1] if a + 1 < len(f) else f[a]
+
+
+def _schubert(f: list, base: GrassmannianRing):
+    """The class f in the Schubert basis of the Gr(2, N) `base`."""
+    j = len(f) - 1
+    return sum((base.sigma((a, j - a)) * _sigma(f, a) for a in range((j + 1) // 2, min(j, base.cols) + 1)), base.zero())
 
 
 def naive_dimension_count(n: int, D: int, d: int) -> DimensionCount:

@@ -12,12 +12,11 @@ polynomial in e_1..e_r (the layout of `elementary_ring_poly`) goes to any
 other ring through one kernel, `elementary_substitution`, the ring map
 e_i -> values[i], which reads the packed keys as they stand; the
 elementary-basis rewrite takes each e-monomial's expansion in the variables
-from it too, with e_i -> e_i.  `grassmannian_integral` integrates one in
-e_i = c_i(U*) over Gr(2, N), a Catalan number per top-degree key.
-`sym_power_newton` builds the e_k of the forms m.x, |m| = d, in three
-variables from their power sums, with no rewrite: each is a sum of monomial
-symmetric functions, each a product of power sums of x times a shift by
-e_3.  Tables kept between calls are `functools` caches.
+from it too, with e_i -> e_i.  `sym_power_newton` builds the e_k of the
+forms m.x, |m| = d, in three variables from their power sums, with no
+rewrite: each is a sum of monomial symmetric functions, each a product of
+power sums of x times a shift by e_3.  Tables kept between calls are
+`functools` caches.
 """
 
 from __future__ import annotations
@@ -277,24 +276,6 @@ def elementary_substitution(values: Sequence, zero) -> Callable[[SymmetricPoly],
 
     image.monomial = monomial
     return image
-
-
-def grassmannian_integral(p: SymmetricPoly, N: int) -> int:
-    """The integral over Gr(2, N) of p in e_1, e_2 = c_1(U*), c_2(U*), in the
-    layout of `elementary_ring_poly`.  e_2 = sigma_(1,1) is the class of
-    Gr(2, N-1), so e_1^a e_2^b of top degree a + 2b = 2(N-2) integrates to the
-    Plücker degree of Gr(2, N-b), the Catalan number C_(N-2-b): one `comb` and
-    one exact division per term, b read from the low field of the key.  Terms
-    below the top degree give 0.  A polynomial in other than two variables
-    raises RingMismatchError."""
-    if p.nvars != 2:
-        raise RingMismatchError(f"cannot integrate a polynomial in {p.nvars} variables over Gr(2, {N})")
-    top, total = 2 * (N - 2), 0
-    for key, c in p._packed.items():
-        if key >> 2 * FIELD_BITS == top:
-            k = N - 2 - (key & _FIELD_MASK)
-            total += c * (comb(2 * k, k) // (k + 1))
-    return total
 
 
 def _divided(p: SymmetricPoly, n: int) -> SymmetricPoly:

@@ -66,6 +66,24 @@ class TestCountingCommands:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    @pytest.mark.parametrize("argv", [
+        ("lines", "--ambient", "40000", "--degree", "79997"),
+        ("equivalence", "--total", "3", "--factor", "1", "--ambient", "40000"),
+        ("split-report", "--degree", "79997", "--ambient", "40000"),
+    ], ids=["lines", "equivalence", "split-report"])
+    def test_grassmannian_past_the_degree_limit_exits_three(self, capsys, monkeypatch, argv):
+        # Gr(2, 40001) has dimension 79998, past the limit of 65536: refused
+        # before the rank-2 kernel builds a list, where it would run for hours.
+        from curvecount import pipelines
+
+        def refuse(*args):
+            raise AssertionError("the rank-2 kernel ran")
+
+        for name in ("_top", "_times_sym_power", "_product"):
+            monkeypatch.setattr(pipelines, name, refuse)
+        error = "error: dim Gr(2,40001) = 79998 must be below 65536\n"
+        assert invoke(capsys, *argv) == (3, "", error)
+
     def test_internal_check_failure_exits_four(self, capsys, monkeypatch):
         # The command table looks the pipeline up in `cli` when it runs, so the patch reaches it.
         def broken(n, d):
@@ -473,24 +491,30 @@ class TestParserReuse:
 
 
 # Each writes exactly one universal-polynomial file to an empty cache
-# directory: sym_r2_d3_t4.json and sym_r2_d5_t6.json.
-EQUIVALENCE_3_1_3 = ("equivalence", "--total", "3", "--factor", "1", "--ambient", "3")
-EQUIVALENCE_5_1_4 = ("equivalence", "--total", "5", "--factor", "1", "--ambient", "4")
+# directory, sym_r2_d3_t4.json and sym_r2_d5_t6.json, and prints c(Sym^d U*)
+# with its top class 27 and 2875 times the point: the lines on the cubic
+# surface and on the quintic threefold.
+SYM_2_4_3 = ("chern", "sym", "--grassmannian", "2,4", "--degree", "3")
+SYM_2_5_5 = ("chern", "sym", "--grassmannian", "2,5", "--degree", "5")
+TOP_27, TOP_2875 = '[[[2,2],"27"]]]}\n', '[[[3,3],"2875"]]]}\n'
 
 
 class TestCache:
     @pytest.mark.parametrize("argv, count", [
         (("lines", "--ambient", "4", "--degree", "5"), "2875"),
         (("lines-ci", "--ambient", "5", "--degrees", "3,3"), "1053"),
-    ], ids=["lines", "lines-ci"])
+        (("equivalence", "--total", "5", "--factor", "1", "--ambient", "4"), "1275"),
+        (("split-report", "--degree", "5", "--ambient", "4"), "2875"),
+    ], ids=["lines", "lines-ci", "equivalence", "split-report"])
     def test_line_counts_write_no_cache_file(self, capsys, tmp_path, argv, count):
-        # A line count builds only the top class of each Sym^d U*, which is
-        # not a universal polynomial of the cache.
+        # Lines, equivalences and split reports work on coefficient lists in
+        # the roots of U*, and build no universal polynomial of the cache.
         import curvecount.chern as chern
 
         chern.clear_universal_cache()
         try:
-            assert invoke(capsys, "--cache-dir", str(tmp_path), *argv)[:2] == (0, count + "\n")
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *argv)
+            assert (code, out.splitlines()[0]) == (0, count)
         finally:
             chern.set_universal_cache_dir(None)
             chern.clear_universal_cache()
@@ -501,13 +525,9 @@ class TestCache:
 
         chern.clear_universal_cache()
         try:
-            code, out, _ = invoke(
-                capsys,
-                "--cache-dir", str(tmp_path),
-                "equivalence", "--total", "5", "--factor", "1", "--ambient", "4",
-            )
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_5_5)
             assert code == 0
-            assert out.strip() == "1275"
+            assert out.endswith(TOP_2875)
             assert any(tmp_path.iterdir())
         finally:
             chern.set_universal_cache_dir(None)
@@ -519,9 +539,9 @@ class TestCache:
         chern.clear_universal_cache()
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         try:
-            code, out, _ = invoke(capsys, "equivalence", "--total", "3", "--factor", "1", "--ambient", "3")
+            code, out, _ = invoke(capsys, *SYM_2_4_3)
             assert code == 0
-            assert out.strip() == "15"
+            assert out.endswith(TOP_27)
             assert any(tmp_path.iterdir())
         finally:
             chern.set_universal_cache_dir(None)
@@ -533,12 +553,12 @@ class TestCache:
 
         chern.clear_universal_cache()
         try:
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *EQUIVALENCE_3_1_3)
-            assert (code, out.strip()) == (0, "15")
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_4_3)
+            assert code == 0 and out.endswith(TOP_27)
             shutil.copy(tmp_path / "sym_r2_d3_t4.json", tmp_path / "sym_r2_d5_t6.json")
             chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *EQUIVALENCE_5_1_4)
-            assert (code, out.strip()) == (0, "1275")
+            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_5_5)
+            assert code == 0 and out.endswith(TOP_2875)
             rewritten = json.loads((tmp_path / "sym_r2_d5_t6.json").read_text())
             assert (rewritten["r"], rewritten["d"], rewritten["trunc"]) == (2, 5, 6)
             assert sorted(p.name for p in tmp_path.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
@@ -553,8 +573,9 @@ class TestCache:
         path = tmp_path / "sym_r2_d5_t6.json"
         chern.clear_universal_cache()
         try:
-            argv = ["--cache-dir", str(tmp_path), *EQUIVALENCE_5_1_4]
-            assert invoke(capsys, *argv)[:2] == (0, "1275\n")
+            argv = ["--cache-dir", str(tmp_path), *SYM_2_5_5]
+            code, printed, _ = invoke(capsys, *argv)
+            assert code == 0 and printed.endswith(TOP_2875)
             intact = json.loads(path.read_text())
             stored = json.loads(path.read_text())
             if damage == "drop last degree":
@@ -563,7 +584,7 @@ class TestCache:
                 stored["degrees"][6][0][0].pop()
             path.write_text(json.dumps(stored))
             chern.clear_universal_cache()
-            assert invoke(capsys, *argv)[:2] == (0, "1275\n")
+            assert invoke(capsys, *argv)[:2] == (0, printed)
             assert json.loads(path.read_text()) == intact
         finally:
             chern.set_universal_cache_dir(None)
@@ -603,7 +624,7 @@ class TestCache:
         assert (stored["format"], stored["r"], stored["d"], stored["trunc"]) == (chern._CACHE_FORMAT, 3, 4, 15)
         try:
             chern.set_universal_cache_dir(tmp_path)
-            assert chern._load_cached(3, 4, 15) == chern._sym_power_product(3, 4, 1, 15).graded(15)
+            assert chern._load_cached(3, 4, 15) == chern._sym_power_product(3, 4, 15).graded(15)
         finally:
             chern.set_universal_cache_dir(None)
 
@@ -627,23 +648,28 @@ class TestCache:
         named, library = tmp_path / "named", tmp_path / "library"
         chern.clear_universal_cache()
         try:
-            argv = EQUIVALENCE_3_1_3
-            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "15\n")
+            argv = SYM_2_4_3
+            code, out, _ = invoke(capsys, "--cache-dir", str(named), *argv)
+            assert code == 0 and out.endswith(TOP_27)
             chern.clear_universal_cache()
-            assert invoke(capsys, "equivalence", "--total", "9", "--factor", "1", "--ambient", "6")[:2] == (
-                0, "111428037\n")
+            # Sym^4 on Gr(2,6), key (2, 4, 5), would write sym_r2_d4_t5.json to a cache directory.
+            code, out, _ = invoke(capsys, "chern", "sym", "--grassmannian", "2,6", "--degree", "4")
+            assert code == 0 and out.endswith('[[[3,2],"320"],[[4,1],"96"]]]}\n')
             assert [p.name for p in named.iterdir()] == ["sym_r2_d3_t4.json"]
             # The library's directory is back after a call that named another, and unused by one that names none.
             chern.set_universal_cache_dir(library)
             chern.clear_universal_cache()
-            assert invoke(capsys, "--cache-dir", str(named), *argv)[:2] == (0, "15\n")
+            code, out, _ = invoke(capsys, "--cache-dir", str(named), *argv)
+            assert code == 0 and out.endswith(TOP_27)
             assert chern._CACHE_DIR == library
             chern.clear_universal_cache()
-            assert invoke(capsys, *EQUIVALENCE_5_1_4)[:2] == (0, "1275\n")
+            code, out, _ = invoke(capsys, *SYM_2_5_5)
+            assert code == 0 and out.endswith(TOP_2875)
             assert not any(library.iterdir())
             monkeypatch.setenv(CACHE_DIR_ENV, str(named))
             chern.clear_universal_cache()
-            assert invoke(capsys, *EQUIVALENCE_5_1_4)[:2] == (0, "1275\n")
+            code, out, _ = invoke(capsys, *SYM_2_5_5)
+            assert code == 0 and out.endswith(TOP_2875)
             assert sorted(p.name for p in named.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
             assert chern._CACHE_DIR == library
         finally:

@@ -81,16 +81,17 @@ def test_projective_bundles_know_no_grassmannian():
 
 
 def test_pipelines_import_no_projective_bundle():
-    # Line counts integrate in the Chern classes and conic counts are a
-    # localization sum; the P(E) layer serves the demos and the benchmark.
+    # Line counts work on coefficient lists in the roots of U* and conic counts
+    # are a localization sum; the P(E) layer serves the demos and the benchmark.
     modules = {(node.module or "").rpartition(".")[2] for node in _sibling_imports(MODULES["pipelines"])}
     names = {alias.name for node in _sibling_imports(MODULES["pipelines"]) for alias in node.names}
     assert "projbundle" not in modules | names
 
 
 def test_pipelines_take_only_the_grassmannian_itself():
-    # Every count integrates in the Chern classes by one integral; the
-    # pipelines take from the Schubert layer only the ring of their traces.
+    # Every count integrates a coefficient list by the bialternant; the
+    # pipelines take from the Schubert layer only the ring of their traces,
+    # whose classes are sums of base.sigma(parts) * c.
     for node in _sibling_imports(MODULES["pipelines"]):
         names = {alias.name for alias in node.names}
         assert "grassmannian" not in names

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import sys
+from math import comb
 from random import Random
 
 import pytest
@@ -14,7 +15,6 @@ from curvecount import (
     InternalCheckError,
     NormalBundleType,
     PreconditionError,
-    RingMismatchError,
     count_conics_quintic,
     count_curves,
     count_lines_complete_intersection,
@@ -33,11 +33,10 @@ from curvecount import (
 from curvecount import chern, grassmannian, pipelines, projbundle
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
-from curvecount.partitions import parts_of_weight
 from curvecount.pipelines import _serialize
-from curvecount.symfunc import elementary_ring_poly, grassmannian_integral
+from curvecount.symfunc import elementary_ring_poly
 
-from helpers import bott_count, clear_product_memos, oracle_multiply
+from helpers import bott_count, clear_product_memos, oracle_multiply, roots_sym_power_elementary
 
 
 class TestLinesOnHypersurface:
@@ -174,42 +173,37 @@ class TestCountCurves:
         with pytest.raises(TypeError):
             call()
 
-    def test_grassmannian_integral_is_the_schubert_integral(self):
-        # Every e-monomial e_1^a e_2^b of top degree a + 2b = dim Gr(2, N), against
-        # the independent route: the Schubert map of U* and the Schubert integral.
-        for N in range(2, 15):
-            base = GrassmannianRing(2, N)
-            ring = ChernRing(2, base.dim)
-            schubert = ring.evaluator(dual_universal_vector(base))
-            for parts in parts_of_weight(base.dim, base.dim, 2):
-                monomial = elementary_ring_poly(2, {(parts.count(1), parts.count(2)): 1})
-                assert grassmannian_integral(monomial, N) == integrate(schubert(monomial))
-            below = elementary_ring_poly(2, {(base.dim - 1, 0): 5}) if base.dim else ring.zero()
-            assert grassmannian_integral(below, N) == 0
-
-    @pytest.mark.parametrize("r", [1, 3, 4])
-    def test_grassmannian_integral_refuses_other_ranks(self, r):
-        # The integral is over Gr(2, N) only: a class in r != 2 Chern classes is
-        # refused, even one of degree dim Gr(2, 5) = 6.
-        ring = ChernRing(r, 6)
-        for c in (ring.one(), elementary_ring_poly(r, {(6,) + (0,) * (r - 1): 1})):
-            with pytest.raises(RingMismatchError, match=rf"^cannot integrate a polynomial in {r} variables over Gr\(2, 5\)$"):
-                grassmannian_integral(c, 5)
-
     @pytest.mark.parametrize(
         "kind, n, degrees, count",
         [("lines", 4, [5], 2875), ("lines", 5, [3, 3], 1053), ("conics", 4, [5], 609250)],
         ids=["lines", "lines-ci", "conics"],
     )
     def test_counts_map_nothing_to_the_schubert_basis(self, monkeypatch, kind, n, degrees, count):
-        # The pushed-down class is integrated in the Chern classes as it
-        # stands; the trace writes it as the count times the point class.
+        # A line count integrates its coefficient list as it stands, and a
+        # conic count is a sum of integers; the trace writes the count times
+        # the point class.
         def refuse(*args):
             raise AssertionError("mapped to the Schubert basis")
 
-        monkeypatch.setattr(pipelines, "dual_universal_vector", refuse)
         monkeypatch.setattr(ChernRing, "evaluator", refuse)
+        monkeypatch.setattr(chern, "sym_power_elementary", refuse)
         assert count_curves(kind, n, degrees).count == count
+
+    @pytest.mark.parametrize("call, count", [
+        (lambda: count_curves("lines", 4, [5]), 2875),
+        (lambda: count_curves("lines", 7, [2, 2, 2, 2]), 512),
+        (lambda: equivalence_lines_on_factor(7, 3, 5), 337365),
+        (lambda: degeneration_split_report(7, 5), 698005),
+    ], ids=["lines", "lines-ci", "equivalence", "split-report"])
+    def test_rank_two_counts_build_no_chern_class(self, monkeypatch, call, count):
+        # Lines, equivalences and split reports work on coefficient lists in
+        # the roots of U*: no `ChernRing`, universal polynomial or Segre series.
+        def refuse(*args):
+            raise AssertionError("a Chern class was built")
+
+        for owner, name in ((ChernRing, "__new__"), (chern, "sym_power_elementary"), (chern, "quotient_series")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert call().count == count
 
     @pytest.mark.parametrize("call, count", [
         (lambda: count_curves("lines", 4, [5]), 2875),
@@ -249,8 +243,8 @@ class TestCountCurves:
             raise AssertionError("a class was built")
 
         chern.clear_universal_cache()
-        for owner, name in ((chern, "sym_power_elementary"), (ChernRing, "sym_power_top"),
-                            (chern, "quotient_series"), (projbundle, "ProjBundleRing")):
+        for owner, name in ((chern, "sym_power_elementary"), (chern, "quotient_series"),
+                            (projbundle, "ProjBundleRing")):
             monkeypatch.setattr(owner, name, refuse)
         with chern.universal_cache_dir(None):
             assert count_curves("conics", n, degrees).count == count
@@ -271,16 +265,6 @@ class TestCountCurves:
         assert min(weights) > 0 and len(set(weights)) == len(weights)
         present = set(weights)
         assert not [(a, b) for a in weights for b in weights if a < b and 2 * b - a in present]
-
-    @pytest.mark.parametrize("N", range(2, 13))
-    def test_grassmannian_integral_at_rank_two_is_catalan(self, N):
-        # e_2 = sigma_(1,1) is the class of Gr(2, N-1), and e_1^(2k) integrates
-        # over Gr(2, k+2) to its Plücker degree, the Catalan number C_k (OEIS A000108).
-        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-        for b in range(N - 1):
-            k = N - 2 - b
-            monomial = elementary_ring_poly(2, {(2 * k, b): 3})
-            assert grassmannian_integral(monomial, N) == 3 * catalan[k]
 
 
 def bott_weights(n: int) -> list[int]:
@@ -334,7 +318,7 @@ class TestLocalizationOracle:
         expected = bott_count("equivalence", n, (D, e), bott_weights(n))
         assert equivalence_lines_on_factor(D, e, n).count == expected
 
-    @pytest.mark.parametrize("D, n", [(5, 4), (7, 5)])
+    @pytest.mark.parametrize("D, n", [(5, 4), (7, 5), (13, 8), (21, 12)])
     def test_split_report_pieces_match_localization(self, D, n):
         report = degeneration_split_report(D, n)
         weights = bott_weights(n)
@@ -358,10 +342,11 @@ class TestLocalizationOracle:
 
 
 class TestPresentationRoute:
-    """Counts multiply and integrate in Z[c_1..c_r]: lines, conics and split
-    reports take no Schubert product at all.  The `chern` calculators and
-    the classes an equivalence traces reach the Schubert basis through one
-    map, whose products all have a unit or one-column second factor."""
+    """Counts take no Schubert product at all: lines, equivalences and split
+    reports work on coefficient lists in the roots of U*, and an equivalence
+    reads its trace classes off the bialternant.  The `chern` calculators
+    reach the Schubert basis through one map, whose products all have a unit
+    or one-column second factor."""
 
     @staticmethod
     def record_products(monkeypatch) -> list:
@@ -391,18 +376,14 @@ class TestPresentationRoute:
         [(count_curves, ("lines", n, [2 * n - 3])) for n in (3, 4, 8, 12)]
         + [(count_curves, ("lines", n, ds)) for n, ds in ((5, [3, 3]), (5, [2, 4]), (6, [2, 2, 3]), (7, [2] * 4))]
         + [(count_curves, ("conics", n, ds)) for n, ds in ((4, [5]), (6, [8]), (5, [2, 4]))]
-        + [(degeneration_split_report, (5, 4)), (degeneration_split_report, (7, 5))],
+        + [(degeneration_split_report, (5, 4)), (degeneration_split_report, (7, 5))]
+        + [(equivalence_lines_on_factor, (5, e, 4)) for e in range(1, 6)]
+        + [(equivalence_lines_on_factor, (3, 1, 4))],
     )
     def test_count_paths_take_no_schubert_product(self, monkeypatch, pipeline, args):
         asked = self.record_products(monkeypatch)
         pipeline(*args)
         assert asked == []
-
-    @pytest.mark.parametrize("args", [(5, e, 4) for e in range(1, 6)] + [(3, 1, 4)])
-    def test_equivalence_traces_fill_only_column_products(self, monkeypatch, args):
-        fills = self.record_fills(monkeypatch)
-        equivalence_lines_on_factor(*args)
-        assert self.columns_only(fills)
 
     @pytest.mark.parametrize("argv", [
         ("sym", "--degree", "4"),
@@ -509,18 +490,71 @@ class TestSplitReport:
         assert report.all_consistent()
 
     def test_counts_map_nothing_to_the_schubert_basis(self, monkeypatch):
-        # Only an equivalence's trace classes go to the Schubert basis; the
-        # split report traces counts alone, so it builds no evaluator.
+        # The split report traces counts alone, and an equivalence reads its
+        # trace classes off the bialternant: neither builds an evaluator or a
+        # universal polynomial, and the shared c(Sym^7 U*) gives each piece
+        # what its own equivalence gives.
         expected = [equivalence_lines_on_factor(7, e, 5).count for e in range(1, 7)]
 
-        def refuse(ring):
-            raise AssertionError("dual_universal_vector called")
+        def refuse(*args):
+            raise AssertionError("mapped to the Schubert basis")
 
-        monkeypatch.setattr(pipelines, "dual_universal_vector", refuse)
+        monkeypatch.setattr(ChernRing, "evaluator", refuse)
+        monkeypatch.setattr(chern, "sym_power_elementary", refuse)
         report = degeneration_split_report(7, 5)
         assert [int(report.trace_value(f"equivalence_degree_{e}")) for e in range(1, 7)] == expected
-        with pytest.raises(AssertionError, match="dual_universal_vector called"):
-            equivalence_lines_on_factor(7, 3, 5)
+        assert equivalence_lines_on_factor(7, 3, 5).count == expected[2]
+
+
+def roots_list(epoly: dict, degree: int) -> list:
+    """An e-polynomial {(a, b): c} in e_1, e_2, homogeneous of `degree`, as its
+    coefficient list in the roots: e_1 = x + y and e_2 = xy, multiplied out by binomials."""
+    out = [0] * (degree + 1)
+    for (a, b), c in epoly.items():
+        for i in range(a + 1):
+            out[i + b] += c * comb(a, i)
+    return out
+
+
+class TestRankTwoKernel:
+    """The coefficient lists of the line pipelines against routes that share
+    no code with them: the Catalan numbers, the Schubert map of `ChernRing`,
+    and the roots oracle of the universal polynomials."""
+
+    @pytest.mark.parametrize("N", range(2, 15))
+    def test_integral_of_a_power_of_the_hyperplane_class_is_catalan(self, N):
+        # (x + y)^(2m) = sigma_1^dim integrates over Gr(2, m+2) to its Plücker
+        # degree, the Catalan number C_m (OEIS A000108).
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+        m = N - 2
+        assert pipelines._sigma([comb(2 * m, i) for i in range(2 * m + 1)], m) == catalan[m]
+
+    @pytest.mark.parametrize("N", range(2, 15))
+    def test_bialternant_is_the_schubert_map(self, N):
+        # Every e_1^a e_2^b of every degree, against the evaluator of c(U*).
+        base = GrassmannianRing(2, N)
+        schubert = ChernRing(2, base.dim).evaluator(dual_universal_vector(base))
+        for degree in range(base.dim + 1):
+            for b in range(degree // 2 + 1):
+                monomial = {(degree - 2 * b, b): 1}
+                image = pipelines._schubert(roots_list(monomial, degree), base)
+                assert image == schubert(elementary_ring_poly(2, monomial)), (degree, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 53, 96])
+    def test_top_is_the_product_of_the_roots(self, d):
+        top = dict(roots_sym_power_elementary(2, d, d + 1)[d + 1])
+        assert pipelines._top(d) == roots_list(top, d + 1)
+
+    def test_top_of_a_sum_is_the_product_of_the_tops(self):
+        tops = [pipelines._top(d) for d in (2, 2, 3)]
+        assert pipelines._top(2, 2, 3) == pipelines._product(pipelines._product(*tops[:2]), tops[2])
+
+    @pytest.mark.parametrize("d, top", [(1, 4), (5, 6), (6, 9)])
+    def test_series_is_the_total_class_of_the_roots(self, d, top):
+        series = pipelines._series(d, top)
+        assert series == [roots_list(dict(part), j) for j, part in enumerate(roots_sym_power_elementary(2, d, top))]
+        # Dividing by the same class gives back the unit series.
+        assert pipelines._times_sym_power(series, d, -1) == [[1]] + [[0] * (j + 1) for j in range(1, top + 1)]
 
 
 class TestDimensionCount:
