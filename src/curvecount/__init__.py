@@ -13,7 +13,6 @@ from .chern import (
     dual,
     dual_universal_vector,
     segre_from_chern,
-    set_universal_cache_dir,
     sym_power,
     tensor_line,
     trivial_vector,
@@ -105,7 +104,6 @@ __all__ = [
     "pullback_vector",
     "reduce_to_elementary",
     "segre_from_chern",
-    "set_universal_cache_dir",
     "sym_power",
     "tally_checks",
     "tensor_line",

@@ -21,16 +21,13 @@ orbit and a rank-2 orbit take a closed form; only an orbit of rank 3 or more
 with more than one root is multiplied out in the roots and rewritten once by
 `reduce_to_elementary`.  The total class takes that product or Newton's
 identity on the power sums of the roots, by rank, as `sym_power_elementary`
-says; it is kept as packed e-polynomials per degree, cached per (rank,
-power, truncation degree) in memory and optionally on disk.  A disk file is
-served only if it is byte for byte the text `_store_cached` writes for its
-key and its values at the roots (1, ..., r) are those of Sym^d, summed over
-the multisets of d roots with no orbit walk; any other file is recomputed.
-`ChernRing` is Z[c_1..c_r] truncated at a dimension, where they are elements
-as they stand; its `evaluator`, `symfunc.elementary_substitution` with
-e_i -> c_i, maps them to a given bundle, each e-monomial once as a shorter
-one times one c_i; U* of a Grassmannian has one such map, kept with its
-images for every later class of U*.  `sym_power` of any bundle is
+says; it is kept as packed e-polynomials per degree, memoized per (rank,
+power, truncation degree) in memory only: this module reads and writes no
+file.  `ChernRing` is Z[c_1..c_r] truncated at a dimension, where they are
+elements as they stand; its `evaluator`, `symfunc.elementary_substitution`
+with e_i -> c_i, maps them to a given bundle, each e-monomial once as a
+shorter one times one c_i; U* of a Grassmannian has one such map, kept with
+its images for every later class of U*.  `sym_power` of any bundle is
 `ChernRing.sym_power` under that map, and the `chern` calculators compute a
 whole class in `ChernRing` and map it to the Schubert basis once, at the
 end.  No count takes a class of this module.
@@ -38,15 +35,10 @@ end.  No count takes a class of this module.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import operator
-import os
-import tempfile
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, RingMismatchError
 from .grassmannian import GrassmannianRing, universal_dual_chern
@@ -141,39 +133,12 @@ def dual_universal_vector(ring: GrassmannianRing) -> ChernVector:
 
 _SYM_CACHE: dict[tuple[int, int, int], tuple[SymmetricPoly, ...]] = {}
 _DUAL_MAPS: dict[GrassmannianRing, tuple] = {}  # (c(U*), the Schubert map of U*), per Grassmannian
-_CACHE_DIR: Path | None = None
-_CACHE_FORMAT = 1  # bump when the layout of a cache file changes
-
-
-def set_universal_cache_dir(path: str | Path | None) -> None:
-    """Point the universal-polynomial cache at a directory (None disables disk)."""
-    global _CACHE_DIR
-    if path is not None:
-        path = Path(path)
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise PreconditionError(f"cannot use {path} as the cache directory: {exc.strerror}") from exc
-    _CACHE_DIR = path
-
-
-@contextlib.contextmanager
-def universal_cache_dir(path: str | Path | None) -> Iterator[None]:
-    """Use `path` as the cache directory (None: memory only) inside the
-    block, then restore the directory set before it."""
-    global _CACHE_DIR
-    previous = _CACHE_DIR
-    set_universal_cache_dir(path)
-    try:
-        yield
-    finally:
-        _CACHE_DIR = previous
 
 
 def clear_universal_cache() -> None:
-    """Drop the in-memory universal polynomials, so that the next lookup of each
-    key reads the disk or computes (for tests and benchmarks), and the table
-    the rank-3 route keeps between the keys of one total class."""
+    """Drop the memoized universal polynomials, so that the next lookup of each
+    key computes it again (for tests and benchmarks), and the table the
+    rank-3 route keeps between the keys of one total class."""
     _SYM_CACHE.clear()
     sym_power_newton.cache_clear()
 
@@ -216,75 +181,9 @@ def _sym_power_product(r: int, d: int, trunc: int) -> SymmetricPoly:
     return total
 
 
-def _cache_file(r: int, d: int, trunc: int) -> Path:
-    return _CACHE_DIR / f"sym_r{r}_d{d}_t{trunc}.json"
-
-
-def _cache_text(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> str:
-    """The text of the key's file: each degree sorted by exponents, coefficients as decimal strings."""
-    degrees = [[[list(exps), str(coeff)] for exps, coeff in sorted(p.terms.items())] for p in value]
-    return json.dumps({"format": _CACHE_FORMAT, "r": r, "d": d, "trunc": trunc, "degrees": degrees})
-
-
-def _sym_power_at_roots(r: int, d: int, trunc: int) -> list[int]:
-    """c_0..c_trunc of Sym^d of a rank-r bundle at the roots x = (1, ..., r): the e_k
-    of the sums of the multisets of d roots, sharing no walk with the orbit products."""
-    out = [1] + [0] * trunc
-    for multiset in combinations_with_replacement(range(1, r + 1), d):
-        root = sum(multiset)
-        for k in range(trunc, 0, -1):
-            out[k] += root * out[k - 1]
-    return out
-
-
-def _load_cached(r: int, d: int, trunc: int):
-    """The stored polynomials for the key, or None when the file cannot be read
-    or parsed, or is not byte for byte the `_cache_text` of the polynomials it
-    parses to: another format or key, a repeated entry, an entry in the slot
-    of another degree or a non-integer value all render differently.  A file
-    that renders the same is still refused unless each degree, mapped by
-    e_i -> e_i(1, ..., r), takes its value in `_sym_power_at_roots`; each
-    e-monomial is positive there, so a changed coefficient changes a value."""
-    try:
-        text = _cache_file(r, d, trunc).read_text()
-        entries = {tuple(exps): int(coeff) for degree in json.loads(text)["degrees"] for exps, coeff in degree}
-        value = elementary_ring_poly(r, entries).graded(trunc)
-    except (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError):
-        return None
-    if _cache_text(r, d, trunc, value) != text:
-        return None
-    at_roots = elementary_substitution(_sym_power_at_roots(r, 1, r), 0)  # Sym^1: e_0..e_r of (1, ..., r)
-    return value if [at_roots(p) for p in value] == _sym_power_at_roots(r, d, trunc) else None
-
-
-def _store_cached(r: int, d: int, trunc: int, value: tuple[SymmetricPoly, ...]) -> None:
-    """Write `_cache_text` through a temporary file, so that no reader sees a partial file.
-
-    A write that fails with an OSError (the directory gone, the disk full)
-    leaves no temporary file behind and is dropped: the value is still
-    served from memory, and a later process computes it again.  So is a
-    value with a coefficient longer than `sys.get_int_max_str_digits()`
-    allows, which has no text: nothing is written for it.
-    """
-    path = _cache_file(r, d, trunc)
-    try:
-        text = _cache_text(r, d, trunc, value)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    except (ValueError, OSError):
-        return
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        if not isinstance(exc, OSError):
-            raise
-
-
 def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...]:
-    """Cached universal polynomials for Sym^d of a rank-r bundle up to degree trunc.
+    """Universal polynomials for Sym^d of a rank-r bundle up to degree trunc,
+    memoized per key for the life of the process.
 
     A miss takes its route by rank alone.  Rank 3 takes Newton's identity on
     the power sums of the roots, `symfunc.sym_power_newton`.  Every other
@@ -295,11 +194,7 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...
     key = (r, d, trunc)
     if key in _SYM_CACHE:
         return _SYM_CACHE[key]
-    value = _load_cached(r, d, trunc) if _CACHE_DIR is not None else None
-    if value is None:
-        value = sym_power_newton(d, trunc) if r == 3 else _sym_power_product(r, d, trunc).graded(trunc)
-        if _CACHE_DIR is not None:
-            _store_cached(r, d, trunc, value)
+    value = sym_power_newton(d, trunc) if r == 3 else _sym_power_product(r, d, trunc).graded(trunc)
     _SYM_CACHE[key] = value
     return value
 

@@ -20,10 +20,11 @@ import json
 import os
 import sys
 from functools import cache, partial
+from pathlib import PurePath
 
 from . import chern
 from .chern import ChernRing, ChernVector, dual_universal_vector, segre_from_chern, tensor_line, whitney_quotient
-from .errors import CurveCountError, InternalCheckError
+from .errors import CurveCountError, InternalCheckError, PreconditionError
 from .grassmannian import GrassmannianRing, integrate, multiply, pieri
 from .pipelines import (
     CountReport,
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true", help="include intermediate classes")
     parser.add_argument(
         "--cache-dir", default=None,
-        help=f"directory for the universal-polynomial cache (or ${CACHE_DIR_ENV})",
+        help=f"accepted and created if missing; nothing is stored there (or ${CACHE_DIR_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
     _add_commands(sub, "", COMMANDS)
@@ -313,9 +314,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _accept_cache_dir(path: str) -> None:
+    """Create the directory that --cache-dir or CURVECOUNT_CACHE_DIR names.
+    No command stores anything there, but command lines that pass it stay
+    valid, and a path that cannot be a directory is refused."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise PreconditionError(f"cannot use {PurePath(path)} as the cache directory: {exc.strerror}") from exc
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Run one command line; the cache directory is the one that its own
-    --cache-dir or CURVECOUNT_CACHE_DIR names, if any, for this call only.
+    """Run one command line, after checking the cache directory it names, if any.
     Help is held while argparse parses and then written like a command's
     output, since argparse drops a failed write to stdout itself."""
     printed = io.StringIO()
@@ -326,9 +336,11 @@ def run(argv: list[str] | None = None) -> int:
         if printed.getvalue():
             sys.stdout.write(printed.getvalue())
         return int(exc.code or 0)
+    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
-        with chern.universal_cache_dir(args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None):
-            args.func(args)
+        if cache_dir:
+            _accept_cache_dir(cache_dir)
+        args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

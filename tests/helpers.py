@@ -9,9 +9,10 @@ plain exponent tuples, without the packed `SymmetricPoly` kernel, and
 `elementary_to_monomials` expands e-polynomials without the memoized
 e-monomials of `reduce_to_elementary`.  `roots_sym_power_elementary`
 multiplies every root factor of Sym^d in the formal roots, without the
-S_r-orbit factors of `chern._sym_power_product`.  Both return
-the per-degree tuple form of the cache files, and `packed` turns that form
-into the packed e-polynomials of production.
+S_r-orbit factors of `chern._sym_power_product`.  Both return sorted
+(exponents, coefficient) tuples per degree, the form of the files in
+tests/golden/cache, and `packed` turns that form into the packed
+e-polynomials of production.
 `power_table_sym_power` evaluates the universal Sym^d polynomials from
 whole powers of each Chern class, without the one-component-at-a-time memo
 of `chern.sym_power`.  `schubert_calculator` computes what a `chern`
@@ -267,7 +268,7 @@ def _compositions(r: int, d: int):
 
 
 def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
-    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the tuple form of the cache files.
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, as sorted tuples.
 
     The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d; their
     product of (1 + root) is expanded up to degree `trunc`, and each degree
@@ -287,7 +288,7 @@ def tuple_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
 
 
 def roots_sym_power_elementary(r: int, d: int, trunc: int) -> tuple:
-    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, in the tuple form of the cache files.
+    """Per-degree e-polynomials of c(Sym^d E) for rank-r E, as sorted tuples.
 
     The product of (1 + root) over all comb(d + r - 1, r - 1) roots is
     expanded in the packed kernel up to degree `trunc`, and each homogeneous
@@ -505,7 +506,7 @@ def eager_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true", help="include intermediate classes")
     parser.add_argument(
         "--cache-dir", default=None,
-        help=f"directory for the universal-polynomial cache (or ${cli.CACHE_DIR_ENV})",
+        help=f"accepted and created if missing; nothing is stored there (or ${cli.CACHE_DIR_ENV})",
     )
 
     def add_commands(sub, prefix, commands, common=()):

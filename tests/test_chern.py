@@ -1,10 +1,7 @@
 import copy
-import json
 import pickle
-import sys
 from itertools import combinations, product
 from math import comb, prod
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -28,12 +25,10 @@ from curvecount import (
     whitney_quotient,
     whitney_sum,
 )
-from curvecount import chern
-from curvecount.chern import ChernRing, clear_universal_cache, set_universal_cache_dir, sym_power_elementary
+from curvecount.chern import ChernRing, clear_universal_cache, sym_power_elementary
 from curvecount.symfunc import DEGREE_LIMIT, SymmetricPoly, reduce_to_elementary
 
-from helpers import cap_products, clear_product_memos, packed, power_table_sym_power, random_bundle_vector
-from helpers import roots_sym_power_elementary
+from helpers import cap_products, clear_product_memos, power_table_sym_power, random_bundle_vector
 
 GR25 = GrassmannianRing(2, 5)
 GR35 = GrassmannianRing(3, 5)
@@ -463,30 +458,7 @@ class TestChernRing:
                 ChernRing(3, 6).sum_of_products(terms)
 
 
-def _elementary_of(values: list[int], top: int) -> list[int]:
-    """e_0..e_top of `values`, from their power sums by Newton's identity."""
-    p = [sum(v**k for v in values) for k in range(top + 1)]
-    e = [1]
-    for n in range(1, top + 1):
-        total = sum((-1) ** (k - 1) * p[k] * e[n - k] for k in range(1, n + 1))
-        assert total % n == 0
-        e.append(total // n)
-    return e
-
-
 class TestUniversalCache:
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_cache_check_takes_sym_power_at_the_roots(self, r, d):
-        # The values of the forms m.x at x = (1, ..., r), over every m with |m| = d.
-        # At d = 1 and trunc = rank = r this is the call that `_load_cached`
-        # maps e_i -> e_i(1, ..., r) by.
-        values = [sum(i * a for i, a in enumerate(m, 1)) for m in product(range(d + 1), repeat=r) if sum(m) == d]
-        rank = comb(r + d - 1, d)
-        assert len(values) == rank
-        for trunc in (0, rank, rank + 3):
-            assert chern._sym_power_at_roots(r, d, trunc) == _elementary_of(values, trunc), trunc
-
     def test_memory_cache_transparent(self):
         clear_universal_cache()
         cold = sym_power_elementary(2, 4, 5)
@@ -494,229 +466,3 @@ class TestUniversalCache:
         assert cold is warm
         clear_universal_cache()
         assert sym_power_elementary(2, 4, 5) == cold
-
-    def test_disk_cache_round_trip(self, tmp_path):
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            first = sym_power_elementary(3, 2, 6)
-            assert any(tmp_path.iterdir())
-            clear_universal_cache()
-            assert sym_power_elementary(3, 2, 6) == first
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_corrupt_disk_cache_recomputed(self, tmp_path):
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            value = sym_power_elementary(2, 2, 3)
-            [path] = list(tmp_path.iterdir())
-            path.write_text("{not json")
-            clear_universal_cache()
-            assert sym_power_elementary(2, 2, 3) == value
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_disk_format_serves_sym_power(self, tmp_path, monkeypatch):
-        # A file written from the roots oracle is read back as the universal
-        # polynomials, with no fresh computation behind it.
-        import curvecount.chern as chern
-
-        def refuse(*key):
-            raise AssertionError(f"computed {key} instead of reading the cache file")
-
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            chern._store_cached(2, 5, 6, packed(roots_sym_power_elementary(2, 5, 6)))
-            monkeypatch.setattr(chern, "_sym_power_product", refuse)
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    # Each damage replaces the exponents (field 0) or the coefficient (field 1)
-    # of the first entry of one degree of Sym^5 on a rank-2 bundle.  Degree 6
-    # holds (0, 3), (2, 2) and (4, 1): [2, 2] repeats an entry, which packing
-    # would collapse to one coefficient.
-    @pytest.mark.parametrize("degree, field, value", [
-        (1, 0, [-1, 1]), (1, 0, [1.5, 0]), (1, 0, [True, 0]), (1, 0, [0, 1]), (6, 1, 2.5), (6, 1, True),
-        (6, 0, [2, 2]),
-    ], ids=["negative", "float", "bool", "wrong weighted degree", "float coefficient", "bool coefficient",
-            "repeated exponents"])
-    def test_corrupt_entry_recomputed(self, tmp_path, degree, field, value):
-        import curvecount.chern as chern
-
-        path = tmp_path / "sym_r2_d5_t6.json"
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-            intact = json.loads(path.read_text())
-            stored = json.loads(path.read_text())
-            stored["degrees"][degree][0][field] = value
-            path.write_text(json.dumps(stored))
-            assert chern._load_cached(2, 5, 6) is None
-            clear_universal_cache()
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-            assert json.loads(path.read_text()) == intact
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_reformatted_cache_file_recomputed_and_rewritten(self, tmp_path, monkeypatch):
-        # The same payload with other whitespace is not the file this version
-        # writes, so it is computed again and replaced by the canonical text.
-        import curvecount.chern as chern
-
-        path = tmp_path / "sym_r2_d5_t6.json"
-        computed = []
-        product = chern._sym_power_product
-        monkeypatch.setattr(chern, "_sym_power_product", lambda *key: computed.append(key) or product(*key))
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            value = sym_power_elementary(2, 5, 6)
-            canonical = path.read_text()
-            path.write_text(json.dumps(json.loads(canonical), indent=1))
-            clear_universal_cache()
-            assert sym_power_elementary(2, 5, 6) == value
-            assert len(computed) == 2
-            assert path.read_text() == canonical
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    @pytest.mark.parametrize("degree, entry, before, after", [
-        (1, 0, "15", "16"), (4, 1, "1183", "1883"), (6, 1, "1450", "1451"),
-    ])
-    def test_changed_coefficient_digit_recomputed_and_rewritten(self, tmp_path, monkeypatch,
-                                                                degree, entry, before, after):
-        # The damaged file renders to its own bytes, so only the check of its
-        # values at the roots (1, 2) tells it from the file this version writes.
-        import curvecount.chern as chern
-
-        path = tmp_path / "sym_r2_d5_t6.json"
-        computed = []
-        product = chern._sym_power_product
-        monkeypatch.setattr(chern, "_sym_power_product", lambda *key: computed.append(key) or product(*key))
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            value = sym_power_elementary(2, 5, 6)
-            canonical = path.read_text()
-            stored = json.loads(canonical)
-            assert stored["degrees"][degree][entry][1] == before
-            stored["degrees"][degree][entry][1] = after
-            damaged = json.dumps(stored)
-            path.write_text(damaged)
-            entries = {tuple(e): int(c) for part in stored["degrees"] for e, c in part}
-            assert chern._cache_text(2, 5, 6, chern.elementary_ring_poly(2, entries).graded(6)) == damaged
-            assert chern._load_cached(2, 5, 6) is None
-            clear_universal_cache()
-            assert sym_power_elementary(2, 5, 6) == value
-            assert len(computed) == 2
-            assert path.read_text() == canonical
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_unreadable_cache_file_recomputed(self, tmp_path, monkeypatch):
-        def denied(path, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(path))
-
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-            assert (tmp_path / "sym_r2_d5_t6.json").exists()
-            clear_universal_cache()
-            monkeypatch.setattr(Path, "read_text", denied)
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_disk_cache_of_another_format_recomputed(self, tmp_path):
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            value = sym_power_elementary(2, 2, 3)
-            [path] = list(tmp_path.iterdir())
-            stored = json.loads(path.read_text())
-            del stored["format"]
-            stored["degrees"] = [[] for _ in stored["degrees"]]
-            path.write_text(json.dumps(stored))
-            clear_universal_cache()
-            assert sym_power_elementary(2, 2, 3) == value
-            assert "format" in json.loads(path.read_text())
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_removed_cache_dir_does_not_fail_a_count(self, tmp_path):
-        cache = tmp_path / "cache"
-        try:
-            set_universal_cache_dir(cache)
-            cache.rmdir()
-            clear_universal_cache()
-            assert integrate(sym_power(dual_universal_vector(GR25), 5).top()) == 2875
-            value = sym_power_elementary(2, 5, 6)
-            assert value == packed(roots_sym_power_elementary(2, 5, 6))
-            assert sym_power_elementary(2, 5, 6) is value  # kept in memory
-            assert not cache.exists()
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_failed_cache_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
-        import curvecount.chern as chern
-
-        def full_disk(src, dst):
-            raise OSError(28, "No space left on device")
-
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            monkeypatch.setattr(chern.os, "replace", full_disk)
-            assert sym_power_elementary(2, 3, 4) == packed(roots_sym_power_elementary(2, 3, 4))
-            assert list(tmp_path.iterdir()) == []
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    def test_cache_write_error_other_than_os_error_propagates(self, tmp_path, monkeypatch):
-        import curvecount.chern as chern
-
-        def interrupted(src, dst):
-            raise KeyboardInterrupt
-
-        try:
-            set_universal_cache_dir(tmp_path)
-            clear_universal_cache()
-            monkeypatch.setattr(chern.os, "replace", interrupted)
-            with pytest.raises(KeyboardInterrupt):
-                sym_power_elementary(2, 3, 4)
-            assert list(tmp_path.iterdir()) == []
-        finally:
-            set_universal_cache_dir(None)
-            clear_universal_cache()
-
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer string limit")
-    def test_value_past_the_digit_limit_is_not_written(self, tmp_path):
-        import curvecount.chern as chern
-
-        value = packed(((((0, 0), 1),), (((1, 0), 10 ** 640),)))  # a 641-digit coefficient of e_1
-        limit = sys.get_int_max_str_digits()
-        try:
-            set_universal_cache_dir(tmp_path)
-            sys.set_int_max_str_digits(640)
-            chern._store_cached(2, 1, 1, value)
-            assert list(tmp_path.iterdir()) == []
-        finally:
-            sys.set_int_max_str_digits(limit)
-            set_universal_cache_dir(None)
-            clear_universal_cache()

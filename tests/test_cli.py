@@ -1,13 +1,14 @@
 import argparse
+import errno
 import json
 import os
-import shutil
 import subprocess
 import sys
 
 import pytest
 
 from curvecount import cli
+from curvecount.chern import clear_universal_cache
 from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 from curvecount.errors import InternalCheckError
 
@@ -490,110 +491,45 @@ class TestParserReuse:
             cli._parser.cache_clear()
 
 
-# Each writes exactly one universal-polynomial file to an empty cache
-# directory, sym_r2_d3_t4.json and sym_r2_d5_t6.json, and prints c(Sym^d U*)
-# with its top class 27 and 2875 times the point: the lines on the cubic
-# surface and on the quintic threefold.
-SYM_2_4_3 = ("chern", "sym", "--grassmannian", "2,4", "--degree", "3")
-SYM_2_5_5 = ("chern", "sym", "--grassmannian", "2,5", "--degree", "5")
-TOP_27, TOP_2875 = '[[[2,2],"27"]]]}\n', '[[[3,3],"2875"]]]}\n'
+# The two `chern sym` lines each wrote one universal-polynomial file to an
+# empty cache directory while the cache was kept on disk; the counts never did.
+CACHE_COMMANDS = {
+    "sym-2,5": ("chern", "sym", "--grassmannian", "2,5", "--degree", "5"),
+    "sym-3,9": ("--format", "structured", "chern", "sym", "--grassmannian", "3,9", "--degree", "4"),
+    "lines": ("lines", "--ambient", "4", "--degree", "5"),
+    "lines-ci": ("lines-ci", "--ambient", "5", "--degrees", "3,3"),
+    "conics-quintic": ("conics-quintic",),
+    "equivalence": ("equivalence", "--total", "5", "--factor", "1", "--ambient", "4"),
+    "split-report": ("split-report", "--degree", "5", "--ambient", "4"),
+}
 
 
 class TestCache:
-    @pytest.mark.parametrize("argv, count", [
-        (("lines", "--ambient", "4", "--degree", "5"), "2875"),
-        (("lines-ci", "--ambient", "5", "--degrees", "3,3"), "1053"),
-        (("equivalence", "--total", "5", "--factor", "1", "--ambient", "4"), "1275"),
-        (("split-report", "--degree", "5", "--ambient", "4"), "2875"),
-    ], ids=["lines", "lines-ci", "equivalence", "split-report"])
-    def test_line_counts_write_no_cache_file(self, capsys, tmp_path, argv, count):
-        # Lines, equivalences and split reports work on coefficient lists in
-        # the roots of U*, and build no universal polynomial of the cache.
-        import curvecount.chern as chern
-
-        chern.clear_universal_cache()
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("name", sorted(CACHE_COMMANDS))
+    def test_cache_dir_is_made_and_left_empty(self, capsys, tmp_path, monkeypatch, via, name):
+        # A named cache directory is created and nothing is stored in it: the
+        # command prints what it prints with none, cold and warm.
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        argv = CACHE_COMMANDS[name]
+        cache = tmp_path / "cache"
+        clear_universal_cache()
         try:
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *argv)
-            assert (code, out.splitlines()[0]) == (0, count)
-        finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_cache_dir_flag_writes_files(self, capsys, tmp_path):
-        import curvecount.chern as chern
-
-        chern.clear_universal_cache()
-        try:
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_5_5)
-            assert code == 0
-            assert out.endswith(TOP_2875)
-            assert any(tmp_path.iterdir())
-        finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
-
-    def test_cache_dir_env_var(self, capsys, tmp_path, monkeypatch):
-        import curvecount.chern as chern
-
-        chern.clear_universal_cache()
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        try:
-            code, out, _ = invoke(capsys, *SYM_2_4_3)
-            assert code == 0
-            assert out.endswith(TOP_27)
-            assert any(tmp_path.iterdir())
-        finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
-
-
-    def test_cache_file_of_another_key_is_recomputed(self, capsys, tmp_path):
-        import curvecount.chern as chern
-
-        chern.clear_universal_cache()
-        try:
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_4_3)
-            assert code == 0 and out.endswith(TOP_27)
-            shutil.copy(tmp_path / "sym_r2_d3_t4.json", tmp_path / "sym_r2_d5_t6.json")
-            chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, "--cache-dir", str(tmp_path), *SYM_2_5_5)
-            assert code == 0 and out.endswith(TOP_2875)
-            rewritten = json.loads((tmp_path / "sym_r2_d5_t6.json").read_text())
-            assert (rewritten["r"], rewritten["d"], rewritten["trunc"]) == (2, 5, 6)
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
-        finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
-
-    @pytest.mark.parametrize("damage", ["drop last degree", "short exponent tuple"])
-    def test_short_cache_file_is_recomputed(self, capsys, tmp_path, damage):
-        import curvecount.chern as chern
-
-        path = tmp_path / "sym_r2_d5_t6.json"
-        chern.clear_universal_cache()
-        try:
-            argv = ["--cache-dir", str(tmp_path), *SYM_2_5_5]
-            code, printed, _ = invoke(capsys, *argv)
-            assert code == 0 and printed.endswith(TOP_2875)
-            intact = json.loads(path.read_text())
-            stored = json.loads(path.read_text())
-            if damage == "drop last degree":
-                stored["degrees"].pop()
+            plain = invoke(capsys, *argv)
+            assert plain[0] == 0
+            if via == "flag":
+                argv = ("--cache-dir", str(cache)) + argv
             else:
-                stored["degrees"][6][0][0].pop()
-            path.write_text(json.dumps(stored))
-            chern.clear_universal_cache()
-            assert invoke(capsys, *argv)[:2] == (0, printed)
-            assert json.loads(path.read_text()) == intact
+                monkeypatch.setenv(CACHE_DIR_ENV, str(cache))
+            clear_universal_cache()
+            assert invoke(capsys, *argv) == plain
+            assert invoke(capsys, *argv) == plain
         finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
+            clear_universal_cache()
+        assert cache.is_dir() and list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_cache_dir_that_is_a_file_exits_three(self, capsys, tmp_path, monkeypatch, via):
-        import curvecount.chern as chern
-
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         argv = ["lines", "--ambient", "4", "--degree", "5"]
@@ -601,80 +537,18 @@ class TestCache:
             argv = ["--cache-dir", str(blocker)] + argv
         else:
             monkeypatch.setenv(CACHE_DIR_ENV, str(blocker))
-        try:
-            code, out, err = invoke(capsys, *argv)
-        finally:
-            chern.set_universal_cache_dir(None)
+        code, out, err = invoke(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and str(blocker) in err
 
-    def test_two_processes_share_one_cache_dir(self, tmp_path):
-        import curvecount.chern as chern
-
-        argv = [sys.executable, "-m", "curvecount", "--cache-dir", str(tmp_path),
-                "chern", "sym", "--grassmannian", "3,9", "--degree", "4"]
-        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=src_env()) for _ in range(2)]
-        outs = [proc.communicate(timeout=60)[0] for proc in procs]
-        assert [proc.returncode for proc in procs] == [0, 0]
-        assert outs[0] == outs[1]
-        # Sym^4 of the rank-3 bundle has rank 15 < dim Gr(3,9) = 18, so trunc = 15.
-        # One file and no *.tmp left behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["sym_r3_d4_t15.json"]
-        stored = json.loads((tmp_path / "sym_r3_d4_t15.json").read_text())
-        assert (stored["format"], stored["r"], stored["d"], stored["trunc"]) == (chern._CACHE_FORMAT, 3, 4, 15)
-        try:
-            chern.set_universal_cache_dir(tmp_path)
-            assert chern._load_cached(3, 4, 15) == chern._sym_power_product(3, 4, 15).graded(15)
-        finally:
-            chern.set_universal_cache_dir(None)
-
-    def test_conic_count_writes_no_cache_file(self, capsys, tmp_path):
-        # A conic count is a localization sum: it builds no universal polynomial,
-        # so a cache directory stays empty, cold or warm.
-        import curvecount.chern as chern
-
-        chern.clear_universal_cache()
-        try:
-            for _ in range(2):
-                assert invoke(capsys, "--cache-dir", str(tmp_path), "conics-quintic")[:2] == (0, "609250\n")
-                assert list(tmp_path.iterdir()) == []
-        finally:
-            chern.clear_universal_cache()
-
-    def test_cache_dir_is_the_calls_own(self, capsys, tmp_path, monkeypatch):
-        import curvecount.chern as chern
-
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        named, library = tmp_path / "named", tmp_path / "library"
-        chern.clear_universal_cache()
-        try:
-            argv = SYM_2_4_3
-            code, out, _ = invoke(capsys, "--cache-dir", str(named), *argv)
-            assert code == 0 and out.endswith(TOP_27)
-            chern.clear_universal_cache()
-            # Sym^4 on Gr(2,6), key (2, 4, 5), would write sym_r2_d4_t5.json to a cache directory.
-            code, out, _ = invoke(capsys, "chern", "sym", "--grassmannian", "2,6", "--degree", "4")
-            assert code == 0 and out.endswith('[[[3,2],"320"],[[4,1],"96"]]]}\n')
-            assert [p.name for p in named.iterdir()] == ["sym_r2_d3_t4.json"]
-            # The library's directory is back after a call that named another, and unused by one that names none.
-            chern.set_universal_cache_dir(library)
-            chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, "--cache-dir", str(named), *argv)
-            assert code == 0 and out.endswith(TOP_27)
-            assert chern._CACHE_DIR == library
-            chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, *SYM_2_5_5)
-            assert code == 0 and out.endswith(TOP_2875)
-            assert not any(library.iterdir())
-            monkeypatch.setenv(CACHE_DIR_ENV, str(named))
-            chern.clear_universal_cache()
-            code, out, _ = invoke(capsys, *SYM_2_5_5)
-            assert code == 0 and out.endswith(TOP_2875)
-            assert sorted(p.name for p in named.iterdir()) == ["sym_r2_d3_t4.json", "sym_r2_d5_t6.json"]
-            assert chern._CACHE_DIR == library
-        finally:
-            chern.set_universal_cache_dir(None)
-            chern.clear_universal_cache()
+    def test_unusable_cache_dir_names_the_path_and_the_reason(self, capsys, tmp_path):
+        # The path is printed in its normal form, so a trailing slash goes.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        for given, reason in ((f"{blocker}/", errno.EEXIST), (f"{blocker}/sub", errno.ENOTDIR)):
+            code, out, err = invoke(capsys, "--cache-dir", given, "conics-quintic")
+            message = f"error: cannot use {given.rstrip('/')} as the cache directory: {os.strerror(reason)}\n"
+            assert (code, out, err) == (3, "", message)
 
 
 def test_import_loads_no_introspection_modules():

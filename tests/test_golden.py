@@ -4,8 +4,12 @@ Each golden is the structured `--trace` output of one CLI invocation, or the
 same JSON layout for a library count the CLI does not expose, as an earlier
 engine printed it.  A change of route through the engine must leave every
 count and every traced intermediate class byte for byte as it was.  The
-goldens in tests/golden/cache are universal-polynomial cache files as the
-CLI writes them, which must stay byte for byte as well.
+files in tests/golden/cache are universal-polynomial cache files as the CLI
+once wrote them to its `--cache-dir`, which now stores nothing; they are kept
+as value oracles.  Each names its key (r, d, trunc) and lists, per degree,
+the (exponents, coefficient) terms of `sym_power_elementary(r, d, trunc)`,
+coefficients as decimal strings: a rank-2 key and two rank-3 keys of
+Newton's route, (3, 4, 15) and (3, 11, 18).
 
 `chern-calculators.json` maps each command line of a sweep of the `chern`
 calculators, in plain and structured mode, to its exit code and the sha256
@@ -32,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from curvecount import GrassmannianRing, count_curves
-from curvecount.chern import clear_universal_cache, set_universal_cache_dir
+from curvecount.chern import clear_universal_cache, sym_power_elementary
 from curvecount.cli import CACHE_DIR_ENV, run
 
 from helpers import clear_product_memos, schubert_calculator
@@ -60,12 +64,7 @@ CLI_CASES = {
     "split-report-7-5": ("split-report", "--degree", "7", "--ambient", "5"),
 }
 
-# Each cache golden is the one file the command writes to an empty cache directory.
-CACHE_CASES = {
-    "sym_r2_d5_t6.json": ("chern", "sym", "--grassmannian", "2,5", "--degree", "5"),
-    "sym_r3_d4_t15.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "4"),
-    "sym_r3_d11_t18.json": ("chern", "sym", "--grassmannian", "3,9", "--degree", "11"),
-}
+CACHE_GOLDENS = ("sym_r2_d5_t6.json", "sym_r3_d4_t15.json", "sym_r3_d11_t18.json")
 
 # Conics beyond the quintic have no subcommand; their goldens use the CLI's JSON layout.
 LIBRARY_CASES = {
@@ -88,17 +87,16 @@ def test_library_trace_matches_golden(name):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == (GOLDEN / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(CACHE_CASES))
-def test_cache_file_matches_golden(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+@pytest.mark.parametrize("name", CACHE_GOLDENS)
+def test_cache_golden_holds_the_universal_polynomials(name):
+    stored = json.loads((GOLDEN / "cache" / name).read_text())
+    key = stored["r"], stored["d"], stored["trunc"]
+    assert name == "sym_r{}_d{}_t{}.json".format(*key)
     clear_universal_cache()
-    try:
-        assert run(["--cache-dir", str(tmp_path), *CACHE_CASES[name]]) == 0
-    finally:
-        set_universal_cache_dir(None)
-        clear_universal_cache()
-    assert [path.name for path in tmp_path.iterdir()] == [name]
-    assert (tmp_path / name).read_bytes() == (GOLDEN / "cache" / name).read_bytes()
+    value = sym_power_elementary(*key)
+    assert len(value) == len(stored["degrees"]) == key[2] + 1
+    for poly, degree in zip(value, stored["degrees"]):
+        assert sorted(poly.terms.items()) == [(tuple(exps), int(coeff)) for exps, coeff in degree]
 
 
 def run_captured(capsys, command: str) -> tuple[int, str, str]:

@@ -7,7 +7,6 @@ import pytest
 from curvecount import InternalCheckError, RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
 from curvecount import chern, symfunc
 from curvecount.chern import _orbit_factor, _sym_power_product, clear_universal_cache, sym_power_elementary
-from curvecount.chern import universal_cache_dir
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly, sum_of_products
 
 from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_elementary, tuple_sym_power_elementary
@@ -176,10 +175,9 @@ class TestNewtonRoute:
 
     @pytest.mark.parametrize("key", [(3, 11, 18), (3, 9, 18)])
     def test_universal_polynomials_match_roots_oracle(self, key):
-        with universal_cache_dir(None):
-            clear_universal_cache()
-            assert sym_power_elementary(*key) == packed(roots_sym_power_elementary(*key))
-            clear_universal_cache()
+        clear_universal_cache()
+        assert sym_power_elementary(*key) == packed(roots_sym_power_elementary(*key))
+        clear_universal_cache()
 
     def test_monomial_symmetric_functions_match_their_expansion(self):
         # Each m_lambda of weight <= 10, three parts as e3^c times two.
@@ -247,14 +245,13 @@ class TestPackedKernel:
 
         monkeypatch.setattr(chern, "reduce_to_elementary", refuse)
         monkeypatch.setattr(symfunc, "reduce_to_elementary", refuse)
-        with universal_cache_dir(None):
-            clear_universal_cache()
-            assert sym_power_elementary(2, 53, 54) == packed(roots_sym_power_elementary(2, 53, 54))
-            assert sym_power_elementary(2, 5, 6) == packed(roots_sym_power_elementary(2, 5, 6))
-            # A rank-3 total class takes the power sums, not the orbits.
-            assert sym_power_elementary(3, 2, 6) == packed(roots_sym_power_elementary(3, 2, 6))
-            with pytest.raises(AssertionError, match="reduce_to_elementary called"):
-                sym_power_elementary(4, 2, 8)  # the orbit of (2, 0, 0, 0) still takes the rewrite
+        clear_universal_cache()
+        assert sym_power_elementary(2, 53, 54) == packed(roots_sym_power_elementary(2, 53, 54))
+        assert sym_power_elementary(2, 5, 6) == packed(roots_sym_power_elementary(2, 5, 6))
+        # A rank-3 total class takes the power sums, not the orbits.
+        assert sym_power_elementary(3, 2, 6) == packed(roots_sym_power_elementary(3, 2, 6))
+        with pytest.raises(AssertionError, match="reduce_to_elementary called"):
+            sym_power_elementary(4, 2, 8)  # the orbit of (2, 0, 0, 0) still takes the rewrite
 
     def test_elementary_ring_grades_by_weight(self):
         # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
