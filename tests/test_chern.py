@@ -26,7 +26,7 @@ from curvecount import (
     whitney_sum,
 )
 from curvecount.chern import ChernRing, clear_universal_cache, sym_power_elementary
-from curvecount.symfunc import DEGREE_LIMIT, SymmetricPoly, reduce_to_elementary
+from curvecount.symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_substitution, reduce_to_elementary
 
 from helpers import cap_products, clear_product_memos, power_table_sym_power, random_bundle_vector
 
@@ -458,7 +458,47 @@ class TestChernRing:
                 ChernRing(3, 6).sum_of_products(terms)
 
 
+def _elementary_of(values: list[int], top: int) -> list[int]:
+    """e_0..e_top of `values`, from their power sums by Newton's identity."""
+    p = [sum(v**k for v in values) for k in range(top + 1)]
+    e = [1]
+    for n in range(1, top + 1):
+        total = sum((-1) ** (k - 1) * p[k] * e[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        e.append(total // n)
+    return e
+
+
 class TestUniversalCache:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_sym_power_takes_its_value_at_the_roots(self, r, d):
+        # At the roots x = (1, ..., r), Sym^d has the roots m.x over every m
+        # with |m| = d, so each degree of the universal polynomials, mapped by
+        # e_i -> e_i(1, ..., r), is the e_k of those values.  Each e-monomial
+        # is positive there, so a changed coefficient changes a value.
+        values = [sum(i * a for i, a in enumerate(m, 1)) for m in product(range(d + 1), repeat=r) if sum(m) == d]
+        rank = comb(r + d - 1, d)
+        assert len(values) == rank
+        at_roots = elementary_substitution(_elementary_of(list(range(1, r + 1)), r), 0)
+        clear_universal_cache()
+        for trunc in (0, rank, rank + 3):
+            assert [at_roots(p) for p in sym_power_elementary(r, d, trunc)] == _elementary_of(values, trunc), trunc
+
+    @pytest.mark.parametrize("r, d, high", [(1, 4, 4), (2, 5, 9), (3, 11, 18), (4, 3, 23)])
+    def test_truncation_keeps_the_lower_degrees(self, r, d, high):
+        # Each degree is the same whatever the truncation and whichever key
+        # of the same (r, d) was computed first: the rank-3 route keeps a
+        # table between the keys of one total class.
+        low = 2
+        clear_universal_cache()
+        short_first = sym_power_elementary(r, d, low), sym_power_elementary(r, d, high)
+        clear_universal_cache()
+        long_first = sym_power_elementary(r, d, high)
+        assert short_first == (sym_power_elementary(r, d, low), long_first)
+        assert long_first[: low + 1] == short_first[0]
+        clear_universal_cache()
+
     def test_memory_cache_transparent(self):
         clear_universal_cache()
         cold = sym_power_elementary(2, 4, 5)

@@ -541,6 +541,22 @@ class TestCache:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and str(blocker) in err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("name", sorted(CACHE_COMMANDS))
+    def test_unusable_cache_dir_stops_every_command(self, capsys, tmp_path, monkeypatch, via, name):
+        # `run` checks the directory before any command starts, so each one
+        # exits 3 with the same message and prints nothing of its own.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        argv = CACHE_COMMANDS[name]
+        if via == "flag":
+            monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+            argv = ("--cache-dir", str(blocker)) + argv
+        else:
+            monkeypatch.setenv(CACHE_DIR_ENV, str(blocker))
+        message = f"error: cannot use {blocker} as the cache directory: {os.strerror(errno.EEXIST)}\n"
+        assert invoke(capsys, *argv) == (3, "", message)
+
     def test_unusable_cache_dir_names_the_path_and_the_reason(self, capsys, tmp_path):
         # The path is printed in its normal form, so a trailing slash goes.
         blocker = tmp_path / "not-a-dir"
