@@ -8,11 +8,13 @@ The ambient must expose `dim`, `zero()`, `one()` and
 triples, and its elements must support exact `+`, `-`, `*` (with each other
 and with ints).  `check_element` tells whether a value is an element of an
 ambient: by the ring it names, or for a packed polynomial, which names no
-ring, by its variable count; `tensor_line` and the projective-bundle
-constructor share it.  Each component of a twist, sum or quotient is one
-`sum_of_products` call, so the ambient can collect the products before it
-reduces them.  Every series c(E)/c(S), a Whitney quotient or a Segre class,
-is one `quotient_series`.
+ring, by its variable count (`errors.ring_of`); `tensor_line` and the
+projective-bundle constructor share it, and every `sum_of_products` names
+a factor that is no element of its ring in the same words.  Each
+component of a twist, sum or quotient is one `sum_of_products` call, so
+the ambient can collect the products before it reduces them.  Every
+series c(E)/c(S), a Whitney quotient or a Segre class, is one
+`quotient_series`.
 
 Symmetric powers go through universal polynomials in e_1..e_r.  The product
 of (1 + root) over the formal roots of Sym^d of a rank-r bundle is one
@@ -40,7 +42,7 @@ from itertools import permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, RingMismatchError
+from .errors import PreconditionError, RingMismatchError, not_in, ring_of
 from .grassmannian import GrassmannianRing, universal_dual_chern
 from .partitions import parts_of_weight
 from .symfunc import DEGREE_LIMIT, SymmetricPoly, elementary_ring_poly, elementary_substitution
@@ -111,11 +113,9 @@ def check_element(x, ring, what: str) -> None:
     polynomial, such as a `ChernRing` element, names only its variable
     count, which must be that of the ring's elements.
     """
-    if not hasattr(x, "ring") and not hasattr(x, "nvars"):
-        raise RingMismatchError(f"{what} is of type {type(x).__name__}, not an element of a ring")
-    here, there = (getattr(y, "ring", None) or f"a ring in {y.nvars} variables" for y in (x, ring.one()))
-    if here != there:
-        raise RingMismatchError(f"{what} lives in {here}, not in {there}")
+    there = ring_of(ring.one(), what)
+    if ring_of(x, what) != there:
+        raise not_in(x, there, what)
 
 
 def trivial_vector(ring, rank: int) -> ChernVector:

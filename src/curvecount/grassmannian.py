@@ -13,13 +13,14 @@ outside input (`GrassmannianRing._parts_of`) and for results (`terms`,
 On a box of at most three rows an LR tableau is fixed by three integers,
 so the coefficients are counts of integer points (`_lr_three_rows`); a
 taller box enumerates chains of horizontal strips with the lattice-word
-condition.  Each ring keeps one memo of products: a table of (index,
-coefficient) expansions keyed by the ordered pair of basis indices, packed
-into one int; a pair and its mirror share one expansion, filled once by the
-LR rule (`_lr_expansion`, which keeps nothing itself) and ranked by
-`product`; one-column classes sigma_(1^k) take the same rule.  The ring's
-table of horizontal strips by (parts, size) serves the LR chains and Pieri
-alike, so each strip set is enumerated once.
+condition.  Both rules count straight into the ring's basis indices.  Each
+ring keeps one memo of products: a table of (index, coefficient)
+expansions keyed by the ordered pair of basis indices, packed into one
+int; a pair and its mirror share one expansion, filled once by the LR rule
+(`_lr_expansion`, which keeps nothing itself) and stored by `product` as
+the rule returns it; one-column classes sigma_(1^k) take the same rule.
+The ring's table of horizontal strips by (parts, size) serves the LR
+chains and Pieri alike, so each strip set is enumerated once.
 `GrassmannianRing.sum_of_products` is the one product kernel, and
 `multiply` is its one-term call.  It works in two phases: the first sums
 the scaled coefficient products of all terms per product-table key,
@@ -40,7 +41,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import PreconditionError, RingMismatchError
+from .errors import PreconditionError, RingMismatchError, not_in
 from .partitions import Partition, horizontal_strips, partitions_in_box, partitions_of_weight
 
 
@@ -123,8 +124,8 @@ class GrassmannianRing:
 
         The expansion is stored under the key and its mirror j * size + i
         alike, so a miss on one is a miss on both and each unordered pair is
-        computed once.  Every pair takes the LR rule, whose shapes are
-        ranked here into the (index, coefficient) expansion in index order.
+        computed once.  Every pair takes the LR rule, whose (index,
+        coefficient) expansion in index order is stored as it stands.
         A unit or one-column factor sigma_(1^k), such as c_k(U*), goes
         second, so in a taller box the column is the strip word of the chains.
         """
@@ -132,7 +133,7 @@ class GrassmannianRing:
         lam, mu = self.parts[i], self.parts[j]
         if lam[:1] in ((), (1,)):  # the unit or a column goes second
             lam, mu = mu, lam
-        expansion = tuple(sorted((self.rank(nu), k) for nu, k in _lr_expansion(lam, mu, self)))
+        expansion = _lr_expansion(lam, mu, self)
         self.products[i * self.size + j] = self.products[j * self.size + i] = expansion
         return expansion
 
@@ -178,8 +179,11 @@ class GrassmannianRing:
         pairs: dict[int, int] = {}
         get = pairs.get
         for coeff, x, y in terms:
-            if x.ring is not self or y.ring is not self:
-                raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
+            try:
+                if x.ring is not self or y.ring is not self:
+                    raise RingMismatchError(f"cannot multiply classes on {x.ring} and {y.ring} in {self}")
+            except AttributeError:
+                raise not_in(y if hasattr(x, "ring") else x, self) from None
             if x._lowest_weight() + y._lowest_weight() > room:
                 continue
             xs, ys = x._coeffs.items(), y._coeffs.items()
@@ -361,8 +365,8 @@ def _is_lattice_step(before: tuple[int, ...], shape: tuple[int, ...], nu: tuple[
     return True
 
 
-def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, ...], int]:
-    """LR coefficients c^nu_{lam, mu} in a box of at most three rows, by shape nu.
+def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing) -> dict[int, int]:
+    """LR coefficients c^nu_{lam, mu} in a box of at most three rows, by basis index of nu.
 
     Row 1 of an LR tableau (Fulton, Young Tableaux, section 5) holds only
     1s and row 2 only 1s and 2s, so with content mu a tableau is fixed by b,
@@ -372,36 +376,69 @@ def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], rows: int, cols: i
     and y are the column-strict and lattice-word conditions: the 1s of rows
     2 and 3 sit under lam, the 2s of row 2 under lam or 1s, the 2s of row 3
     under lam or the 1s of row 2, and the reading word never has more 2s
-    than 1s or more 3s than 2s; nu3 <= nu2 bounds y too.  Each point within
-    them where nu has no more parts than `rows` is one tableau.
+    than 1s or more 3s than 2s; nu3 <= nu2 bounds y too.  Since
+    mu3 <= y <= b and x <= lam1 - lam2, no b below mu3,
+    mu2 + lam2 - lam1 or mu1 + lam3 - lam1 leaves room for x and y.  Each
+    point within the bounds where nu has no more parts than the ring's rows
+    is one tableau, counted under the index of nu in the ring.
     """
     l1, l2, l3 = lam + (0,) * (3 - len(lam))
     m1, m2, m3 = mu + (0,) * (3 - len(mu))
+    rows, index = ring.rows, ring.index
     weight = l1 + l2 + l3 + m1 + m2 + m3
-    counts: dict[tuple[int, ...], int] = {}
-    for b in range(min(m1, cols - l1) + 1):
+    counts: dict[int, int] = {}
+    b_low = m3
+    if b_low < m2 + l2 - l1:
+        b_low = m2 + l2 - l1
+    if b_low < m1 + l3 - l1:
+        b_low = m1 + l3 - l1
+    b_top = ring.cols - l1
+    if m1 < b_top:
+        b_top = m1
+    for b in range(b_low, b_top + 1):
         n1 = l1 + b
         half = (weight - n1 + 1) // 2  # the least nu2 with nu3 <= nu2
-        for x in range(max(0, m2 - b, m1 - b - l2 + l3), min(m1 - b, l1 - l2) + 1):
-            y_low = max(m3, m1 + m2 + l3 - l2 - b - 2 * x, half - l2 - x)
-            for n2 in range(l2 + x + y_low, l2 + x + min(b, m2, n1 - l2 - x) + 1):
+        x_low = m1 - b - l2 + l3
+        if x_low < m2 - b:
+            x_low = m2 - b
+        if x_low < 0:
+            x_low = 0
+        x_top = l1 - l2
+        if m1 - b < x_top:
+            x_top = m1 - b
+        y_top = m2 if m2 < b else b
+        for x in range(x_low, x_top + 1):
+            low = m1 + m2 + l3 - l2 - b - 2 * x
+            if low < m3:
+                low = m3
+            if low < half - l2 - x:
+                low = half - l2 - x
+            top = n1 - l2 - x
+            if y_top < top:
+                top = y_top
+            for n2 in range(l2 + x + low, l2 + x + top + 1):
                 n3 = weight - n1 - n2
                 nu = (n1, n2, n3) if n3 else (n1, n2) if n2 else (n1,) if n1 else ()
                 if len(nu) <= rows:
-                    counts[nu] = counts.get(nu, 0) + 1
+                    k = index.get(nu)
+                    if k is None:
+                        k = ring.rank(nu)
+                    counts[k] = counts.get(k, 0) + 1
     return counts
 
 
-def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing) -> dict[tuple[int, ...], int]:
-    """LR coefficients c^nu_{lam, mu} in the ring's box, by shape nu, from
-    chains of horizontal strips of sizes mu1, mu2, ... out of the ring's
-    strip table, checking the lattice-word condition as each is added."""
-    strips = ring.horizontal
-    counts: dict[tuple[int, ...], int] = {}
+def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing) -> dict[int, int]:
+    """LR coefficients c^nu_{lam, mu} in the ring's box, by basis index of
+    nu, from chains of horizontal strips of sizes mu1, mu2, ... out of the
+    ring's strip table, checking the lattice-word condition as each is
+    added and ranking each chain's last shape in the ring."""
+    strips, rank = ring.horizontal, ring.rank
+    counts: dict[int, int] = {}
 
     def extend(before: tuple[int, ...] | None, shape: tuple[int, ...], stage: int) -> None:
         if stage == len(mu):
-            counts[shape] = counts.get(shape, 0) + 1
+            k = rank(shape)
+            counts[k] = counts.get(k, 0) + 1
             return
         for nu in strips(shape, mu[stage]):
             if before is None or _is_lattice_step(before, shape, nu):
@@ -412,18 +449,19 @@ def _lr_chains(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing
 
 
 @lru_cache(maxsize=0)
-def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing):
+def _lr_expansion(lam: tuple[int, ...], mu: tuple[int, ...], ring: GrassmannianRing) -> tuple[tuple[int, int], ...]:
     """Expansion of sigma_lam * sigma_mu inside the box of `ring`.
 
-    Returns a tuple of (nu parts, coefficient) pairs; `GrassmannianRing.product`
-    ranks them and keeps the expansion in the ring's table, so this rule
-    stores nothing: its cache of size 0 only counts the fills, one miss
-    each.  A box of at most three rows counts its LR tableaux by their
+    Returns the (index, coefficient) pairs in index order, which
+    `GrassmannianRing.product` keeps as they stand in the ring's table, so
+    this rule stores nothing: its cache of size 0 only counts the fills,
+    one miss each.  Both rules count straight into the ring's basis
+    indices.  A box of at most three rows counts its LR tableaux by their
     content (`_lr_three_rows`); a taller box enumerates strip chains
     (`_lr_chains`) from the ring's strip table.
     """
-    counts = _lr_three_rows(lam, mu, ring.rows, ring.cols) if ring.rows <= 3 else _lr_chains(lam, mu, ring)
-    return tuple(counts.items())
+    counts = _lr_three_rows(lam, mu, ring) if ring.rows <= 3 else _lr_chains(lam, mu, ring)
+    return tuple(sorted(counts.items()))
 
 
 def pieri(c: ChowClass, a: int) -> ChowClass:
@@ -447,7 +485,11 @@ def pieri(c: ChowClass, a: int) -> ChowClass:
 
 def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
     """Product of two classes via the Littlewood-Richardson rule."""
-    return x.ring.sum_of_products([(1, x, y)])
+    try:
+        ring = x.ring
+    except AttributeError:
+        raise not_in(x, "a Grassmannian") from None
+    return ring.sum_of_products([(1, x, y)])
 
 
 def giambelli(lam, ring: GrassmannianRing) -> ChowClass:

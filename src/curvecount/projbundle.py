@@ -31,7 +31,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .chern import ChernVector, check_element
-from .errors import PreconditionError, RingMismatchError
+from .errors import PreconditionError, RingMismatchError, not_in
 from .grassmannian import integrate
 
 
@@ -79,8 +79,11 @@ class ProjBundleRing:
         """
         raw: list[list] = [[] for _ in range(2 * self.fiber_rank - 1)]
         for coeff, x, y in terms:
-            if x.ring != self or y.ring != self:
-                raise RingMismatchError("elements live on different projective bundles")
+            try:
+                if x.ring != self or y.ring != self:
+                    raise RingMismatchError("elements live on different projective bundles")
+            except AttributeError:
+                raise not_in(y if hasattr(x, "ring") else x, self) from None
             for i, a in enumerate(x.coeffs):
                 if not a.is_zero():
                     for j, b in enumerate(y.coeffs):
@@ -206,7 +209,11 @@ class ProjBundleElement:
 
 def pb_multiply(x: ProjBundleElement, y: ProjBundleElement) -> ProjBundleElement:
     """Product in the projective-bundle ring, reduced to canonical form."""
-    return x.ring.sum_of_products([(1, x, y)])
+    try:
+        ring = x.ring
+    except AttributeError:
+        raise not_in(x, "a projective bundle") from None
+    return ring.sum_of_products([(1, x, y)])
 
 
 def pb_pushforward(x: ProjBundleElement):

@@ -28,7 +28,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InternalCheckError, RingMismatchError
+from .errors import InternalCheckError, RingMismatchError, not_in
 
 Exponents = tuple[int, ...]
 
@@ -203,9 +203,12 @@ def sum_of_products(nvars: int, terms: Iterable[tuple[int, SymmetricPoly, Symmet
     acc: dict[int, int] = {}
     get = acc.get
     for coeff, x, y in terms:
-        if x.nvars != nvars or y.nvars != nvars:
-            bad = x.nvars if x.nvars != nvars else y.nvars
-            raise RingMismatchError(f"cannot multiply a polynomial in {bad} variables in a ring of {nvars}")
+        try:
+            if x.nvars != nvars or y.nvars != nvars:
+                bad = x.nvars if x.nvars != nvars else y.nvars
+                raise RingMismatchError(f"cannot multiply a polynomial in {bad} variables in a ring of {nvars}")
+        except AttributeError:
+            raise not_in(y if hasattr(x, "nvars") else x, f"a ring in {nvars} variables") from None
         right = sorted(y._packed.items())
         for k1, c1 in x._packed.items():
             c1 *= coeff

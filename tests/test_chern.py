@@ -398,6 +398,16 @@ class TestChernRing:
         assert total.degrees() == {3, 4}
         assert ring.sum_of_products([]) == ring.zero()
 
+    def test_sum_of_products_names_a_factor_that_is_no_polynomial(self):
+        ring = ChernRing(2, 4)
+        c1 = ring.generators().component(1)
+        for terms in ([(1, ring.one(), 2)], [(1, 2, c1)]):
+            with pytest.raises(RingMismatchError, match="^factor is of type int, not an element of a ring$"):
+                ring.sum_of_products(terms)
+        # A Schubert class names its Grassmannian.
+        with pytest.raises(RingMismatchError, match=r"^factor lives in Gr\(2,5\), not in a ring in 2 variables$"):
+            ring.sum_of_products([(1, c1, GR25.sigma((1,)))])
+
     def test_generators_stop_at_dim(self):
         # In degree <= 2, c_3 of a rank-3 bundle is zero.
         generic = ChernRing(3, 2).generators()

@@ -25,6 +25,7 @@ from curvecount import (
     universal_dual_chern,
     whitney_quotient,
 )
+from curvecount.chern import ChernRing
 from curvecount.grassmannian import _lr_chains, _lr_expansion, _lr_three_rows
 from curvecount.partitions import partitions_in_box
 
@@ -230,6 +231,20 @@ class TestMultiply:
         with pytest.raises(RingMismatchError):
             multiply(GR24.sigma((1,)), GR25.sigma((1,)))
 
+    def test_a_factor_that_is_no_ring_element(self):
+        # An int in either place, through the one-term call and the kernel.
+        x = GR24.sigma((1,))
+        for call in (lambda: multiply(GR24.one(), 2), lambda: multiply(2, GR24.one()),
+                     lambda: GR24.sum_of_products([(1, x, 2)]), lambda: GR24.sum_of_products([(1, 2, x)]),
+                     lambda: GR24.sum_of_products([(1, GR25.one(), 2)])):
+            with pytest.raises(RingMismatchError, match="^factor is of type int, not an element of a ring$"):
+                call()
+        # A packed polynomial names its variable count.
+        with pytest.raises(RingMismatchError, match=r"^factor lives in a ring in 2 variables, not in Gr\(2,4\)$"):
+            GR24.sum_of_products([(1, x, ChernRing(2, 4).one())])
+        with pytest.raises(RingMismatchError, match="^factor lives in a ring in 2 variables, not in a Grassmannian$"):
+            multiply(ChernRing(2, 4).one(), x)
+
     def test_weight_skip_is_exact(self, monkeypatch):
         # The kernel checks no pair's weight: in boxes of 1 to 5 rows, the LR
         # rule gives no shape for a pair whose weights sum past the dimension.
@@ -320,6 +335,25 @@ class TestMultiply:
                 expansion = ring.products[ring.rank(lam.parts) * ring.size + ring.rank(mu.parts)]
                 assert ChowClass._trusted(ring, dict(expansion)) == oracle_multiply(ring, lam, mu)
 
+    @pytest.mark.parametrize("r, n", [(3, 7), (4, 8)])
+    def test_stored_expansions_are_index_ordered_and_shared(self, r, n):
+        # Both rules count into basis indices, and the table keeps each
+        # expansion as the rule returns it: one tuple under a key and its
+        # mirror, indices strictly increasing, every coefficient positive.
+        ring = GrassmannianRing(r, n)
+        full = ChowClass(ring, {p: 1 for p in ring.basis()})
+        clear_product_memos()
+        multiply(full, full)
+        size = ring.size
+        assert len(ring.products) == size ** 2
+        for key, expansion in ring.products.items():
+            i, j = divmod(key, size)
+            assert type(expansion) is tuple and ring.products[j * size + i] is expansion
+            indices = [k for k, _ in expansion]
+            assert indices == sorted(set(indices))
+            assert all(m > 0 for _, m in expansion)
+        assert max(m for expansion in ring.products.values() for _, m in expansion) > 1
+
     @staticmethod
     def fill_table(ring, keys):
         """The product and strip tables of the ring, filled cold in the order of `keys`."""
@@ -393,7 +427,9 @@ class TestMultiply:
         assert sorted(ring.products) == keys
 
     def test_three_row_count_matches_the_strip_chains(self):
-        # Every ordered pair in every box of 1 to 3 rows and up to 8 columns.
+        # Every ordered pair in every box of 1 to 3 rows and up to 8 columns:
+        # both rules count by basis index of the ring, and the chains hold
+        # no index the count lacks.
         pairs = 0
         for rows in (1, 2, 3):
             for cols in range(9):
@@ -401,13 +437,13 @@ class TestMultiply:
                 box = [p.parts for p in partitions_in_box(rows, cols)]
                 for lam in box:
                     for mu in box:
-                        assert _lr_three_rows(lam, mu, rows, cols) == _lr_chains(lam, mu, ring)
+                        assert _lr_three_rows(lam, mu, ring) == _lr_chains(lam, mu, ring)
                         pairs += 1
         assert pairs == 58761
 
     def test_three_row_count_matches_brute_force_tableaux(self):
         # A seeded sample of the pairs that fit the dimension of Gr(3, 9),
-        # each against every shape of its weight.
+        # each against every shape of its weight, looked up by basis index.
         ring = GrassmannianRing(3, 9)
         box = [p.parts for p in ring.basis()]
         rng = Random(24)
@@ -417,10 +453,10 @@ class TestMultiply:
             weight = sum(lam) + sum(mu)
             if weight > ring.dim:
                 continue
-            counts = _lr_three_rows(lam, mu, ring.rows, ring.cols)
-            assert all(sum(nu) == weight for nu in counts)
+            counts = _lr_three_rows(lam, mu, ring)
+            assert all(ring.weights[k] == weight for k in counts)
             for nu in ring.basis(weight):
-                assert counts.get(nu.parts, 0) == brute_lr_coefficient(lam, mu, nu.parts)
+                assert counts.get(ring.rank(nu.parts), 0) == brute_lr_coefficient(lam, mu, nu.parts)
             pairs += 1
 
 

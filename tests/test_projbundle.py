@@ -167,6 +167,14 @@ class TestMultiplication:
         with pytest.raises(RingMismatchError):
             pb_multiply(proj_space(2).zeta(), proj_space(3).zeta())
 
+    def test_a_factor_that_is_no_ring_element(self):
+        ring = proj_space(2)
+        z = ring.zeta()
+        for call in (lambda: pb_multiply(ring.one(), 2), lambda: pb_multiply(2, ring.one()),
+                     lambda: ring.sum_of_products([(1, z, 2)]), lambda: ring.sum_of_products([(1, 2, z)])):
+            with pytest.raises(RingMismatchError, match="^factor is of type int, not an element of a ring$"):
+                call()
+
     def test_one_ring_object_is_not_compared_by_its_bundle(self, monkeypatch):
         from curvecount import ChernVector
 
