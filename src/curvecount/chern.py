@@ -18,12 +18,10 @@ series c(E)/c(S), a Whitney quotient or a Segre class, is one
 
 Symmetric powers go through universal polynomials in e_1..e_r.  The product
 of (1 + root) over the formal roots of Sym^d of a rank-r bundle is one
-symmetric factor per S_r orbit of the roots, multiplied there.  A one-root
-orbit and a rank-2 orbit take a closed form; only an orbit of rank 3 or more
-with more than one root is multiplied out in the roots and rewritten once by
-`reduce_to_elementary`.  The total class takes that product or Newton's
-identity on the power sums of the roots, by rank, as `sym_power_elementary`
-says; it is kept as packed e-polynomials per degree, memoized per (rank,
+symmetric factor per S_r orbit of the roots, each multiplied out in the
+roots and rewritten once by `reduce_to_elementary`.  The total class takes
+that product or Newton's identity on the power sums of the roots, by rank,
+as `sym_power_elementary` says; it is kept as packed e-polynomials per degree, memoized per (rank,
 power, truncation degree) in memory only: this module reads and writes no
 file.  `ChernRing` is Z[c_1..c_r] truncated at a dimension, where they are
 elements as they stand; its `evaluator`, `symfunc.elementary_substitution`
@@ -145,25 +143,13 @@ def clear_universal_cache() -> None:
 
 def _orbit_factor(lam: tuple[int, ...], trunc: int) -> SymmetricPoly:
     """The product of (1 + m.x) over the distinct rearrangements m of `lam`,
-    in the packed e-monomial ring up to degree `trunc`.
-
-    Two shapes have a closed form: a one-root orbit (a, ..., a) is
-    1 + a e1 at any rank, and a rank-2 orbit (a, b) with a != b is
-    (1 + a x1 + b x2)(1 + b x1 + a x2) = 1 + (a + b) e1 + ab e1^2 + (a - b)^2 e2.
-    Any other orbit is multiplied out in the roots and rewritten once by
-    `reduce_to_elementary`.
+    in the packed e-monomial ring up to degree `trunc`: multiplied out in
+    the roots and rewritten once by `reduce_to_elementary`.
     """
-    r, a, b = len(lam), lam[0], lam[-1]
-    if a == b:
-        by_degree = [{(0,) * r: 1}, {(1,) + (0,) * (r - 1): a}]
-    elif r == 2:
-        by_degree = [{(0, 0): 1}, {(1, 0): a + b}, {(2, 0): a * b, (0, 1): (a - b) ** 2}]
-    else:
-        orbit = SymmetricPoly.constant(r, 1)
-        for m in set(permutations(lam)):
-            orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, 1), trunc)
-        return elementary_ring_poly(r, reduce_to_elementary(orbit))
-    return elementary_ring_poly(r, {e: c for terms in by_degree[:trunc + 1] for e, c in terms.items()})
+    orbit = SymmetricPoly.constant(len(lam), 1)
+    for m in set(permutations(lam)):
+        orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, 1), trunc)
+    return elementary_ring_poly(len(lam), reduce_to_elementary(orbit))
 
 
 def _sym_power_product(r: int, d: int, trunc: int) -> SymmetricPoly:
@@ -172,8 +158,8 @@ def _sym_power_product(r: int, d: int, trunc: int) -> SymmetricPoly:
 
     The roots of Sym^d E are the forms sum(m_i x_i) with |m| = d, in one S_r
     orbit per partition of d into at most r parts; the orbit factors, each
-    from `_orbit_factor` (in closed form at rank <= 2), are multiplied from
-    the lexicographically largest partition down.
+    from `_orbit_factor`, are multiplied from the lexicographically largest
+    partition down.
     """
     total = SymmetricPoly.constant(r, 1)
     for parts in reversed(list(parts_of_weight(d, r, d))):
@@ -187,9 +173,7 @@ def sym_power_elementary(r: int, d: int, trunc: int) -> tuple[SymmetricPoly, ...
 
     A miss takes its route by rank alone.  Rank 3 takes Newton's identity on
     the power sums of the roots, `symfunc.sym_power_newton`.  Every other
-    rank multiplies the orbit factors of `_sym_power_product`: rank 2 has
-    closed-form orbits, which power sums do not beat, and ranks 1 and >= 4
-    have no power-sum route.
+    rank multiplies the orbit factors of `_sym_power_product`.
     """
     key = (r, d, trunc)
     if key in _SYM_CACHE:

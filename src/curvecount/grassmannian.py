@@ -376,11 +376,14 @@ def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], ring: Grassmannian
     and y are the column-strict and lattice-word conditions: the 1s of rows
     2 and 3 sit under lam, the 2s of row 2 under lam or 1s, the 2s of row 3
     under lam or the 1s of row 2, and the reading word never has more 2s
-    than 1s or more 3s than 2s; nu3 <= nu2 bounds y too.  Since
-    mu3 <= y <= b and x <= lam1 - lam2, no b below mu3,
-    mu2 + lam2 - lam1 or mu1 + lam3 - lam1 leaves room for x and y.  Each
-    point within the bounds where nu has no more parts than the ring's rows
-    is one tableau, counted under the index of nu in the ring.
+    than 1s or more 3s than 2s.  These bounds make nu a partition:
+    x <= lam1 - lam2 and y <= b give nu2 <= nu1, and
+    nu2 - nu3 = [y - (mu1 + mu2 + lam3 - lam2 - b - 2x)] + [y - mu3], where
+    the lower bounds on y make both brackets >= 0.  Since mu3 <= y <= b and
+    x <= lam1 - lam2, no b below mu3, mu2 + lam2 - lam1 or
+    mu1 + lam3 - lam1 leaves room for x and y.  Each point within the
+    bounds where nu has no more parts than the ring's rows is one tableau,
+    counted under the index of nu in the ring.
     """
     l1, l2, l3 = lam + (0,) * (3 - len(lam))
     m1, m2, m3 = mu + (0,) * (3 - len(mu))
@@ -397,7 +400,6 @@ def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], ring: Grassmannian
         b_top = m1
     for b in range(b_low, b_top + 1):
         n1 = l1 + b
-        half = (weight - n1 + 1) // 2  # the least nu2 with nu3 <= nu2
         x_low = m1 - b - l2 + l3
         if x_low < m2 - b:
             x_low = m2 - b
@@ -411,12 +413,7 @@ def _lr_three_rows(lam: tuple[int, ...], mu: tuple[int, ...], ring: Grassmannian
             low = m1 + m2 + l3 - l2 - b - 2 * x
             if low < m3:
                 low = m3
-            if low < half - l2 - x:
-                low = half - l2 - x
-            top = n1 - l2 - x
-            if y_top < top:
-                top = y_top
-            for n2 in range(l2 + x + low, l2 + x + top + 1):
+            for n2 in range(l2 + x + low, l2 + x + y_top + 1):
                 n3 = weight - n1 - n2
                 nu = (n1, n2, n3) if n3 else (n1, n2) if n2 else (n1,) if n1 else ()
                 if len(nu) <= rows:

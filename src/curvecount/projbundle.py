@@ -81,6 +81,9 @@ class ProjBundleRing:
         for coeff, x, y in terms:
             try:
                 if x.ring != self or y.ring != self:
+                    factor = x if x.ring != self else y
+                    if not isinstance(factor.ring, ProjBundleRing):
+                        raise not_in(factor, self)
                     raise RingMismatchError("elements live on different projective bundles")
             except AttributeError:
                 raise not_in(y if hasattr(x, "ring") else x, self) from None

@@ -216,8 +216,9 @@ class TestCountCurves:
         (lambda: degeneration_split_report(5, 4), 2875),
     ], ids=["lines", "lines-ci", "conics", "conics-1,5", "conics-2,4", "conics-8", "equivalence", "split-report"])
     def test_counts_reduce_nothing_to_elementary(self, monkeypatch, call, count):
-        # Rank-2 orbit factors have a closed form and conic counts build no
-        # class, so these cold counts reach no elimination.
+        # Lines, equivalences and split reports take the rank-2 root kernel
+        # and conic counts build no class, so these cold counts reach no
+        # elimination.
         def refuse(p):
             raise AssertionError("reduce_to_elementary called")
 

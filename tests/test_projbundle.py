@@ -23,7 +23,7 @@ from curvecount import (
     whitney_quotient,
 )
 
-from curvecount import grassmannian
+from curvecount import chern, grassmannian, symfunc
 from curvecount.chern import ChernRing
 from curvecount.symfunc import elementary_ring_poly
 
@@ -164,8 +164,19 @@ class TestMultiplication:
         assert ring.zeta() == ring.pullback(-c1)
 
     def test_ring_mismatch(self):
-        with pytest.raises(RingMismatchError):
-            pb_multiply(proj_space(2).zeta(), proj_space(3).zeta())
+        ring, other = proj_space(2), proj_space(3)
+        for call in (lambda: pb_multiply(ring.zeta(), other.zeta()),
+                     lambda: ring.sum_of_products([(1, ring.one(), other.one())])):
+            with pytest.raises(RingMismatchError, match="^elements live on different projective bundles$"):
+                call()
+
+    def test_a_factor_from_another_kind_of_ring(self):
+        ring = ProjBundleRing(dual_universal_vector(GR24))
+        message = r"^factor lives in Gr\(2,4\), not in P\(rank-2 bundle over Gr\(2,4\)\)$"
+        for call in (lambda: ring.sum_of_products([(1, ring.one(), GR24.sigma((1,)))]),
+                     lambda: pb_multiply(ring.one(), GR24.sigma((1,)))):
+            with pytest.raises(RingMismatchError, match=message):
+                call()
 
     def test_a_factor_that_is_no_ring_element(self):
         ring = proj_space(2)
@@ -411,6 +422,21 @@ class TestConicChain:
         expected = count_curves("conics", n, degrees).count
         for presentation in (False, True):
             assert self.chain(n, degrees, presentation) == count == expected
+
+    @pytest.mark.parametrize("n, degrees, count", CONIC_CASES)
+    def test_chain_reaches_no_orbit_route(self, monkeypatch, n, degrees, count):
+        # Every class of the chain is of rank 3, whose total classes come from
+        # the power sums: cold, on either base, no orbit is multiplied out and
+        # nothing is rewritten in the elementary basis.
+        def refuse(*args):
+            raise AssertionError("the orbit route was reached")
+
+        for owner, name in ((chern, "_sym_power_product"), (chern, "reduce_to_elementary"),
+                            (symfunc, "reduce_to_elementary")):
+            monkeypatch.setattr(owner, name, refuse)
+        for presentation in (False, True):
+            chern.clear_universal_cache()
+            assert self.chain(n, degrees, presentation) == count
 
     def test_chern_ring_chain_matches_count_curves_in_p10(self):
         # A ladder rung past CONIC_CASES, on the ChernRing base alone (about 0.5 s cold).

@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from curvecount import InternalCheckError, RingMismatchError, SymmetricPoly, elementary, reduce_to_elementary
-from curvecount import chern, symfunc
-from curvecount.chern import _orbit_factor, _sym_power_product, clear_universal_cache, sym_power_elementary
+from curvecount import symfunc
+from curvecount.chern import _sym_power_product, clear_universal_cache, sym_power_elementary
 from curvecount.symfunc import DEGREE_LIMIT, elementary_ring_poly, sum_of_products
 
 from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_elementary, tuple_sym_power_elementary
@@ -15,16 +15,6 @@ from helpers import elementary_to_monomials, evaluate, packed, roots_sym_power_e
 def total_class(r, d, trunc):
     """The per-degree e-polynomials of c(Sym^d) of a rank-r bundle, as the cache holds them."""
     return _sym_power_product(r, d, trunc).graded(trunc)
-
-
-def x_space_orbit(roots, trunc):
-    """The product of (1 + m.x) over the roots m, multiplied out in the
-    variables up to degree `trunc` and rewritten once in e_1..e_r."""
-    r = len(roots[0])
-    orbit = SymmetricPoly.constant(r, 1)
-    for m in roots:
-        orbit = orbit.mul_truncated(SymmetricPoly.linear_form(m, 1), trunc)
-    return elementary_ring_poly(r, reduce_to_elementary(orbit))
 
 
 def x_power(nvars, i, a=1):
@@ -226,32 +216,6 @@ class TestPackedKernel:
     @pytest.mark.parametrize("key", [(2, 53, 54), (3, 11, 18), (3, 9, 18), (4, 4, 12)])
     def test_universal_polynomials_match_roots_oracle(self, key):
         assert total_class(*key) == packed(roots_sym_power_elementary(*key))
-
-    def test_closed_form_orbit_factors_match_the_x_space_route(self):
-        # Every orbit of d <= 12 with at most two parts, and the one-root
-        # orbits (a, ..., a) at ranks 1, 3 and 4, against the orbit multiplied
-        # out in the roots and rewritten by reduce_to_elementary, with each
-        # truncation up to one past the orbit's degree.
-        orbits = [(d - b, b) for d in range(1, 13) for b in range(d // 2 + 1)]
-        orbits += [(a,) * r for r in (1, 3, 4) for a in range(1, 12 // r + 1)]
-        for lam in orbits:
-            roots = sorted(set(permutations(lam)))
-            for trunc in range(len(roots) + 2):
-                assert _orbit_factor(lam, trunc) == x_space_orbit(roots, trunc), (lam, trunc)
-
-    def test_rank_two_classes_need_no_elementary_rewrite(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("reduce_to_elementary called")
-
-        monkeypatch.setattr(chern, "reduce_to_elementary", refuse)
-        monkeypatch.setattr(symfunc, "reduce_to_elementary", refuse)
-        clear_universal_cache()
-        assert sym_power_elementary(2, 53, 54) == packed(roots_sym_power_elementary(2, 53, 54))
-        assert sym_power_elementary(2, 5, 6) == packed(roots_sym_power_elementary(2, 5, 6))
-        # A rank-3 total class takes the power sums, not the orbits.
-        assert sym_power_elementary(3, 2, 6) == packed(roots_sym_power_elementary(3, 2, 6))
-        with pytest.raises(AssertionError, match="reduce_to_elementary called"):
-            sym_power_elementary(4, 2, 8)  # the orbit of (2, 0, 0, 0) still takes the rewrite
 
     def test_elementary_ring_grades_by_weight(self):
         # e2 has degree 2 in the roots, so e1 * e2 is cut at degree 2 and kept at 3.
