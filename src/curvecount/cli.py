@@ -5,10 +5,12 @@ Exit codes: 0 success, 2 usage error, 3 mathematical precondition failure,
 `--format structured` for a canonical JSON object whose counts are decimal
 strings.
 
-`run` parses with one parser per process, made by its first call with its
-top level alone: each subcommand's parser, a calculator group's included,
-is built when a command line first reaches it and is reused after that.
-Nothing is built at import.
+`run` reads a well-formed command line straight from the command tables,
+`COMMANDS`, `CALCULATORS` and the global options, into the namespace
+argparse would make of it, so no parser is built.  Every other line (help,
+usage errors, abbreviated or `=`-joined flags, negative values) goes to one
+argparse parser per process, built whole by the first such line and reused
+after that.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -251,66 +253,107 @@ CALCULATORS = {
 _GRASSMANNIAN = ("--grassmannian", _required(_parse_grassmannian, "r,N"))
 
 
-class _Deferred:
-    """A subcommand's parser, as `add_subparsers(parser_class=_Deferred)`
-    makes it from add_parser's keywords: the first attribute that argparse
-    looks up on it builds the real parser, which `fill` completes and which
-    serves that lookup and every later one."""
-
-    def __init__(self, fill, **kwargs):
-        self._fill, self._kwargs, self._parser = fill, kwargs, None
-
-    def __getattr__(self, name):
-        if self._parser is None:
-            parser = argparse.ArgumentParser(**self._kwargs)
-            self._fill(parser)
-            self._parser = parser
-        return getattr(self._parser, name)
-
-
-def _fill_command(options, func, parser) -> None:
-    for flag, keywords in options:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=func)
-
-
-def _fill_group(group, commands, parser) -> None:
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Deferred)
-    _add_commands(sub, f"{group}-", commands, (_GRASSMANNIAN,))
+# The options before the command, as (flag, argparse keywords).
+_GLOBAL_OPTIONS = (
+    ("--format", {"dest": "output_format", "choices": ("plain", "structured"), "default": "plain",
+                  "help": "output format (default: plain)"}),
+    ("--trace", {"action": "store_true", "default": False, "help": "include intermediate classes"}),
+    ("--cache-dir", {"default": None,
+                     "help": f"accepted and created if missing; nothing is stored there (or ${CACHE_DIR_ENV})"}),
+)
 
 
 def _add_commands(sub, prefix: str, commands, common=()) -> None:
     for name, summary, options, emit in commands:
-        fill = partial(_fill_command, common + options, partial(emit, prefix + name, options))
-        sub.add_parser(name, help=summary, fill=fill)
+        parser = sub.add_parser(name, help=summary)
+        for flag, keywords in common + options:
+            parser.add_argument(flag, **keywords)
+        parser.set_defaults(func=partial(emit, prefix + name, options))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; each subcommand's parser is built when a
-    command line first reaches it."""
+    """The argparse parser of the whole command line, every subcommand's included."""
     parser = argparse.ArgumentParser(
         prog="curvecount",
         description="Exact curve counts on Calabi-Yau threefolds via Schubert calculus.",
     )
-    parser.add_argument(
-        "--format", dest="output_format", choices=("plain", "structured"), default="plain",
-        help="output format (default: plain)",
-    )
-    parser.add_argument("--trace", action="store_true", help="include intermediate classes")
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"accepted and created if missing; nothing is stored there (or ${CACHE_DIR_ENV})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+    for flag, keywords in _GLOBAL_OPTIONS:
+        parser.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
     _add_commands(sub, "", COMMANDS)
     for group, (summary, commands) in CALCULATORS.items():
-        sub.add_parser(group, help=summary, fill=partial(_fill_group, group, commands))
+        group_sub = sub.add_parser(group, help=summary).add_subparsers(dest="subcommand", required=True)
+        _add_commands(group_sub, f"{group}-", commands, (_GRASSMANNIAN,))
     return parser
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    """The namespace attribute argparse gives an option."""
+    return keywords.get("dest", flag[2:].replace("-", "_"))
+
+
+def _take_options(tokens: list[str], options, values: dict) -> list[str] | None:
+    """Read the leading flags of `options` and their values off `tokens` into
+    `values`, and the defaults of the options not given; return the tokens
+    after them.  None for a value that starts with '-' or that its type or
+    choices refuse, or a required option not given.  A repeated flag ends
+    the reading, so the caller sees it as the next token."""
+    unread = dict(options)
+    i = 0
+    while i < len(tokens) and tokens[i] in unread:
+        flag = tokens[i]
+        keywords = unread.pop(flag)
+        if keywords.get("action") == "store_true":
+            values[_dest(flag, keywords)] = True
+            i += 1
+            continue
+        if i + 1 == len(tokens) or tokens[i + 1].startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(tokens[i + 1])
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[_dest(flag, keywords)] = value
+        i += 2
+    for flag, keywords in unread.items():
+        if keywords.get("required"):
+            return None
+        values[_dest(flag, keywords)] = keywords.get("default")
+    return tokens[i:]
+
+
+def _table_parse(argv) -> argparse.Namespace | None:
+    """The namespace that `build_parser().parse_args(argv)` returns, read
+    straight from the command tables, or None for any line it does not fully
+    recognise: abbreviated, `=`-joined or repeated flags, a global option
+    after the command, any value that starts with '-' (negative numbers and
+    help included), a missing, unknown or extra token, or a value that its
+    type or choices refuse.  argparse reads those lines instead."""
+    values: dict = {}
+    rest = _take_options(list(argv), _GLOBAL_OPTIONS, values)
+    if not rest:
+        return None
+    values["command"], *rest = rest
+    prefix, commands, common = "", COMMANDS, ()
+    if values["command"] in CALCULATORS:
+        if not rest:
+            return None
+        values["subcommand"], *rest = rest
+        prefix, commands, common = f"{values['command']}-", CALCULATORS[values["command"]][1], (_GRASSMANNIAN,)
+    name = values.get("subcommand", values["command"])
+    for command, _, options, emit in commands:
+        # Every token must be read: None (refused) and a leftover both fail.
+        if command == name and _take_options(rest, common + options, values) == []:
+            return argparse.Namespace(**values, func=partial(emit, prefix + name, options))
+    return None
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser every `run` call of this process shares, built by the first."""
+    """The parser every `run` call of this process that needs one shares,
+    built by the first."""
     return build_parser()
 
 
@@ -326,16 +369,21 @@ def _accept_cache_dir(path: str) -> None:
 
 def run(argv: list[str] | None = None) -> int:
     """Run one command line, after checking the cache directory it names, if any.
-    Help is held while argparse parses and then written like a command's
-    output, since argparse drops a failed write to stdout itself."""
-    printed = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(printed):
-            args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        if printed.getvalue():
-            sys.stdout.write(printed.getvalue())
-        return int(exc.code or 0)
+    A line the command tables do not read goes to argparse; its help is held
+    while argparse parses and then written like a command's output, since
+    argparse drops a failed write to stdout itself."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_parse(argv)
+    if args is None:
+        printed = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(printed):
+                args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            if printed.getvalue():
+                sys.stdout.write(printed.getvalue())
+            return int(exc.code or 0)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
         if cache_dir:

@@ -22,17 +22,13 @@ bundle one coefficient product at a time and applies the relation with
 class arithmetic, without the fused `sum_of_products` kernel.
 `bott_count` counts lines, conics and equivalences by torus localization,
 with no Schubert calculus, symmetric-function reduction or bundle relation.
-`eager_parser` builds the whole command-line parser up front, every
-subcommand's parser with it, as `cli.build_parser` did before it deferred
-them.  `cap_products` makes `GrassmannianRing.sum_of_products` fail after a
+`cap_products` makes `GrassmannianRing.sum_of_products` fail after a
 number of calls, so a loop that would run for hours fails at once.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm, prod
 from pathlib import Path
@@ -54,7 +50,7 @@ from curvecount import (
     tensor_line,
     whitney_quotient,
 )
-from curvecount import chern, cli, grassmannian
+from curvecount import chern, grassmannian
 from curvecount.chern import sym_power_elementary
 from curvecount.symfunc import elementary_ring_poly
 
@@ -488,37 +484,3 @@ def bott_count(kind: str, n: int, degrees, weights) -> int:
         raise ValueError(f"localization gave the non-integer {count} + {rest}/{common}")
     return count
 
-
-# --- command line -------------------------------------------------------------
-
-def eager_parser() -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand's parser built up front, from
-    `cli.COMMANDS` and `cli.CALCULATORS`: the reference for the help and
-    usage-error output of the parser `cli.run` builds on demand."""
-    parser = argparse.ArgumentParser(
-        prog="curvecount",
-        description="Exact curve counts on Calabi-Yau threefolds via Schubert calculus.",
-    )
-    parser.add_argument(
-        "--format", dest="output_format", choices=("plain", "structured"), default="plain",
-        help="output format (default: plain)",
-    )
-    parser.add_argument("--trace", action="store_true", help="include intermediate classes")
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"accepted and created if missing; nothing is stored there (or ${cli.CACHE_DIR_ENV})",
-    )
-
-    def add_commands(sub, prefix, commands, common=()):
-        for name, summary, options, emit in commands:
-            p = sub.add_parser(name, help=summary)
-            for flag, keywords in common + options:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=partial(emit, prefix + name, options))
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_commands(sub, "", cli.COMMANDS)
-    for group, (summary, commands) in cli.CALCULATORS.items():
-        group_sub = sub.add_parser(group, help=summary).add_subparsers(dest="subcommand", required=True)
-        add_commands(group_sub, f"{group}-", commands, (cli._GRASSMANNIAN,))
-    return parser

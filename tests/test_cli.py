@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import errno
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +15,7 @@ from curvecount.chern import clear_universal_cache
 from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 from curvecount.errors import InternalCheckError
 
-from helpers import cap_products, eager_parser, src_env
+from helpers import cap_products, src_env
 
 
 def invoke(capsys, *argv):
@@ -421,13 +424,14 @@ class TestUsageErrors:
 
 
 class TestParserReuse:
-    def test_runs_share_one_parser(self, capsys, monkeypatch):
+    def test_usage_errors_share_one_parser(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
         cli._parser.cache_clear()
         try:
-            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
-            assert invoke(capsys, "lines-ci", "--ambient", "5", "--degrees", "2,4")[:2] == (0, "1280\n")
+            assert invoke(capsys, "lines", "--ambient", "4")[:2] == (2, "")
+            assert invoke(capsys, "lines-ci", "--ambient", "5", "--degrees", "2,x")[:2] == (2, "")
+            assert invoke(capsys, "lines", "--help")[0] == 0
             assert built == [1]
         finally:
             cli._parser.cache_clear()
@@ -450,7 +454,7 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "80")
         cli._parser.cache_clear()
         with pytest.raises(SystemExit):
-            eager_parser().parse_args(argv)
+            build_parser().parse_args(argv)
         expected = capsys.readouterr().out
         assert expected.startswith("usage: curvecount")
         assert invoke(capsys, *argv) == (0, expected, "")
@@ -462,33 +466,154 @@ class TestParserReuse:
     )
     def test_usage_errors_match_an_eager_parser(self, capsys, monkeypatch, argv, code):
         monkeypatch.setenv("COLUMNS", "80")
+        assert cli._table_parse(argv) is None
         cli._parser.cache_clear()
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_parser", eager_parser)
+            patch.setattr(cli, "_parser", build_parser)
             expected = invoke(capsys, *argv)
         assert expected[0] == code
         assert invoke(capsys, *argv) == expected
         assert invoke(capsys, *argv) == expected
 
-    def test_a_command_line_builds_only_the_parsers_it_reaches(self, capsys, monkeypatch):
+    def test_a_well_formed_line_builds_no_parser(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
         monkeypatch.setattr(
             argparse.ArgumentParser, "__init__", lambda self, **kw: built.append(kw["prog"]) or init(self, **kw)
         )
-        lines = ("lines", "--ambient", "4", "--degree", "5")
         try:
             cli._parser.cache_clear()
-            assert invoke(capsys, *lines)[:2] == (0, "2875\n")
-            assert built == ["curvecount", "curvecount lines"]
-            assert invoke(capsys, *lines)[:2] == (0, "2875\n")
-            assert len(built) == 2
-            cli._parser.cache_clear()
-            built.clear()
+            assert invoke(capsys, "lines", "--ambient", "4", "--degree", "5")[:2] == (0, "2875\n")
             assert invoke(capsys, "chern", "segre", "--grassmannian", "2,5", "--degree", "2")[0] == 0
-            assert built == ["curvecount", "curvecount chern", "curvecount chern segre"]
+            assert invoke(capsys, "--format", "structured", "--trace", "conics-quintic")[0] == 0
+            assert built == []
+            assert invoke(capsys, "lines", "--ambient", "-4", "--degree", "5")[0] == 3
+            assert built[0] == "curvecount"
         finally:
             cli._parser.cache_clear()
+
+
+# The corpus on which `cli._table_parse` must agree with argparse, made from
+# the command tables.  Every subcommand gets its well-formed lines, which
+# the table must take, and lines it may refuse.  Each value that a type
+# accepts (Unicode digits among them) must read as argparse reads it.
+GLOBALS = (("--format", "structured"), ("--trace",), ("--cache-dir", "cache"))
+VALUES = {
+    int: ("4", "0", "٣", "４", " 7 ", "1_0", "²", "x", "4.0", "", "-1", "-0"),
+    cli._parse_degrees: ("2,4", "3", "3,", ",", "", "2,x", "-2,4"),
+    cli._parse_partition: ("2,1", "1", "0", "", " ", "1,1,1", "1,x", "0,-1"),
+    cli._parse_grassmannian: ("2,5", "2x5", "2", "2,5,7", "", "2,-5"),
+}
+WELL_FORMED_VALUE = {int: "3", cli._parse_degrees: "2,4", cli._parse_partition: "1", cli._parse_grassmannian: "2,5"}
+
+
+# Each subcommand: (its own tokens, its options as (flag, argparse keywords)).
+SUBCOMMANDS = [((name,), options) for name, _, options, _ in cli.COMMANDS] + [
+    ((group, name), (cli._GRASSMANNIAN,) + options)
+    for group, (_, commands) in cli.CALCULATORS.items() for name, _, options, _ in commands
+]
+
+
+def _pairs(options):
+    return [(flag, WELL_FORMED_VALUE[keywords["type"]]) for flag, keywords in options]
+
+
+def _flatten(pairs):
+    return [token for pair in pairs for token in pair]
+
+
+def _well_formed(path, options):
+    """The globals in every order and the options in every order."""
+    pairs = _pairs(options)
+    for k in range(len(GLOBALS) + 1):
+        for globals_ in itertools.permutations(GLOBALS, k):
+            yield [*_flatten(globals_), *path, *_flatten(pairs)]
+    for order in itertools.permutations(pairs):
+        yield [*path, *_flatten(order)]
+    for flag, keywords in options:
+        if not keywords.get("required"):
+            yield [*path, *_flatten(pair for pair in pairs if pair[0] != flag)]
+
+
+def _malformed(path, options):
+    """Lines the table may refuse; argparse may still take some of them."""
+    pairs = _pairs(options)
+    line = [*path, *_flatten(pairs)]
+    for i in range(len(line) + 1):
+        yield line[:i]  # missing tokens
+        for token in ("-h", "--help", "", "extra", "--bogus"):
+            yield [*line[:i], token, *line[i:]]
+    for i, (flag, value) in enumerate(pairs):
+        others = pairs[:i] + pairs[i + 1:]
+        for odd in VALUES[dict(options)[flag]["type"]]:
+            yield [*path, *_flatten(others), flag, odd]
+        yield [*path, *_flatten(others)]
+        yield [*path, *_flatten(pairs), flag, value]  # repeated, with the same value
+        yield [*path, *_flatten(others), f"{flag}={value}"]
+        for cut in (-1, 3):
+            yield [*path, *_flatten(others), flag[:cut], value]  # abbreviated
+    for extra in (["--trace"], ["--format", "structured"], ["--cache-dir", "cache"]):
+        yield [*line, *extra]  # a global option after the command
+    for globals_ in (["--trace", "--trace"], ["--format", "plain", "--format", "structured"],
+                     ["--format", "json"], ["--format", "-1"], ["--cache-dir"], ["--cache-dir", "-x"],
+                     ["--form", "structured"], ["--format=structured"], ["--tr"], ["--cache-dir="]):
+        yield [*globals_, *line]
+    if len(path) == 2:
+        yield [path[0], *_flatten(pairs)]
+        yield [path[0], path[0], path[1], *_flatten(pairs)]
+        yield [path[0], path[1][:-1], *_flatten(pairs)]
+
+
+def _parsed(parser, argv):
+    """What argparse makes of `argv`: its namespace's items, func by what it
+    calls, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            namespace = parser.parse_args(argv)
+    except SystemExit:
+        return None
+    return _items(namespace)
+
+
+def _items(namespace):
+    items = vars(namespace)
+    func = items.pop("func")
+    return {**items, "func": (func.func, func.args, func.keywords)}
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return build_parser()
+
+
+class TestTableParse:
+    @pytest.mark.parametrize("path, options", SUBCOMMANDS, ids=[" ".join(path) for path, _ in SUBCOMMANDS])
+    def test_the_table_agrees_with_argparse(self, parser, path, options):
+        for argv in _well_formed(path, options):
+            table = cli._table_parse(argv)
+            assert table is not None, argv
+            assert _items(table) == _parsed(parser, argv), argv
+        for argv in _malformed(path, options):
+            table = cli._table_parse(argv)
+            assert table is None or _items(table) == _parsed(parser, argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        [], [""], ["--trace"], ["twisted-cubics"], ["line"], ["-h"], ["--help"], ["--version"], ["--"],
+        ["--", "conics-quintic"], ["conics-quintic", "--"], ["conics-quintic", "extra"], ["schubert"],
+        ["chern", "--help"], ["chern", "segre"], ["chern", "sym", "-h"], ["--trace", "--", "tally-checks"],
+    ], ids=repr)
+    def test_the_table_refuses_what_it_cannot_read(self, parser, argv):
+        assert cli._table_parse(argv) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["lines", "--ambient", "٣", "--degree", "４"],
+        ["lines-ci", "--ambient", " 1_0 ", "--degrees", "٢,３"],
+        ["schubert", "integrate", "--grassmannian", "2,5", "--a", "", "--power", "0"],
+        ["--cache-dir", "lines", "tally-checks"],
+        ["--format", "plain", "--cache-dir", "", "conics-quintic"],
+    ], ids=repr)
+    def test_the_table_reads_what_argparse_reads(self, parser, argv):
+        assert _items(cli._table_parse(argv)) == _parsed(parser, argv)
 
 
 # The two `chern sym` lines each wrote one universal-polynomial file to an
@@ -587,8 +712,8 @@ def test_module_entry_point_subprocess(capsys, monkeypatch):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2875"
-    # As the first command line of an interpreter, before any subcommand's
-    # parser exists, the module prints what the in-process `run` prints.
+    # As the first command line of an interpreter, where argparse builds the
+    # parser for it, the module prints what the in-process `run` prints.
     monkeypatch.setenv("COLUMNS", "80")
     for argv in (["twisted-cubics"], ["chern", "segre", "--help"]):
         proc = subprocess.run(

@@ -37,7 +37,7 @@ import pytest
 
 from curvecount import GrassmannianRing, count_curves
 from curvecount.chern import clear_universal_cache, sym_power_elementary
-from curvecount.cli import CACHE_DIR_ENV, run
+from curvecount.cli import CACHE_DIR_ENV, _table_parse, run
 
 from helpers import clear_product_memos, schubert_calculator
 
@@ -79,6 +79,15 @@ def test_cli_trace_matches_golden(name, capsys, monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     assert run(["--format", "structured", "--trace", *CLI_CASES[name]]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_the_command_tables_read_every_golden_line_without_a_negative_value():
+    # argparse reads only the lines with a negative value, such as a twist by -2.
+    lines = [command.split() for command in (*CALCULATORS, *SCHUBERT_CALCULATORS)]
+    lines += [["--format", "structured", "--trace", *argv] for argv in CLI_CASES.values()]
+    negative = [argv for argv in lines if any(word[0] == "-" and word[1] != "-" for word in argv)]
+    assert [argv for argv in lines if _table_parse(argv) is None] == negative
+    assert len(negative) == 104  # of the 1354 calculator lines
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
