@@ -108,9 +108,14 @@ def _required(parse=int, text=None) -> dict:
     return {"type": parse, "required": True, "help": text}
 
 
+def _dest(flag: str, keywords: dict) -> str:
+    """The namespace attribute argparse gives an option."""
+    return keywords.get("dest", flag[2:].replace("-", "_"))
+
+
 def _inputs(args, options) -> dict:
     """The values of a subcommand's options, keyed by their argparse names."""
-    names = [flag[2:].replace("-", "_") for flag, _ in options]
+    names = [_dest(flag, keywords) for flag, keywords in options]
     return {name: getattr(args, name) for name in names}
 
 
@@ -285,11 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         group_sub = sub.add_parser(group, help=summary).add_subparsers(dest="subcommand", required=True)
         _add_commands(group_sub, f"{group}-", commands, (_GRASSMANNIAN,))
     return parser
-
-
-def _dest(flag: str, keywords: dict) -> str:
-    """The namespace attribute argparse gives an option."""
-    return keywords.get("dest", flag[2:].replace("-", "_"))
 
 
 def _take_options(tokens: list[str], options, values: dict) -> list[str] | None:

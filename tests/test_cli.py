@@ -602,7 +602,7 @@ class TestTableParse:
         ["--", "conics-quintic"], ["conics-quintic", "--"], ["conics-quintic", "extra"], ["schubert"],
         ["chern", "--help"], ["chern", "segre"], ["chern", "sym", "-h"], ["--trace", "--", "tally-checks"],
     ], ids=repr)
-    def test_the_table_refuses_what_it_cannot_read(self, parser, argv):
+    def test_the_table_refuses_what_it_cannot_read(self, argv):
         assert cli._table_parse(argv) is None
 
     @pytest.mark.parametrize("argv", [
