@@ -12,6 +12,10 @@ Lines, equivalences and split reports work on Gr(2, n+1) in the rank-2
 kernel after `degeneration_split_report`, a class of degree j being the list
 of its coefficients of x^i y^(j-i) in the roots x, y of U*.  A conic count sums
 Bott's formula over the torus-fixed conics, in integers, and builds no class.
+The trace writes its Schubert classes straight from (parts, coefficient)
+terms, in the JSON of `ChowClass.to_payload`, and takes the dimensions of
+the Grassmannians by formula, so this module builds no ring and imports no
+sibling but `errors`.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, lcm, prod
 
 from .errors import InternalCheckError, PreconditionError
-from .grassmannian import GrassmannianRing
-from .symfunc import DEGREE_LIMIT
+
+# A Gr(2, N) of this dimension or more is refused before any list is built;
+# it is the bound of every degree in `symfunc`, so counts and calculators share it.
+DIM_LIMIT = 1 << 16
 
 
 def _check_digits(*numbers: int) -> None:
@@ -36,9 +42,13 @@ def _check_digits(*numbers: int) -> None:
         raise PreconditionError(f"the count has more than {limit} digits, over the sys.get_int_max_str_digits() limit")
 
 
-def _serialize(cls) -> str:
-    _check_digits(*cls.terms.values())
-    return json.dumps(cls.to_payload(), separators=(",", ":"))
+def _serialize(terms) -> str:
+    """A class given as (parts, coefficient) terms in lex order of the parts,
+    parts without trailing zeros, written as `ChowClass.to_payload` writes it:
+    [[parts, "coefficient"], ...] with the zero coefficients left out."""
+    terms = [(parts, c) for parts, c in terms if c]
+    _check_digits(*(c for _, c in terms))
+    return json.dumps([[parts, str(c)] for parts, c in terms], separators=(",", ":"))
 
 
 class _Record:
@@ -156,7 +166,8 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
 
     Lines integrate `_top(*degrees)` over Gr(2, n+1), and conics are
     `_conics_by_localization`; the trace records the integrated class as the
-    count times the point.
+    count times the point class, sigma of the full span x (n + 1 - span) box,
+    written without building the Grassmannian.
     """
     n, degrees = operator.index(n), [operator.index(d) for d in degrees]
     if kind not in ("lines", "conics"):
@@ -164,12 +175,13 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
     if n < 2 or not degrees or any(d < 1 for d in degrees):
         raise PreconditionError(f"need ambient dimension >= 2 and degrees >= 1, got ({n}, {degrees})")
     span = 2 if kind == "lines" else 3
-    base = GrassmannianRing(span, n + 1)
+    cols = n + 1 - span  # Gr(span, n+1) is a box of span rows and cols columns
+    dim = span * cols
     if kind == "lines":
-        dim, trace = base.dim, [("moduli_space", f"Gr(2,{n + 1})")]
+        trace = [("moduli_space", f"Gr(2,{n + 1})")]
     else:  # the fibres of P(Sym^2 U*) are the P^5 of conics in a plane
-        dim = base.dim + 5
-        trace = [("base_space", f"Gr(3,{n + 1})"), ("base_dim", str(base.dim)), ("conic_bundle_rank", "6")]
+        trace = [("base_space", f"Gr(3,{n + 1})"), ("base_dim", str(dim)), ("conic_bundle_rank", "6")]
+        dim += 5
     # Degree-d forms on a rational curve of degree span-1 have rank (span-1)d + 1.
     rank = sum((span - 1) * d + 1 for d in degrees)
     if rank != dim:
@@ -185,13 +197,13 @@ def count_curves(kind: str, n: int, degrees: list[int]) -> CountReport:
                 trace.append((f"divisible_rank_degree_{d}", str(comb(d, 2))))
     trace.append(("forms_rank", str(rank)))
     if kind == "lines":  # c_top(Sym^d U*) has degree d + 1, so the product has degree dim
-        if dim >= DEGREE_LIMIT:  # refused before any list is built
-            raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DEGREE_LIMIT}")
+        _check_dim(n)
         count = _sigma(_top(*degrees), n - 1)
     else:
         count = _conics_by_localization(n, degrees)
     label = "top_chern_class" if kind == "lines" else "top_class_pushforward"
-    trace += [(label, _serialize(base.sigma((base.cols,) * base.rows) * count)), ("count", str(count))]
+    point = (cols,) * span if cols else ()  # the full box
+    trace += [(label, _serialize([(point, count)])), ("count", str(count))]
     return CountReport(f"{kind}-complete-intersection", {"ambient": n, "degrees": degrees}, count, tuple(trace))
 
 
@@ -270,12 +282,11 @@ def equivalence_lines_on_factor(D: int, e: int, n: int) -> CountReport:
     """
     D, e, n = operator.index(D), operator.index(e), operator.index(n)
     k, count, excess, locus = _equivalence(D, e, n)
-    base = GrassmannianRing(2, n + 1)
     trace = (
         ("moduli_space", f"Gr(2,{n + 1})"),
         ("family_dim", str(k)),
-        ("family_class", _serialize(_schubert(locus, base))),
-        ("excess_part", _serialize(_schubert(excess, base))),
+        ("family_class", _serialize(_schubert(locus, n - 1))),
+        ("excess_part", _serialize(_schubert(excess, n - 1))),
         ("count", str(count)),
     )
     return CountReport(
@@ -293,10 +304,7 @@ def _equivalence(D: int, e: int, n: int, total: list | None = None) -> tuple[int
         raise PreconditionError(f"factor degree must satisfy 1 <= e <= {D}, got {e}")
     if n < 2:
         raise PreconditionError(f"need ambient dimension >= 2, got {n}")
-    dim = 2 * (n - 1)
-    if dim >= DEGREE_LIMIT:  # refused before any list is built
-        raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DEGREE_LIMIT}")
-    k = dim - (e + 1)
+    k = _check_dim(n) - (e + 1)
     if k < 0:
         raise PreconditionError(
             f"expected family dimension {k} < 0: a degree-{e} factor carries no "
@@ -329,6 +337,15 @@ def degeneration_split_report(D: int, n: int) -> CountReport:
         tuple(trace),
         tuple(consistency),
     )
+
+
+def _check_dim(n: int) -> int:
+    """The dimension 2(n - 1) of Gr(2, n+1), refused at DIM_LIMIT or past it
+    before any coefficient list is built."""
+    dim = 2 * (n - 1)
+    if dim >= DIM_LIMIT:
+        raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DIM_LIMIT}")
+    return dim
 
 
 def _product(f: list, g: list) -> list:
@@ -374,10 +391,11 @@ def _sigma(f: list, a: int) -> int:
     return f[a] - f[a + 1] if a + 1 < len(f) else f[a]
 
 
-def _schubert(f: list, base: GrassmannianRing):
-    """The class f in the Schubert basis of the Gr(2, N) `base`."""
+def _schubert(f: list, cols: int) -> list:
+    """The class f as (parts, coefficient) terms in the Schubert basis of
+    Gr(2, cols + 2): sigma_(a, j-a) for a = ceil(j/2) .. min(j, cols), in lex order."""
     j = len(f) - 1
-    return sum((base.sigma((a, j - a)) * _sigma(f, a) for a in range((j + 1) // 2, min(j, base.cols) + 1)), base.zero())
+    return [(tuple(filter(None, (a, j - a))), _sigma(f, a)) for a in range((j + 1) // 2, min(j, cols) + 1)]
 
 
 def naive_dimension_count(n: int, D: int, d: int) -> DimensionCount:

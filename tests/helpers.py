@@ -24,10 +24,13 @@ class arithmetic, without the fused `sum_of_products` kernel.
 with no Schubert calculus, symmetric-function reduction or bundle relation.
 `cap_products` makes `GrassmannianRing.sum_of_products` fail after a
 number of calls, so a loop that would run for hours fails at once.
+`schubert_trace_class` writes a trace class by the pipelines' former route,
+a sum of `ring.sigma(parts) * c` serialized by `ChowClass.to_payload`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, lcm, prod
@@ -179,6 +182,13 @@ def oracle_multiply(ring: GrassmannianRing, lam, mu) -> ChowClass:
 def point_class(ring: GrassmannianRing) -> ChowClass:
     """The class of a point: the full-box Schubert class."""
     return ring.sigma((ring.cols,) * ring.rows)
+
+
+def schubert_trace_class(ring: GrassmannianRing, terms) -> str:
+    """The (parts, coefficient) terms on `ring` as a count's trace writes them:
+    the sum of ring.sigma(parts) * c, as the compact JSON of its payload."""
+    cls = sum((ring.sigma(parts) * c for parts, c in terms), ring.zero())
+    return json.dumps(cls.to_payload(), separators=(",", ":"))
 
 
 def random_class(ring: GrassmannianRing, rng: Random, max_terms: int = 5) -> ChowClass:

@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from curvecount.cli import CACHE_DIR_ENV, build_parser, run
 from curvecount.errors import InternalCheckError
 
 from helpers import cap_products, src_env
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -497,6 +501,64 @@ class TestParserReuse:
 # the command tables.  Every subcommand gets its well-formed lines, which
 # the table must take, and lines it may refuse.  Each value that a type
 # accepts (Unicode digits among them) must read as argparse reads it.
+# The refusals that exit 3 with a message of the engine's own, run from a
+# directory holding an empty file `blocker` and with the digit limit at 4300.
+REFUSAL_LINES = [
+    ["lines", "--ambient", "40000", "--degree", "79997"],
+    ["equivalence", "--total", "3", "--factor", "1", "--ambient", "40000"],
+    ["split-report", "--degree", "79997", "--ambient", "40000"],
+    ["lines", "--ambient", "700", "--degree", "1397"],
+    ["chern", "segre", "--grassmannian", "2,4", "--degree", "2", "--trunc", "65536"],
+    ["--cache-dir", "blocker", "conics-quintic"],
+    ["--cache-dir", "blocker/sub", "conics-quintic"],
+]
+TEXT_LINES = HELP_LINES + [argv for argv, _ in USAGE_LINES] + REFUSAL_LINES
+# Per Python version "major.minor": command line -> [exit code, sha256 of stdout, sha256 of stderr].
+TEXT_DIGESTS = json.loads((GOLDEN / "cli-texts.json").read_text())
+VERSION = "%d.%d" % sys.version_info[:2]
+
+
+def text_digests(argv) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of `run(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return [code, *(hashlib.sha256(text.getvalue().encode()).hexdigest() for text in (out, err))]
+
+
+class TestTextDigests:
+    """The bytes of every help text, usage error and refusal, pinned by
+    digest in tests/golden/cli-texts.json at COLUMNS=80.  argparse lays out
+    its texts differently across versions, so the digests are kept per
+    Python version, and a version with none skips and names itself."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch, tmp_path):
+        if VERSION not in TEXT_DIGESTS:
+            pytest.skip(f"no CLI text digests for Python {VERSION}; tests/golden/cli-texts.json has {sorted(TEXT_DIGESTS)}")
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        previous = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+        if previous is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            yield TEXT_DIGESTS[VERSION]
+        finally:
+            if previous is not None:
+                sys.set_int_max_str_digits(previous)
+
+    def test_every_line_has_a_digest(self, pinned):
+        assert sorted(pinned) == sorted(" ".join(argv) for argv in TEXT_LINES)
+
+    @pytest.mark.parametrize("argv", TEXT_LINES, ids=" ".join)
+    def test_text_matches_its_digest(self, pinned, argv):
+        if "1397" in argv and not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no digit limit before Python 3.10.7")
+        assert text_digests(argv) == pinned[" ".join(argv)]
+
+
 GLOBALS = (("--format", "structured"), ("--trace",), ("--cache-dir", "cache"))
 VALUES = {
     int: ("4", "0", "٣", "４", " 7 ", "1_0", "²", "x", "4.0", "", "-1", "-0"),

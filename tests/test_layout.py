@@ -88,15 +88,14 @@ def test_pipelines_import_no_projective_bundle():
     assert "projbundle" not in modules | names
 
 
-def test_pipelines_take_only_the_grassmannian_itself():
-    # Every count integrates a coefficient list by the bialternant; the
-    # pipelines take from the Schubert layer only the ring of their traces,
-    # whose classes are sums of base.sigma(parts) * c.
+def test_pipelines_import_no_sibling_but_errors():
+    # Every count integrates a coefficient list by the bialternant, and the
+    # trace writes its classes from (parts, coefficient) terms: no ring of
+    # the Schubert or Chern layers is built, so none is imported.
     for node in _sibling_imports(MODULES["pipelines"]):
-        names = {alias.name for alias in node.names}
-        assert "grassmannian" not in names
-        if (node.module or "").endswith("grassmannian"):
-            assert names <= {"GrassmannianRing"}
+        assert node.level == 1 and node.module == "errors", ast.unparse(node)
+    imported = {alias.name for node in ast.walk(MODULES["pipelines"]) if isinstance(node, ast.Import) for alias in node.names}
+    assert not {name for name in imported if name.split(".")[0] == "curvecount"}
 
 
 def test_checker_sees_each_kind_of_reach():

@@ -30,13 +30,13 @@ from curvecount import (
     sym_power,
     tally_checks,
 )
-from curvecount import chern, grassmannian, pipelines, projbundle
+from curvecount import chern, grassmannian, pipelines, projbundle, symfunc
 from curvecount.chern import ChernRing
 from curvecount.cli import CACHE_DIR_ENV, run
 from curvecount.pipelines import _serialize
 from curvecount.symfunc import elementary_ring_poly
 
-from helpers import bott_count, clear_product_memos, oracle_multiply, roots_sym_power_elementary
+from helpers import bott_count, clear_product_memos, oracle_multiply, roots_sym_power_elementary, schubert_trace_class
 
 
 class TestLinesOnHypersurface:
@@ -384,6 +384,31 @@ class TestPresentationRoute:
         pipeline(*args)
         assert asked == []
 
+    @pytest.mark.parametrize("pipeline, args, count", [
+        (count_curves, ("lines", 4, [5]), 2875),
+        (count_curves, ("lines", 5, [3, 3]), 1053),
+        (count_curves, ("lines", 7, [2, 2, 2, 2]), 512),
+        (count_curves, ("conics", 2, [2]), 1),
+        (count_curves, ("conics", 4, [5]), 609250),
+        (count_curves, ("conics", 6, [8]), 21553784182784),
+        (count_lines_hypersurface, (8, 13), 210776836330775),
+        (count_conics_quintic, (), 609250),
+        (degeneration_split_report, (5, 4), 2875),
+        (degeneration_split_report, (7, 5), 698005),
+        (equivalence_lines_on_factor, (1, 1, 2), 1),
+        (equivalence_lines_on_factor, (3, 1, 4), -4),
+        (equivalence_lines_on_factor, (7, 3, 5), 337365),
+        *((equivalence_lines_on_factor, (5, e, 4), count) for e, count in zip(range(1, 6), (1275, 1300, 1575, 1600, 2875))),
+    ])
+    def test_count_paths_build_no_schubert_ring(self, monkeypatch, pipeline, args, count):
+        # Every trace class is written from (parts, coefficient) terms, so no
+        # Grassmannian is built, not even one already in the process.
+        def refuse(*args):
+            raise AssertionError("a GrassmannianRing was built")
+
+        monkeypatch.setattr(GrassmannianRing, "__new__", refuse)
+        assert pipeline(*args).count == count
+
     @pytest.mark.parametrize("argv", [
         ("sym", "--degree", "4"),
         ("dual", "--degree", "3"),
@@ -404,6 +429,79 @@ class TestPresentationRoute:
         assert not multiply(ring.sigma((2, 1)), ring.sigma((2, 1))).is_zero()
         assert asked == [(ring, ring.rank((2, 1)) * (ring.size + 1))]
         assert fills == [((2, 1), (2, 1))] and not self.columns_only(fills)
+
+
+class TestTraceClassOracle:
+    """Every trace class against the route the pipelines took while they
+    built a ring: `schubert_trace_class` sums sigma(parts) * c there and
+    writes `ChowClass.to_payload`.  The strings must match byte for byte,
+    the degree-0 class [] and the order and zeros of the terms included."""
+
+    @staticmethod
+    def check_point_class(report, span, n):
+        ring = GrassmannianRing(span, n + 1)
+        label = "top_chern_class" if span == 2 else "top_class_pushforward"
+        expected = schubert_trace_class(ring, [((ring.cols,) * ring.rows, report.count)])
+        assert report.trace_value(label) == expected, (span, n)
+
+    def test_line_counts(self):
+        for n in range(2, 41):
+            counted = []
+            for d in range(1, 2 * n):
+                try:
+                    report = count_curves("lines", n, [d])
+                except PreconditionError as refused:
+                    assert "rank" in str(refused)
+                    continue
+                counted.append(d)
+                self.check_point_class(report, 2, n)
+            assert counted == [2 * n - 3]
+
+    @pytest.mark.parametrize("kind, n, degrees", [
+        *((kind, n, ds) for kind in ("lines", "conics")
+          for n, ds in ((5, [3, 3]), (5, [2, 4]), (6, [2, 2, 3]), (7, [2, 2, 2, 2]))),
+        ("conics", 2, [2]), ("conics", 3, [1, 2]), ("conics", 4, [5]), ("conics", 5, [1, 5]),
+        ("conics", 5, [2, 4]), ("conics", 6, [8]), ("conics", 9, [3, 3, 3, 2]),
+    ])
+    def test_complete_intersections(self, kind, n, degrees):
+        self.check_point_class(count_curves(kind, n, degrees), 2 if kind == "lines" else 3, n)
+
+    def test_degree_zero_classes_have_no_parts(self):
+        assert count_curves("conics", 2, [2]).trace_value("top_class_pushforward") == '[[[],"1"]]'
+        assert equivalence_lines_on_factor(1, 1, 2).trace_value("excess_part") == '[[[],"1"]]'
+
+    def test_equivalences_and_split_reports(self):
+        checked = 0
+        for n in range(2, 12):
+            ring = GrassmannianRing(2, n + 1)
+            for D in range(1, 12):
+                counts = {}
+                for e in range(1, D + 1):
+                    try:
+                        report = equivalence_lines_on_factor(D, e, n)
+                    except PreconditionError:
+                        assert 2 * (n - 1) < e + 1
+                        continue
+                    k, count, excess, locus = pipelines._equivalence(D, e, n)
+                    for label, f in (("family_class", locus), ("excess_part", excess)):
+                        j = len(f) - 1
+                        terms = [((a, j - a), pipelines._sigma(f, a)) for a in range(j + 1) if j - a <= a <= ring.cols]
+                        assert report.trace_value(label) == schubert_trace_class(ring, terms), (D, e, n, label)
+                    counts[e] = report.count
+                    checked += 1
+                if D + 1 != 2 * (n - 1):
+                    with pytest.raises(PreconditionError, match="rank"):
+                        degeneration_split_report(D, n)
+                    continue
+                split = degeneration_split_report(D, n)
+                assert split.trace_value("smooth_count") == str(counts[D])
+                assert [split.trace_value(f"equivalence_degree_{e}") for e in range(1, D)] == [
+                    str(counts[e]) for e in range(1, D)
+                ]
+        assert checked == 535  # the (D, e, n) with 1 <= e <= D <= 11, n <= 11 and e + 1 <= 2(n - 1)
+
+    def test_pipelines_own_the_bound_of_the_chern_layer(self):
+        assert pipelines.DIM_LIMIT == symfunc.DEGREE_LIMIT == 65536
 
 
 class TestEquivalences:
@@ -536,8 +634,8 @@ class TestRankTwoKernel:
         for degree in range(base.dim + 1):
             for b in range(degree // 2 + 1):
                 monomial = {(degree - 2 * b, b): 1}
-                image = pipelines._schubert(roots_list(monomial, degree), base)
-                assert image == schubert(elementary_ring_poly(2, monomial)), (degree, b)
+                image = _serialize(pipelines._schubert(roots_list(monomial, degree), base.cols))
+                assert json.loads(image) == schubert(elementary_ring_poly(2, monomial)).to_payload(), (degree, b)
 
     @pytest.mark.parametrize("d", [1, 2, 53, 96])
     def test_top_is_the_product_of_the_roots(self, d):
@@ -726,14 +824,15 @@ class TestDigitLimit:
         previous = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
-            fits = (10**640 - 1) * ring.sigma((1,)) - ring.sigma((2, 1))
+            fits = [((1,), 10**640 - 1), ((2, 1), -1)]
             assert json.loads(_serialize(fits)) == [[[1], "9" * 640], [[2, 1], "-1"]]
-            past = fits - 10**640 * ring.sigma((2,))
+            past = [fits[0], ((2,), -10**640), fits[1]]
             with pytest.raises(PreconditionError) as refused:
                 _serialize(past)
             assert str(refused.value) == "the count has more than 640 digits, over the sys.get_int_max_str_digits() limit"
             sys.set_int_max_str_digits(0)  # no limit
-            assert json.loads(_serialize(past)) == past.to_payload()
+            as_class = sum((ring.sigma(parts) * c for parts, c in past), ring.zero())
+            assert json.loads(_serialize(past)) == as_class.to_payload()
         finally:
             sys.set_int_max_str_digits(previous)
 
