@@ -28,9 +28,7 @@ from math import comb, lcm, prod
 
 from .errors import InternalCheckError, PreconditionError
 
-# A Gr(2, N) of this dimension or more is refused before any list is built;
-# it is the bound of every degree in `symfunc`, so counts and calculators share it.
-DIM_LIMIT = 1 << 16
+DIM_LIMIT = 1 << 16  # the bound of every degree in `symfunc`, so counts and calculators refuse alike
 
 
 def _check_digits(*numbers: int) -> None:
@@ -340,8 +338,7 @@ def degeneration_split_report(D: int, n: int) -> CountReport:
 
 
 def _check_dim(n: int) -> int:
-    """The dimension 2(n - 1) of Gr(2, n+1), refused at DIM_LIMIT or past it
-    before any coefficient list is built."""
+    """2(n - 1), the dimension of Gr(2, n+1), refused from DIM_LIMIT up before any list is built."""
     dim = 2 * (n - 1)
     if dim >= DIM_LIMIT:
         raise PreconditionError(f"dim Gr(2,{n + 1}) = {dim} must be below {DIM_LIMIT}")
